@@ -55,6 +55,7 @@ from .expressions import (
 from .identities import (
     IdentityForm,
     RBranch,
+    branch_holds,
     classify_r,
     reduce_cancellation,
     specialize,

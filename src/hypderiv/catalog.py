@@ -7,9 +7,17 @@ literal LHS/RHS expression builders.  ``verify_entry`` draws admissible
 random parameters and checks the RHS against the jet-oracle n-th derivative
 of the LHS.
 
+The entries are generated from ``_TABLE``, one row per identity family.  A
+row gives the family's parameters, its LHS, its literal RHS and, for a
+corollary, the theorem family and Kummer-type transform it comes from.  Its
+case lines are keyed by ``RBranch`` and take their applicability from
+``identities.branch_holds``.
+
 The Kummer-type rewrites (exponential, Euler, Pfaff) are provided both as
 expression transforms and as the composition machinery that rebuilds each
-corollary RHS mechanically from its theorem-line source.
+corollary RHS mechanically from its theorem-line source.  No literal
+corollary RHS is built by the theorem-line builders the composition uses,
+so comparing the two is a check of the corollary.
 """
 
 from __future__ import annotations
@@ -50,7 +58,11 @@ from .expressions import (
     term,
 )
 from .identities import (
+    RBranch,
+    _branch_terms,
     _shift_vec,
+    branch_holds,
+    line_terms,
     theorem_exceptional_term,
     theorem_general_term,
 )
@@ -68,7 +80,6 @@ class IdentityEntry:
     """One displayed identity line: predicate plus LHS/RHS builders."""
 
     id: str
-    params_schema: tuple[str, ...]
     applicable: Callable[[dict], bool]
     lhs: Callable[[dict], Expr]
     rhs: Callable[[dict], Expr]
@@ -105,16 +116,16 @@ def _cplx(rng: random.Random) -> complex:
     return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
 
-def _draw_complexes(rng: random.Random, count: int, derived=None) -> list[Parameter]:
-    """Draw ``count`` complex parameters, all integer-banded, and keep any
-    ``derived`` combinations off the integers as well."""
+def _draw_complexes(rng: random.Random, names: Sequence[str], derived=None) -> dict[str, Parameter]:
+    """Draw the complex parameters ``names``, all integer-banded, and keep
+    any ``derived`` combinations of their values off the integers as well."""
     while True:
-        xs = [_cplx(rng) for _ in range(count)]
-        checks = list(xs)
+        xs = {k: _cplx(rng) for k in names}
+        checks = list(xs.values())
         if derived is not None:
             checks += derived(xs)
         if all(_off_integers(v) for v in checks):
-            return [param(x) for x in xs]
+            return {k: param(x) for k, x in xs.items()}
 
 
 def _draw_real_nonint(rng: random.Random) -> Parameter:
@@ -128,6 +139,16 @@ def _draw_n(rng: random.Random) -> int:
     return rng.randint(1, 5)
 
 
+def _draw_exponent(rng: random.Random, branch: RBranch, n: int, r_min: int = 0) -> Parameter:
+    """A power exponent r on the case line of ``branch``: a generic real,
+    an exact integer in r_min..n, or an exact negative integer."""
+    if branch is RBranch.GENERAL:
+        return _draw_real_nonint(rng)
+    if branch is RBranch.EXCEPTIONAL:
+        return param(rng.randint(r_min, n))
+    return param(rng.randint(-3, -1))
+
+
 # ---------------------------------------------------------------------------
 # theorem-line RHS builders over explicit parameter vectors
 #
@@ -139,23 +160,14 @@ def _draw_n(rng: random.Random) -> int:
 Vec = tuple[Parameter, ...]
 
 
-def _terms_th11(upper: Vec, lower: Vec, r: Parameter, n: int, branch: str) -> tuple[Term, ...]:
-    out = []
-    if branch in ("general", "negative"):
-        t = theorem_general_term(upper, lower, r, n)
-        if t is not None:
-            out.append(t)
-    if branch in ("exceptional", "negative"):
-        t = theorem_exceptional_term(upper, lower, r.exact, n)  # type: ignore[arg-type]
-        if t is not None:
-            out.append(t)
-    return tuple(out)
+def _nonzero(den: complex, name: str) -> complex:
+    if den == 0:
+        raise SingularCoefficient(f"{name} vanishes")
+    return den
 
 
 def _terms_th12(upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
-    den = pochhammer_vec(lower, n)
-    if den == 0:
-        raise SingularCoefficient("(b)_n vanishes")
+    den = _nonzero(pochhammer_vec(lower, n), "(b)_n")
     coeff = pochhammer_vec(upper, n) / den
     if coeff == 0:
         return ()
@@ -193,9 +205,7 @@ def _terms_th14_exceptional(upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
     s = n - b1.exact + 1  # type: ignore[operator]
     hs = HypSpec(_shift_vec(upper, s), (param(s + 1),) + _shift_vec(lower[1:], s))
     validate_spec(hs)
-    den = pochhammer_vec(lower, s)
-    if den == 0:
-        raise SingularCoefficient("(b)_{n-b1+1} vanishes")
+    den = _nonzero(pochhammer_vec(lower, s), "(b)_{n-b1+1}")
     coeff = pochhammer(s + 1, b1.exact - 1) * pochhammer_vec(upper, s) / den  # type: ignore[operator]
     if coeff == 0:
         return ()
@@ -203,16 +213,9 @@ def _terms_th14_exceptional(upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
 
 
 def _terms_th15_main(rest_upper: Vec, lower: Vec, r_int: int, n: int) -> tuple[Term, ...]:
-    s = n - r_int
-    den = pochhammer_vec(lower, s)
-    if den == 0:
-        raise SingularCoefficient("(b)_{n-r} vanishes")
-    coeff = math.factorial(n) * pochhammer_vec(rest_upper, s) / den
-    if coeff == 0:
-        return ()
-    hs = HypSpec((param(n + 1),) + _shift_vec(rest_upper, s), _shift_vec(lower, s))
-    validate_spec(hs)
-    return (term(coeff, hyp(hs)),)
+    # the Th1-1 exceptional term at a1 = 1, which cancels its n-r+1 pair
+    t = theorem_exceptional_term((_ONE,) + rest_upper, lower, r_int, n)
+    return () if t is None else (t,)
 
 
 def _terms_th15_negative(rest_upper: Vec, lower: Vec, r_int: int, n: int) -> tuple[Term, ...]:
@@ -221,6 +224,142 @@ def _terms_th15_negative(rest_upper: Vec, lower: Vec, r_int: int, n: int) -> tup
     if g is not None:
         out.append(g)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# literal corollary RHS builders
+#
+# Written out at the corollary's own parameters, independently of the
+# theorem-line builders above.  Every corollary has the single lower
+# parameter c.
+
+
+def _kummer_general(amap: ArgMap, upper: Vec, p: dict) -> Optional[Term]:
+    """(r-n+1)_n z^{r-n} F(r+1, upper; r-n+1, c) at the argument ``amap``.
+
+    At z/(z-1) the line carries the prefactor (1-z)^{-r-1}.
+    """
+    r, n, c = p["r"], p["n"], p["c"]
+    low0 = r + (1 - n)
+    coeff = pochhammer(low0, n)
+    if coeff == 0:
+        return None
+    hs = HypSpec((r + 1,) + upper, (low0, c))
+    validate_spec(hs)
+    pre = (pow1mz(-(r + 1)),) if amap is ArgMap.PFAFF else ()
+    return term(coeff, powz(r - n), *pre, hyp(hs, amap))
+
+
+def _kummer_exceptional(amap: ArgMap, upper: Vec, p: dict) -> Optional[Term]:
+    """(+-1) (s+1)_r (upper)_s / (c)_s F(n+1, upper+s; s+1, c+s) at ``amap``, s = n-r.
+
+    The sign (-1)^s and, at z/(z-1), the prefactor (1-z)^{-n-1} come from
+    the substituted argument; at z itself there is neither.
+    """
+    r, n, c = p["r"].exact, p["n"], p["c"]
+    s = n - r
+    den = _nonzero(pochhammer(c, s), "(c)_{n-r}")
+    coeff = pochhammer(s + 1, r)
+    if amap is not ArgMap.IDENTITY:
+        coeff = (-1) ** (s % 2) * coeff
+    for x in upper:
+        coeff = coeff * pochhammer(x, s)
+    coeff = coeff / den
+    if coeff == 0:
+        return None
+    hs = HypSpec((param(n + 1),) + _shift_vec(upper, s), (param(s + 1), c + s))
+    validate_spec(hs)
+    pre = (pow1mz(-(n + 1)),) if amap is ArgMap.PFAFF else ()
+    return term(coeff, *pre, hyp(hs, amap))
+
+
+def _kummer_terms(amap: ArgMap, upper: Vec, p: dict, branch: RBranch) -> tuple[Term, ...]:
+    """The Th1-1-shape case line of ``branch`` at the argument ``amap``."""
+    return line_terms(
+        branch,
+        lambda: _kummer_general(amap, upper, p),
+        lambda: _kummer_exceptional(amap, upper, p),
+    )
+
+
+def _th15_terms(
+    main: Callable[[dict], Term], amap: ArgMap, upper: Vec, p: dict, branch: RBranch
+) -> tuple[Term, ...]:
+    """A Th1-5-shape case line: the main term, plus on the negative line the
+    general term at ``amap``."""
+    terms = [main(p)]
+    if branch is RBranch.NEGATIVE_INTEGER:
+        terms.append(_kummer_general(amap, upper, p))
+    return tuple(t for t in terms if t is not None)
+
+
+def _co14_exceptional(p: dict) -> Term:
+    n, a, c = p["n"], p["a"], p["c"].exact
+    s = n - c + 1
+    den = _nonzero(pochhammer(p["c"], s), "(c)_{n-c+1}")
+    coeff = (
+        (-1) ** ((1 - c - n) % 2)
+        * pochhammer(s + 1, c - 1)
+        * pochhammer(p["c"] - a, s)
+        / den
+    )
+    return term(coeff, expz(-1), hyp(HypSpec((a + (1 - c),), (param(s + 1),))))
+
+
+def _co15_main(p: dict) -> Term:
+    r, n, c = p["r"].exact, p["n"], p["c"]
+    s = n - r
+    den = _nonzero(pochhammer(c, s), "(c)_{n-r}")
+    coeff = (-1) ** (s % 2) * math.factorial(n) / den
+    return term(coeff, expz(-1), hyp(HypSpec((c - (r + 1),), (c + s,))))
+
+
+def _co26_exceptional(p: dict) -> Term:
+    n, a, b, c = p["n"], p["a"], p["b"], p["c"].exact
+    s = n - c + 1
+    den = _nonzero(pochhammer(p["c"], n - 2 * c + 2), "(c)_{n-2c+2}")
+    coeff = pochhammer(p["c"] - a, s) * pochhammer(p["c"] - b, s) / den
+    return term(
+        coeff,
+        pow1mz(((a + b) - p["c"]) - n),
+        hyp(HypSpec((a + (1 - c), b + (1 - c)), (param(s + 1),))),
+    )
+
+
+def _co27_exceptional(p: dict) -> Term:
+    n, a, b, c = p["n"], p["a"], p["b"], p["c"].exact
+    s = n - c + 1
+    den = _nonzero(pochhammer(n + 1, 1 - c) * pochhammer(p["c"], s), "(n+1)_{1-c} (c)_{n-c+1}")
+    coeff = (-1) ** (s % 2) * pochhammer(a, s) * pochhammer(p["c"] - b, s) / den
+    return term(
+        coeff,
+        pow1mz(a - p["c"]),
+        hyp(HypSpec((a + (n + 1 - c), b + (1 - c)), (param(s + 1),))),
+    )
+
+
+def _co28_main(p: dict) -> Term:
+    r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
+    s = n - r
+    den = _nonzero(pochhammer(c, s), "(c)_{n-r}")
+    coeff = math.factorial(n) * pochhammer(c - a, s) / den
+    return term(coeff, pow1mz(a - (n + 1)), hyp(HypSpec((a, c - (r + 1)), (c + s,))))
+
+
+def _co29_main(p: dict) -> Term:
+    r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
+    s = n - r
+    den = _nonzero(pochhammer(c, s), "(c)_{n-r}")
+    coeff = (-1) ** (s % 2) * math.factorial(n) * pochhammer(a, s) / den
+    return term(coeff, pow1mz(a - (r + 1)), hyp(HypSpec((a + s, c - (r + 1)), (c + s,))))
+
+
+def _co210_main(p: dict) -> Term:
+    r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
+    s = n - r
+    den = _nonzero(pochhammer(c, s), "(c)_{n-r}")
+    coeff = (-1) ** (s % 2) * math.factorial(n) * pochhammer(c - a, s) / den
+    return term(coeff, hyp(HypSpec((param(n + 1), a), (c + s,))))
 
 
 # ---------------------------------------------------------------------------
@@ -353,161 +492,104 @@ def _transform_k3(e: Expr, r: Parameter, n: int) -> Expr:
     return Expr(tuple(out))
 
 
-def _co1_vectors(p: dict) -> tuple[Vec, Vec]:
+# ---------------------------------------------------------------------------
+# the family table
+#
+# A theorem family is a function of its (upper, lower) vectors: the z-power
+# of its LHS (the r of the Kummer phases) and the terms of its case lines.
+# Its lines branch on the exponent r, or on r = c-1 for the Th1-4 shape,
+# whose lines are named regular (the general rule) and exceptional.  The
+# builders are looked up when called, so they can be swapped in tests.
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    var: Optional[str]  # 'r', 'c' or None: the parameter the lines branch on
+    branches: tuple[Optional[RBranch], ...]
+    power: Callable[[Vec, Vec, dict], Parameter]
+    terms: Callable[[Vec, Vec, dict, Optional[RBranch]], tuple[Term, ...]]
+
+
+_ALL = tuple(RBranch)
+
+_TH11 = _Theorem(
+    "r", _ALL,
+    lambda up, lo, p: p["r"],
+    lambda up, lo, p, b: _branch_terms(HypSpec(up, lo), p["r"], p["n"], b),
+)
+_TH12 = _Theorem(
+    None, (None,),
+    lambda up, lo, p: param(0),
+    lambda up, lo, p, b: _terms_th12(up, lo, p["n"]),
+)
+_TH13 = _Theorem(
+    None, (None,),
+    lambda up, lo, p: up[0] + (p["n"] - 1),
+    lambda up, lo, p, b: _terms_th13(up[0], up[1:], lo, p["n"]),
+)
+_TH14 = _Theorem(
+    "c", (RBranch.GENERAL, RBranch.EXCEPTIONAL),
+    lambda up, lo, p: lo[0] - 1,
+    lambda up, lo, p, b: (
+        _terms_th14_regular if b is RBranch.GENERAL else _terms_th14_exceptional
+    )(up, lo, p["n"]),
+)
+# upper vectors exclude the leading parameter 1
+_TH15 = _Theorem(
+    "r", (RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER),
+    lambda up, lo, p: p["r"],
+    lambda up, lo, p, b: (
+        _terms_th15_main if b is RBranch.EXCEPTIONAL else _terms_th15_negative
+    )(up, lo, p["r"].exact, p["n"]),
+)
+
+
+@dataclass(frozen=True)
+class _Params:
+    """Complex parameters drawn together, with the combinations of their
+    values that must stay off the integers too."""
+
+    names: tuple[str, ...]
+    derived: Optional[Callable[[dict], list]] = None
+    r_always: bool = False  # draw r on a single line too (left unused there)
+
+
+_TH = _Params(("a1", "a2", "b1"), r_always=True)
+_CO1 = _Params(("a", "c"), lambda v: [v["c"] - v["a"]])
+_CO2 = _Params(("a", "b", "c"), lambda v: [v["c"] - v["a"], v["c"] - v["b"]])
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One table row: the identity family whose case lines are entries."""
+
+    id: str
+    theorem: _Theorem
+    params: _Params
+    # the theorem's (upper, lower) vectors at the family's parameters
+    vectors: Callable[[dict], tuple[Vec, Vec]]
+    lhs: Callable[[dict], Expr]
+    # literal corollary RHS; a theorem line is its own theorem's terms
+    rhs: Optional[Callable[[dict, Optional[RBranch]], tuple[Term, ...]]] = None
+    kind: Optional[str] = None  # corollary transform: 'k1', 'k2' or 'k3'
+    r_min: int = 0  # least exact r of the exceptional line
+    pfaff: tuple[RBranch, ...] = ()  # lines with a Pfaff-argument series
+
+
+def _th_vectors(p: dict) -> tuple[Vec, Vec]:
+    return (p["a1"], p["a2"]), (p["b1"],)
+
+
+def _k1_vectors(p: dict) -> tuple[Vec, Vec]:
     return (p["c"] - p["a"],), (p["c"],)
 
 
-def _co2_k2_vectors(p: dict) -> tuple[Vec, Vec]:
+def _k2_vectors(p: dict) -> tuple[Vec, Vec]:
     return (p["c"] - p["a"], p["c"] - p["b"]), (p["c"],)
 
 
-def _co2_k3_vectors(p: dict) -> tuple[Vec, Vec]:
+def _k3_vectors(p: dict) -> tuple[Vec, Vec]:
     return (p["a"], p["c"] - p["b"]), (p["c"],)
-
-
-def _composition_builders() -> dict[str, tuple[str, Callable[[dict], Expr]]]:
-    def th11(vectors, branch, r_of):
-        def build(p):
-            up, lo = vectors(p)
-            return Expr(_terms_th11(up, lo, r_of(p), p["n"], branch))
-
-        return build
-
-    def r_key(p):
-        return p["r"]
-
-    def r_zero(p):
-        return param(0)
-
-    def r_c1(p):
-        return p["c"] - 1
-
-    comps: dict[str, tuple[str, Callable[[dict], Expr]]] = {}
-
-    for branch in ("general", "exceptional", "negative"):
-        comps[f"Co1-1-{branch}"] = ("k1", th11(_co1_vectors, branch, r_key))
-        comps[f"Co2-1-{branch}"] = ("k2", th11(_co2_k2_vectors, branch, r_key))
-        comps[f"Co2-2-{branch}"] = ("k3", th11(_co2_k3_vectors, branch, r_key))
-
-    comps["Co1-2"] = ("k1", lambda p: Expr(_terms_th12(*_co1_vectors(p), p["n"])))
-    comps["Co1-3"] = (
-        "k1",
-        lambda p: Expr(_terms_th13(p["c"] - p["a"], (), (p["c"],), p["n"])),
-    )
-    comps["Co1-4-regular"] = ("k1", lambda p: Expr(_terms_th14_regular(*_co1_vectors(p), p["n"])))
-    comps["Co1-4-exceptional"] = (
-        "k1",
-        lambda p: Expr(_terms_th14_exceptional(*_co1_vectors(p), p["n"])),
-    )
-    comps["Co1-5-exceptional"] = (
-        "k1",
-        lambda p: Expr(_terms_th15_main((), (p["c"],), p["r"].exact, p["n"])),
-    )
-    comps["Co1-5-negative"] = (
-        "k1",
-        lambda p: Expr(_terms_th15_negative((), (p["c"],), p["r"].exact, p["n"])),
-    )
-
-    comps["Co2-3"] = (
-        "k2",
-        lambda p: Expr(_terms_th13(p["c"] - p["a"], (p["c"] - p["b"],), (p["c"],), p["n"])),
-    )
-    comps["Co2-4"] = ("k2", lambda p: Expr(_terms_th12(*_co2_k2_vectors(p), p["n"])))
-    comps["Co2-5"] = ("k3", lambda p: Expr(_terms_th12(*_co2_k3_vectors(p), p["n"])))
-    comps["Co2-6-regular"] = ("k2", lambda p: Expr(_terms_th14_regular(*_co2_k2_vectors(p), p["n"])))
-    comps["Co2-6-exceptional"] = (
-        "k2",
-        lambda p: Expr(_terms_th14_exceptional(*_co2_k2_vectors(p), p["n"])),
-    )
-    comps["Co2-7-regular"] = ("k3", lambda p: Expr(_terms_th14_regular(*_co2_k3_vectors(p), p["n"])))
-    comps["Co2-7-exceptional"] = (
-        "k3",
-        lambda p: Expr(_terms_th14_exceptional(*_co2_k3_vectors(p), p["n"])),
-    )
-    comps["Co2-8-exceptional"] = (
-        "k2",
-        lambda p: Expr(_terms_th15_main((p["c"] - p["a"],), (p["c"],), p["r"].exact, p["n"])),
-    )
-    comps["Co2-8-negative"] = (
-        "k2",
-        lambda p: Expr(_terms_th15_negative((p["c"] - p["a"],), (p["c"],), p["r"].exact, p["n"])),
-    )
-    comps["Co2-9-exceptional"] = (
-        "k3",
-        lambda p: Expr(_terms_th15_main((p["a"],), (p["c"],), p["r"].exact, p["n"])),
-    )
-    comps["Co2-9-negative"] = (
-        "k3",
-        lambda p: Expr(_terms_th15_negative((p["a"],), (p["c"],), p["r"].exact, p["n"])),
-    )
-    comps["Co2-10-exceptional"] = (
-        "k3",
-        lambda p: Expr(_terms_th15_main((p["c"] - p["a"],), (p["c"],), p["r"].exact, p["n"])),
-    )
-    comps["Co2-10-negative"] = (
-        "k3",
-        lambda p: Expr(_terms_th15_negative((p["c"] - p["a"],), (p["c"],), p["r"].exact, p["n"])),
-    )
-
-    # the Kummer-2/3 substitutions carry r along unchanged; Kummer-1 needs it
-    # for the phase, with r = 0 for lines that have no z-power and r = c-1
-    # where the power is pinned to the lower parameter
-    r_for: dict[str, Callable[[dict], Parameter]] = {}
-    for cid in comps:
-        if "Co1-1" in cid or "Co1-5" in cid or "Co2-2" in cid or "Co2-9" in cid:
-            r_for[cid] = r_key
-        elif "Co1-4" in cid or "Co2-7" in cid:
-            r_for[cid] = r_c1
-        elif cid == "Co1-3":
-            r_for[cid] = lambda p: (p["c"] - p["a"]) + (p["n"] - 1)
-        elif "Co2-10" in cid:
-            r_for[cid] = r_key
-        else:
-            r_for[cid] = r_zero
-
-    out: dict[str, tuple[str, Callable[[dict], Expr]]] = {}
-    for cid, (kind, build) in comps.items():
-        def make(kind=kind, build=build, rf=r_for[cid]):
-            def compose(p):
-                base = build(p)
-                if kind == "k1":
-                    return _transform_k1(base, rf(p), p["n"])
-                if kind == "k3":
-                    return _transform_k3(base, rf(p), p["n"])
-                return base
-
-            return compose
-
-        out[cid] = (kind, make())
-    return out
-
-
-_COMPOSITIONS = _composition_builders()
-
-
-def corollary_sources() -> dict[str, str]:
-    """Map corollary entry id -> transform kind ('k1'|'k2'|'k3')."""
-    return {cid: kind for cid, (kind, _) in _COMPOSITIONS.items()}
-
-
-def theorem_composition(entry_id: str, params: dict) -> Expr:
-    """Corollary RHS rebuilt mechanically from its theorem-line source."""
-    kind_build = _COMPOSITIONS.get(entry_id)
-    if kind_build is None:
-        raise KeyError(f"no composition recorded for {entry_id}")
-    return kind_build[1](params)
-
-
-# ---------------------------------------------------------------------------
-# entry construction
-
-
-def _spec21(p: dict) -> HypSpec:
-    return HypSpec((p["a1"], p["a2"]), (p["b1"],))
-
-
-def _spec15(p: dict) -> HypSpec:
-    return HypSpec((_ONE, p["a2"]), (p["b1"],))
 
 
 def _spec11(p: dict) -> HypSpec:
@@ -518,875 +600,308 @@ def _spec2f1(p: dict) -> HypSpec:
     return HypSpec((p["a"], p["b"]), (p["c"],))
 
 
-def _not_small_exact(x: Parameter, n: int) -> bool:
-    # case condition "not an exact integer below n+1"
-    return x.exact is None or x.exact > n
+def _by_c(regular: Callable[[dict], Term], exceptional: Callable[[dict], Term]):
+    """Literal RHS of a Th1-4-shape family: one term per line."""
+    return lambda p, b: ((regular if b is RBranch.GENERAL else exceptional)(p),)
 
 
-def _entries() -> tuple[IdentityEntry, ...]:
-    es: list[IdentityEntry] = []
-
-    # ---- theorem lines (pFq exercised as 2F1 / 3F2 shapes) ----
-
-    def draw_th1(rng, rkind):
-        n = _draw_n(rng)
-        a1, a2, b1 = _draw_complexes(rng, 3)
-        p = {"n": n, "a1": a1, "a2": a2, "b1": b1}
-        if rkind == "general":
-            p["r"] = _draw_real_nonint(rng)
-        elif rkind == "exceptional":
-            p["r"] = param(rng.randint(0, n))
-        else:
-            p["r"] = param(rng.randint(-3, -1))
-        return p
-
-    def lhs_th11(p):
-        return expr(term(1, powz(p["r"]), hyp(_spec21(p))))
-
-    for branch in ("general", "exceptional", "negative"):
-        if branch == "general":
-            appl = lambda p: p["r"].exact is None or p["r"].exact >= p["n"]
-        elif branch == "exceptional":
-            appl = lambda p: p["r"].exact is not None and 0 <= p["r"].exact <= p["n"]
-        else:
-            appl = lambda p: p["r"].exact is not None and p["r"].exact < 0
-        es.append(
-            IdentityEntry(
-                id=f"Th1-1-{branch}",
-                params_schema=("a1", "a2", "b1", "r", "n"),
-                applicable=appl,
-                lhs=lhs_th11,
-                rhs=lambda p, branch=branch: Expr(
-                    _terms_th11((p["a1"], p["a2"]), (p["b1"],), p["r"], p["n"], branch)
-                ),
-                draw=lambda rng, branch=branch: draw_th1(rng, branch),
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Th1-2",
-            params_schema=("a1", "a2", "b1", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(term(1, hyp(_spec21(p)))),
-            rhs=lambda p: Expr(_terms_th12((p["a1"], p["a2"]), (p["b1"],), p["n"])),
-            draw=lambda rng: draw_th1(rng, "none"),
-        )
-    )
-
-    es.append(
-        IdentityEntry(
-            id="Th1-3",
-            params_schema=("a1", "a2", "b1", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(
-                term(1, powz(p["a1"] + (p["n"] - 1)), hyp(_spec21(p)))
-            ),
-            rhs=lambda p: Expr(_terms_th13(p["a1"], (p["a2"],), (p["b1"],), p["n"])),
-            draw=lambda rng: draw_th1(rng, "none"),
-        )
-    )
-
-    def draw_th14(rng, exceptional):
-        n = _draw_n(rng)
-        a1, a2 = _draw_complexes(rng, 2)
-        if exceptional:
-            c = param(rng.randint(1, n + 1))
-        else:
-            (c,) = _draw_complexes(rng, 1)
-        return {"n": n, "a1": a1, "a2": a2, "c": c}
-
-    def lhs_th14(p):
-        return expr(
-            term(1, powz(p["c"] - 1), hyp(HypSpec((p["a1"], p["a2"]), (p["c"],))))
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Th1-4-regular",
-            params_schema=("a1", "a2", "c", "n"),
-            applicable=lambda p: _not_small_exact(p["c"], p["n"]),
-            lhs=lhs_th14,
-            rhs=lambda p: Expr(
-                _terms_th14_regular((p["a1"], p["a2"]), (p["c"],), p["n"])
-            ),
-            draw=lambda rng: draw_th14(rng, False),
-        )
-    )
-    es.append(
-        IdentityEntry(
-            id="Th1-4-exceptional",
-            params_schema=("a1", "a2", "c", "n"),
-            applicable=lambda p: p["c"].exact is not None and 1 <= p["c"].exact <= p["n"] + 1,
-            lhs=lhs_th14,
-            rhs=lambda p: Expr(
-                _terms_th14_exceptional((p["a1"], p["a2"]), (p["c"],), p["n"])
-            ),
-            draw=lambda rng: draw_th14(rng, True),
-        )
-    )
-
-    def draw_th15(rng, negative):
-        n = _draw_n(rng)
-        a2, b1 = _draw_complexes(rng, 2)
-        r = param(rng.randint(-3, -1) if negative else rng.randint(0, n))
-        return {"n": n, "a2": a2, "b1": b1, "r": r}
-
-    def lhs_th15(p):
-        return expr(term(1, powz(p["r"]), hyp(_spec15(p))))
-
-    es.append(
-        IdentityEntry(
-            id="Th1-5-exceptional",
-            params_schema=("a2", "b1", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and 0 <= p["r"].exact <= p["n"],
-            lhs=lhs_th15,
-            rhs=lambda p: Expr(
-                _terms_th15_main((p["a2"],), (p["b1"],), p["r"].exact, p["n"])
-            ),
-            draw=lambda rng: draw_th15(rng, False),
-        )
-    )
-    es.append(
-        IdentityEntry(
-            id="Th1-5-negative",
-            params_schema=("a2", "b1", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and p["r"].exact < 0,
-            lhs=lhs_th15,
-            rhs=lambda p: Expr(
-                _terms_th15_negative((p["a2"],), (p["b1"],), p["r"].exact, p["n"])
-            ),
-            draw=lambda rng: draw_th15(rng, True),
-        )
-    )
-
+_TABLE = (
+    # ---- theorem lines (pFq exercised as 2F1 shapes) ----
+    _Family(
+        "Th1-1", _TH11, _TH, _th_vectors,
+        lambda p: expr(term(1, powz(p["r"]), hyp(HypSpec(*_th_vectors(p))))),
+    ),
+    _Family(
+        "Th1-2", _TH12, _TH, _th_vectors,
+        lambda p: expr(term(1, hyp(HypSpec(*_th_vectors(p))))),
+    ),
+    _Family(
+        "Th1-3", _TH13, _TH, _th_vectors,
+        lambda p: expr(term(1, powz(p["a1"] + (p["n"] - 1)), hyp(HypSpec(*_th_vectors(p))))),
+    ),
+    _Family(
+        "Th1-4", _TH14, _Params(("a1", "a2")),
+        lambda p: ((p["a1"], p["a2"]), (p["c"],)),
+        lambda p: expr(term(1, powz(p["c"] - 1), hyp(HypSpec((p["a1"], p["a2"]), (p["c"],))))),
+    ),
+    _Family(
+        "Th1-5", _TH15, _Params(("a2", "b1")),
+        lambda p: ((p["a2"],), (p["b1"],)),
+        lambda p: expr(term(1, powz(p["r"]), hyp(HypSpec((_ONE, p["a2"]), (p["b1"],))))),
+    ),
     # ---- corollary lines for e^{-z} 1F1(a;c;z) ----
-
-    def draw_co1(rng, rkind):
-        n = _draw_n(rng)
-        a, c = _draw_complexes(rng, 2, derived=lambda xs: [xs[1] - xs[0]])
-        p = {"n": n, "a": a, "c": c}
-        if rkind == "general":
-            p["r"] = _draw_real_nonint(rng)
-        elif rkind == "exceptional":
-            p["r"] = param(rng.randint(0, n))
-        elif rkind == "exceptional-1":
-            p["r"] = param(rng.randint(1, n))
-        elif rkind == "negative":
-            p["r"] = param(rng.randint(-3, -1))
-        return p
-
-    def lhs_co11(p):
-        return expr(term(1, powz(p["r"]), expz(-1), hyp(_spec11(p))))
-
-    def rhs_co11_general_term(p) -> Optional[Term]:
-        r, n, a, c = p["r"], p["n"], p["a"], p["c"]
-        low0 = r + (1 - n)
-        coeff = pochhammer(low0, n)
-        if coeff == 0:
-            return None
-        hs = HypSpec((r + 1, c - a), (low0, c))
-        validate_spec(hs)
-        return term(coeff, powz(r - n), hyp(hs, ArgMap.NEGATE))
-
-    def rhs_co11_exceptional_term(p) -> Optional[Term]:
-        r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
-        s = n - r
-        den = pochhammer(c, s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-r} vanishes")
-        coeff = (-1) ** (s % 2) * pochhammer(s + 1, r) * pochhammer(c - a, s) / den
-        if coeff == 0:
-            return None
-        hs = HypSpec((param(n + 1), (c - a) + s), (param(s + 1), c + s))
-        validate_spec(hs)
-        return term(coeff, hyp(hs, ArgMap.NEGATE))
-
-    def rhs_co11(p, branch):
-        terms = []
-        if branch in ("general", "negative"):
-            t = rhs_co11_general_term(p)
-            if t is not None:
-                terms.append(t)
-        if branch in ("exceptional", "negative"):
-            t = rhs_co11_exceptional_term(p)
-            if t is not None:
-                terms.append(t)
-        return Expr(tuple(terms))
-
-    for branch in ("general", "exceptional", "negative"):
-        if branch == "general":
-            appl = lambda p: p["r"].exact is None or p["r"].exact >= p["n"]
-        elif branch == "exceptional":
-            appl = lambda p: p["r"].exact is not None and 0 <= p["r"].exact <= p["n"]
-        else:
-            appl = lambda p: p["r"].exact is not None and p["r"].exact < 0
-        es.append(
-            IdentityEntry(
-                id=f"Co1-1-{branch}",
-                params_schema=("a", "c", "r", "n"),
-                applicable=appl,
-                lhs=lhs_co11,
-                rhs=lambda p, branch=branch: rhs_co11(p, branch),
-                draw=lambda rng, branch=branch: draw_co1(rng, branch),
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co1-2",
-            params_schema=("a", "c", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(term(1, expz(-1), hyp(_spec11(p)))),
-            rhs=lambda p: expr(
-                term(
-                    (-1) ** (p["n"] % 2)
-                    * pochhammer(p["c"] - p["a"], p["n"])
-                    / pochhammer(p["c"], p["n"]),
-                    expz(-1),
-                    hyp(HypSpec((p["a"],), (p["c"] + p["n"],))),
-                )
-            ),
-            draw=lambda rng: draw_co1(rng, "none"),
-        )
-    )
-
-    es.append(
-        IdentityEntry(
-            id="Co1-3",
-            params_schema=("a", "c", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(
-                term(
-                    1,
-                    powz((p["c"] - p["a"]) + (p["n"] - 1)),
-                    expz(-1),
-                    hyp(_spec11(p)),
-                )
-            ),
-            rhs=lambda p: expr(
-                term(
-                    pochhammer(p["c"] - p["a"], p["n"]),
-                    powz((p["c"] - p["a"]) - 1),
-                    expz(-1),
-                    hyp(HypSpec((p["a"] - p["n"],), (p["c"],))),
-                )
-            ),
-            draw=lambda rng: draw_co1(rng, "none"),
-        )
-    )
-
-    def draw_co14(rng, exceptional):
-        n = _draw_n(rng)
-        if exceptional:
-            while True:
-                (a,) = _draw_complexes(rng, 1)
-                c = param(rng.randint(1, n + 1))
-                if _off_integers(c.value - a.value):
-                    break
-        else:
-            a, c = _draw_complexes(rng, 2, derived=lambda xs: [xs[1] - xs[0]])
-        return {"n": n, "a": a, "c": c}
-
-    def lhs_co14(p):
-        return expr(term(1, powz(p["c"] - 1), expz(-1), hyp(_spec11(p))))
-
-    es.append(
-        IdentityEntry(
-            id="Co1-4-regular",
-            params_schema=("a", "c", "n"),
-            applicable=lambda p: _not_small_exact(p["c"], p["n"]),
-            lhs=lhs_co14,
-            rhs=lambda p: expr(
-                term(
-                    pochhammer(p["c"] - p["n"], p["n"]),
-                    powz(p["c"] - (p["n"] + 1)),
-                    expz(-1),
-                    hyp(HypSpec((p["a"] - p["n"],), (p["c"] - p["n"],))),
-                )
-            ),
-            draw=lambda rng: draw_co14(rng, False),
-        )
-    )
-
-    def rhs_co14_exceptional(p):
-        n, a, c = p["n"], p["a"], p["c"].exact
-        s = n - c + 1
-        den = pochhammer(p["c"], s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-c+1} vanishes")
-        coeff = (
-            (-1) ** ((1 - c - n) % 2)
-            * pochhammer(s + 1, c - 1)
-            * pochhammer(p["c"] - a, s)
-            / den
-        )
-        return expr(
-            term(coeff, expz(-1), hyp(HypSpec((a + (1 - c),), (param(s + 1),))))
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co1-4-exceptional",
-            params_schema=("a", "c", "n"),
-            applicable=lambda p: p["c"].exact is not None and 1 <= p["c"].exact <= p["n"] + 1,
-            lhs=lhs_co14,
-            rhs=rhs_co14_exceptional,
-            draw=lambda rng: draw_co14(rng, True),
-        )
-    )
-
-    def lhs_co15(p):
-        return expr(
+    _Family(
+        "Co1-1", _TH11, _CO1, _k1_vectors,
+        lambda p: expr(term(1, powz(p["r"]), expz(-1), hyp(_spec11(p)))),
+        lambda p, b: _kummer_terms(ArgMap.NEGATE, (p["c"] - p["a"],), p, b),
+        kind="k1",
+    ),
+    _Family(
+        "Co1-2", _TH12, _CO1, _k1_vectors,
+        lambda p: expr(term(1, expz(-1), hyp(_spec11(p)))),
+        lambda p, b: (
             term(
-                1,
-                powz(p["r"]),
+                (-1) ** (p["n"] % 2)
+                * pochhammer(p["c"] - p["a"], p["n"])
+                / pochhammer(p["c"], p["n"]),
                 expz(-1),
-                hyp(HypSpec((p["c"] - 1,), (p["c"],))),
-            )
-        )
-
-    def rhs_co15_main_term(p) -> Term:
-        r, n, c = p["r"].exact, p["n"], p["c"]
-        s = n - r
-        den = pochhammer(c, s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-r} vanishes")
-        coeff = (-1) ** (s % 2) * math.factorial(n) / den
-        return term(
-            coeff,
-            expz(-1),
-            hyp(HypSpec((c - (r + 1),), (c + s,))),
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co1-5-exceptional",
-            params_schema=("c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and 1 <= p["r"].exact <= p["n"],
-            lhs=lhs_co15,
-            rhs=lambda p: expr(rhs_co15_main_term(p)),
-            draw=lambda rng: {**draw_co1(rng, "exceptional-1")},
-        )
-    )
-
-    def rhs_co15_negative(p):
-        r, n, c = p["r"], p["n"], p["c"]
-        terms = [rhs_co15_main_term(p)]
-        low0 = r + (1 - p["n"])
-        coeff = pochhammer(low0, n)
-        if coeff != 0:
-            hs = HypSpec((r + 1, _ONE), (low0, c))
-            validate_spec(hs)
-            terms.append(term(coeff, powz(r - n), hyp(hs, ArgMap.NEGATE)))
-        return Expr(tuple(terms))
-
-    es.append(
-        IdentityEntry(
-            id="Co1-5-negative",
-            params_schema=("c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and p["r"].exact < 0,
-            lhs=lhs_co15,
-            rhs=rhs_co15_negative,
-            draw=lambda rng: {**draw_co1(rng, "negative")},
-        )
-    )
-
+                hyp(HypSpec((p["a"],), (p["c"] + p["n"],))),
+            ),
+        ),
+        kind="k1",
+    ),
+    _Family(
+        "Co1-3", _TH13, _CO1, _k1_vectors,
+        lambda p: expr(
+            term(1, powz((p["c"] - p["a"]) + (p["n"] - 1)), expz(-1), hyp(_spec11(p)))
+        ),
+        lambda p, b: (
+            term(
+                pochhammer(p["c"] - p["a"], p["n"]),
+                powz((p["c"] - p["a"]) - 1),
+                expz(-1),
+                hyp(HypSpec((p["a"] - p["n"],), (p["c"],))),
+            ),
+        ),
+        kind="k1",
+    ),
+    _Family(
+        "Co1-4", _TH14, _CO1, _k1_vectors,
+        lambda p: expr(term(1, powz(p["c"] - 1), expz(-1), hyp(_spec11(p)))),
+        _by_c(
+            lambda p: term(
+                pochhammer(p["c"] - p["n"], p["n"]),
+                powz(p["c"] - (p["n"] + 1)),
+                expz(-1),
+                hyp(HypSpec((p["a"] - p["n"],), (p["c"] - p["n"],))),
+            ),
+            _co14_exceptional,
+        ),
+        kind="k1",
+    ),
+    _Family(
+        "Co1-5", _TH15, _CO1, lambda p: ((), (p["c"],)),
+        lambda p: expr(term(1, powz(p["r"]), expz(-1), hyp(HypSpec((p["c"] - 1,), (p["c"],))))),
+        lambda p, b: _th15_terms(_co15_main, ArgMap.NEGATE, (_ONE,), p, b),
+        kind="k1", r_min=1,
+    ),
     # ---- corollary lines for prefactored 2F1 ----
-
-    def draw_co2(rng, rkind):
-        n = _draw_n(rng)
-        a, b, c = _draw_complexes(
-            rng, 3, derived=lambda xs: [xs[2] - xs[0], xs[2] - xs[1]]
-        )
-        p = {"n": n, "a": a, "b": b, "c": c}
-        if rkind == "general":
-            p["r"] = _draw_real_nonint(rng)
-        elif rkind == "exceptional":
-            p["r"] = param(rng.randint(0, n))
-        elif rkind == "exceptional-1":
-            p["r"] = param(rng.randint(1, n))
-        elif rkind == "negative":
-            p["r"] = param(rng.randint(-3, -1))
-        return p
-
-    def lhs_co21(p):
-        return expr(
+    # Co2-1 and Co2-2 sit in one tuple: their entries alternate, line by line
+    (
+        _Family(
+            "Co2-1", _TH11, _CO2, _k2_vectors,
+            lambda p: expr(
+                term(1, powz(p["r"]), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
+            ),
+            lambda p, b: _kummer_terms(ArgMap.IDENTITY, (p["c"] - p["a"], p["c"] - p["b"]), p, b),
+            kind="k2",
+        ),
+        _Family(
+            "Co2-2", _TH11, _CO2, _k3_vectors,
+            lambda p: expr(
+                term(1, powz(p["r"]), pow1mz((p["a"] - p["r"]) + (p["n"] - 1)), hyp(_spec2f1(p)))
+            ),
+            lambda p, b: _kummer_terms(ArgMap.PFAFF, (p["a"], p["c"] - p["b"]), p, b),
+            kind="k3", pfaff=_ALL,
+        ),
+    ),
+    _Family(
+        "Co2-3", _TH13, _CO2, _k2_vectors,
+        lambda p: expr(
             term(
                 1,
-                powz(p["r"]),
+                powz((p["c"] - p["a"]) + (p["n"] - 1)),
                 pow1mz((p["a"] + p["b"]) - p["c"]),
                 hyp(_spec2f1(p)),
             )
-        )
-
-    def rhs_co21(p, branch):
-        up = (p["c"] - p["a"], p["c"] - p["b"])
-        lo = (p["c"],)
-        return Expr(_terms_th11(up, lo, p["r"], p["n"], branch))
-
-    def lhs_co22(p):
-        return expr(
+        ),
+        lambda p, b: (
             term(
-                1,
-                powz(p["r"]),
-                pow1mz((p["a"] - p["r"]) + (p["n"] - 1)),
-                hyp(_spec2f1(p)),
-            )
-        )
-
-    def rhs_co22_general_term(p) -> Optional[Term]:
-        r, n, a, b, c = p["r"], p["n"], p["a"], p["b"], p["c"]
-        low0 = r + (1 - n)
-        coeff = pochhammer(low0, n)
-        if coeff == 0:
-            return None
-        hs = HypSpec((r + 1, a, c - b), (low0, c))
-        validate_spec(hs)
-        return term(coeff, powz(r - n), pow1mz(-(r + 1)), hyp(hs, ArgMap.PFAFF))
-
-    def rhs_co22_exceptional_term(p) -> Optional[Term]:
-        r, n, a, b, c = p["r"].exact, p["n"], p["a"], p["b"], p["c"]
-        s = n - r
-        den = pochhammer(c, s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-r} vanishes")
-        coeff = (
-            (-1) ** (s % 2)
-            * pochhammer(s + 1, r)
-            * pochhammer(a, s)
-            * pochhammer(c - b, s)
-            / den
-        )
-        if coeff == 0:
-            return None
-        hs = HypSpec((param(n + 1), a + s, (c - b) + s), (param(s + 1), c + s))
-        validate_spec(hs)
-        return term(coeff, pow1mz(-(n + 1)), hyp(hs, ArgMap.PFAFF))
-
-    def rhs_co22(p, branch):
-        terms = []
-        if branch in ("general", "negative"):
-            t = rhs_co22_general_term(p)
-            if t is not None:
-                terms.append(t)
-        if branch in ("exceptional", "negative"):
-            t = rhs_co22_exceptional_term(p)
-            if t is not None:
-                terms.append(t)
-        return Expr(tuple(terms))
-
-    for branch in ("general", "exceptional", "negative"):
-        if branch == "general":
-            appl = lambda p: p["r"].exact is None or p["r"].exact >= p["n"]
-        elif branch == "exceptional":
-            appl = lambda p: p["r"].exact is not None and 0 <= p["r"].exact <= p["n"]
-        else:
-            appl = lambda p: p["r"].exact is not None and p["r"].exact < 0
-        es.append(
-            IdentityEntry(
-                id=f"Co2-1-{branch}",
-                params_schema=("a", "b", "c", "r", "n"),
-                applicable=appl,
-                lhs=lhs_co21,
-                rhs=lambda p, branch=branch: rhs_co21(p, branch),
-                draw=lambda rng, branch=branch: draw_co2(rng, branch),
-            )
-        )
-        es.append(
-            IdentityEntry(
-                id=f"Co2-2-{branch}",
-                params_schema=("a", "b", "c", "r", "n"),
-                applicable=appl,
-                lhs=lhs_co22,
-                rhs=lambda p, branch=branch: rhs_co22(p, branch),
-                draw=lambda rng, branch=branch: draw_co2(rng, branch),
-                z_points=Z_POINTS_PFAFF,
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-3",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(
-                term(
-                    1,
-                    powz((p["c"] - p["a"]) + (p["n"] - 1)),
-                    pow1mz((p["a"] + p["b"]) - p["c"]),
-                    hyp(_spec2f1(p)),
-                )
+                pochhammer(p["c"] - p["a"], p["n"]),
+                powz((p["c"] - p["a"]) - 1),
+                pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
+                hyp(HypSpec((p["a"] - p["n"], p["b"]), (p["c"],))),
             ),
-            rhs=lambda p: expr(
-                term(
-                    pochhammer(p["c"] - p["a"], p["n"]),
-                    powz((p["c"] - p["a"]) - 1),
-                    pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-                    hyp(HypSpec((p["a"] - p["n"], p["b"]), (p["c"],))),
-                )
-            ),
-            draw=lambda rng: draw_co2(rng, "none"),
-        )
-    )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-4",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(
-                term(1, pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
-            ),
-            rhs=lambda p: expr(
-                term(
-                    pochhammer(p["c"] - p["a"], p["n"])
-                    * pochhammer(p["c"] - p["b"], p["n"])
-                    / pochhammer(p["c"], p["n"]),
-                    pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-                    hyp(HypSpec((p["a"], p["b"]), (p["c"] + p["n"],))),
-                )
-            ),
-            draw=lambda rng: draw_co2(rng, "none"),
-        )
-    )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-5",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: True,
-            lhs=lambda p: expr(
-                term(1, pow1mz(p["a"] + (p["n"] - 1)), hyp(_spec2f1(p)))
-            ),
-            rhs=lambda p: expr(
-                term(
-                    (-1) ** (p["n"] % 2)
-                    * pochhammer(p["a"], p["n"])
-                    * pochhammer(p["c"] - p["b"], p["n"])
-                    / pochhammer(p["c"], p["n"]),
-                    pow1mz(p["a"] - 1),
-                    hyp(HypSpec((p["a"] + p["n"], p["b"]), (p["c"] + p["n"],))),
-                )
-            ),
-            draw=lambda rng: draw_co2(rng, "none"),
-        )
-    )
-
-    def draw_co2_c_exact(rng):
-        n = _draw_n(rng)
-        while True:
-            a, b = [_cplx(rng) for _ in range(2)]
-            c = param(rng.randint(1, n + 1))
-            checks = [a, b, c.value - a, c.value - b]
-            if all(_off_integers(v) for v in checks):
-                return {"n": n, "a": param(a), "b": param(b), "c": c}
-
-    def lhs_co26(p):
-        return expr(
+        ),
+        kind="k2",
+    ),
+    _Family(
+        "Co2-4", _TH12, _CO2, _k2_vectors,
+        lambda p: expr(term(1, pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))),
+        lambda p, b: (
             term(
-                1,
-                powz(p["c"] - 1),
-                pow1mz((p["a"] + p["b"]) - p["c"]),
-                hyp(_spec2f1(p)),
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-6-regular",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: _not_small_exact(p["c"], p["n"]),
-            lhs=lhs_co26,
-            rhs=lambda p: expr(
-                term(
-                    pochhammer(p["c"] - p["n"], p["n"]),
-                    powz(p["c"] - (p["n"] + 1)),
-                    pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-                    hyp(
-                        HypSpec(
-                            (p["a"] - p["n"], p["b"] - p["n"]),
-                            (p["c"] - p["n"],),
-                        )
-                    ),
-                )
+                pochhammer(p["c"] - p["a"], p["n"])
+                * pochhammer(p["c"] - p["b"], p["n"])
+                / pochhammer(p["c"], p["n"]),
+                pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
+                hyp(HypSpec((p["a"], p["b"]), (p["c"] + p["n"],))),
             ),
-            draw=lambda rng: draw_co2(rng, "none"),
-        )
-    )
-
-    def rhs_co26_exceptional(p):
-        n, a, b, c = p["n"], p["a"], p["b"], p["c"].exact
-        s = n - c + 1
-        den = pochhammer(p["c"], n - 2 * c + 2)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-2c+2} vanishes")
-        coeff = pochhammer(p["c"] - a, s) * pochhammer(p["c"] - b, s) / den
-        return expr(
+        ),
+        kind="k2",
+    ),
+    _Family(
+        "Co2-5", _TH12, _CO2, _k3_vectors,
+        lambda p: expr(term(1, pow1mz(p["a"] + (p["n"] - 1)), hyp(_spec2f1(p)))),
+        lambda p, b: (
             term(
-                coeff,
-                pow1mz(((a + b) - p["c"]) - n),
-                hyp(HypSpec((a + (1 - c), b + (1 - c)), (param(s + 1),))),
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-6-exceptional",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: p["c"].exact is not None and 1 <= p["c"].exact <= p["n"] + 1,
-            lhs=lhs_co26,
-            rhs=rhs_co26_exceptional,
-            draw=draw_co2_c_exact,
-        )
-    )
-
-    def lhs_co27(p):
-        return expr(
-            term(
-                1,
-                powz(p["c"] - 1),
-                pow1mz((p["a"] - p["c"]) + p["n"]),
-                hyp(_spec2f1(p)),
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-7-regular",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: _not_small_exact(p["c"], p["n"]),
-            lhs=lhs_co27,
-            rhs=lambda p: expr(
-                term(
-                    pochhammer(p["c"] - p["n"], p["n"]),
-                    powz(p["c"] - (p["n"] + 1)),
-                    pow1mz(p["a"] - p["c"]),
-                    hyp(HypSpec((p["a"], p["b"] - p["n"]), (p["c"] - p["n"],))),
-                )
-            ),
-            draw=lambda rng: draw_co2(rng, "none"),
-        )
-    )
-
-    def rhs_co27_exceptional(p):
-        n, a, b, c = p["n"], p["a"], p["b"], p["c"].exact
-        s = n - c + 1
-        den = pochhammer(n + 1, 1 - c) * pochhammer(p["c"], s)
-        if den == 0:
-            raise SingularCoefficient("(n+1)_{1-c} (c)_{n-c+1} vanishes")
-        coeff = (
-            (-1) ** (s % 2) * pochhammer(a, s) * pochhammer(p["c"] - b, s) / den
-        )
-        return expr(
-            term(
-                coeff,
-                pow1mz(a - p["c"]),
-                hyp(HypSpec((a + (n + 1 - c), b + (1 - c)), (param(s + 1),))),
-            )
-        )
-
-    es.append(
-        IdentityEntry(
-            id="Co2-7-exceptional",
-            params_schema=("a", "b", "c", "n"),
-            applicable=lambda p: p["c"].exact is not None and 1 <= p["c"].exact <= p["n"] + 1,
-            lhs=lhs_co27,
-            rhs=rhs_co27_exceptional,
-            draw=draw_co2_c_exact,
-        )
-    )
-
-    # Co2-8..Co2-10: 2F1 with one parameter pinned (b = c-1 or a1 = 1)
-
-    def draw_co2_pinned(rng, rkind):
-        n = _draw_n(rng)
-        a, c = _draw_complexes(rng, 2, derived=lambda xs: [xs[1] - xs[0]])
-        r = param(rng.randint(-3, -1) if rkind == "negative" else rng.randint(1, n))
-        return {"n": n, "a": a, "c": c, "r": r}
-
-    def lhs_co28(p):
-        return expr(
-            term(
-                1,
-                powz(p["r"]),
+                (-1) ** (p["n"] % 2)
+                * pochhammer(p["a"], p["n"])
+                * pochhammer(p["c"] - p["b"], p["n"])
+                / pochhammer(p["c"], p["n"]),
                 pow1mz(p["a"] - 1),
-                hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))),
-            )
-        )
-
-    def rhs_co28_main(p) -> Term:
-        r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
-        s = n - r
-        den = pochhammer(c, s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-r} vanishes")
-        coeff = math.factorial(n) * pochhammer(c - a, s) / den
-        return term(
-            coeff,
-            pow1mz(a - (n + 1)),
-            hyp(HypSpec((a, c - (r + 1)), (c + s,))),
-        )
-
-    def rhs_co28_negative(p):
-        terms = [rhs_co28_main(p)]
-        r, n = p["r"], p["n"]
-        low0 = r + (1 - n)
-        coeff = pochhammer(low0, n)
-        if coeff != 0:
-            hs = HypSpec((r + 1, _ONE, p["c"] - p["a"]), (low0, p["c"]))
-            validate_spec(hs)
-            terms.append(term(coeff, powz(r - n), hyp(hs)))
-        return Expr(tuple(terms))
-
-    es.append(
-        IdentityEntry(
-            id="Co2-8-exceptional",
-            params_schema=("a", "c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and 1 <= p["r"].exact <= p["n"],
-            lhs=lhs_co28,
-            rhs=lambda p: expr(rhs_co28_main(p)),
-            draw=lambda rng: draw_co2_pinned(rng, "exceptional"),
-        )
-    )
-    es.append(
-        IdentityEntry(
-            id="Co2-8-negative",
-            params_schema=("a", "c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and p["r"].exact < 0,
-            lhs=lhs_co28,
-            rhs=rhs_co28_negative,
-            draw=lambda rng: draw_co2_pinned(rng, "negative"),
-        )
-    )
-
-    def lhs_co29(p):
-        return expr(
+                hyp(HypSpec((p["a"] + p["n"], p["b"]), (p["c"] + p["n"],))),
+            ),
+        ),
+        kind="k3",
+    ),
+    _Family(
+        "Co2-6", _TH14, _CO2, _k2_vectors,
+        lambda p: expr(
+            term(1, powz(p["c"] - 1), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
+        ),
+        _by_c(
+            lambda p: term(
+                pochhammer(p["c"] - p["n"], p["n"]),
+                powz(p["c"] - (p["n"] + 1)),
+                pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
+                hyp(HypSpec((p["a"] - p["n"], p["b"] - p["n"]), (p["c"] - p["n"],))),
+            ),
+            _co26_exceptional,
+        ),
+        kind="k2",
+    ),
+    _Family(
+        "Co2-7", _TH14, _CO2, _k3_vectors,
+        lambda p: expr(
+            term(1, powz(p["c"] - 1), pow1mz((p["a"] - p["c"]) + p["n"]), hyp(_spec2f1(p)))
+        ),
+        _by_c(
+            lambda p: term(
+                pochhammer(p["c"] - p["n"], p["n"]),
+                powz(p["c"] - (p["n"] + 1)),
+                pow1mz(p["a"] - p["c"]),
+                hyp(HypSpec((p["a"], p["b"] - p["n"]), (p["c"] - p["n"],))),
+            ),
+            _co27_exceptional,
+        ),
+        kind="k3",
+    ),
+    # Co2-8..Co2-10: 2F1 with one parameter pinned (b = c-1 or a1 = 1)
+    _Family(
+        "Co2-8", _TH15, _CO1, lambda p: ((p["c"] - p["a"],), (p["c"],)),
+        lambda p: expr(
+            term(1, powz(p["r"]), pow1mz(p["a"] - 1), hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))))
+        ),
+        lambda p, b: _th15_terms(_co28_main, ArgMap.IDENTITY, (_ONE, p["c"] - p["a"]), p, b),
+        kind="k2", r_min=1,
+    ),
+    _Family(
+        "Co2-9", _TH15, _CO1, lambda p: ((p["a"],), (p["c"],)),
+        lambda p: expr(
             term(
                 1,
                 powz(p["r"]),
                 pow1mz((p["a"] - p["r"]) + (p["n"] - 1)),
                 hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))),
             )
-        )
-
-    def rhs_co29_main(p) -> Term:
-        r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
-        s = n - r
-        den = pochhammer(c, s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-r} vanishes")
-        coeff = (-1) ** (s % 2) * math.factorial(n) * pochhammer(a, s) / den
-        return term(
-            coeff,
-            pow1mz(a - (r + 1)),
-            hyp(HypSpec((a + s, c - (r + 1)), (c + s,))),
-        )
-
-    def rhs_co29_negative(p):
-        terms = [rhs_co29_main(p)]
-        r, n = p["r"], p["n"]
-        low0 = r + (1 - n)
-        coeff = pochhammer(low0, n)
-        if coeff != 0:
-            hs = HypSpec((r + 1, _ONE, p["a"]), (low0, p["c"]))
-            validate_spec(hs)
-            terms.append(
-                term(
-                    coeff,
-                    powz(r - n),
-                    pow1mz(-(r + 1)),
-                    hyp(hs, ArgMap.PFAFF),
-                )
-            )
-        return Expr(tuple(terms))
-
-    es.append(
-        IdentityEntry(
-            id="Co2-9-exceptional",
-            params_schema=("a", "c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and 1 <= p["r"].exact <= p["n"],
-            lhs=lhs_co29,
-            rhs=lambda p: expr(rhs_co29_main(p)),
-            draw=lambda rng: draw_co2_pinned(rng, "exceptional"),
-        )
-    )
-    es.append(
-        IdentityEntry(
-            id="Co2-9-negative",
-            params_schema=("a", "c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and p["r"].exact < 0,
-            lhs=lhs_co29,
-            rhs=rhs_co29_negative,
-            draw=lambda rng: draw_co2_pinned(rng, "negative"),
-            z_points=Z_POINTS_PFAFF,
-        )
-    )
-
-    def lhs_co210(p):
-        return expr(
+        ),
+        lambda p, b: _th15_terms(_co29_main, ArgMap.PFAFF, (_ONE, p["a"]), p, b),
+        kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
+    ),
+    _Family(
+        "Co2-10", _TH15, _CO1, lambda p: ((p["c"] - p["a"],), (p["c"],)),
+        lambda p: expr(
             term(
                 1,
                 powz(p["r"]),
                 pow1mz(param(p["n"]) - p["r"]),
                 hyp(HypSpec((_ONE, p["a"]), (p["c"],))),
             )
-        )
+        ),
+        lambda p, b: _th15_terms(_co210_main, ArgMap.PFAFF, (_ONE, p["c"] - p["a"]), p, b),
+        kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
+    ),
+)
 
-    def rhs_co210_main(p) -> Term:
-        r, n, a, c = p["r"].exact, p["n"], p["a"], p["c"]
-        s = n - r
-        den = pochhammer(c, s)
-        if den == 0:
-            raise SingularCoefficient("(c)_{n-r} vanishes")
-        coeff = (-1) ** (s % 2) * math.factorial(n) * pochhammer(c - a, s) / den
-        return term(coeff, hyp(HypSpec((param(n + 1), a), (c + s,))))
 
-    def rhs_co210_negative(p):
-        terms = [rhs_co210_main(p)]
-        r, n = p["r"], p["n"]
-        low0 = r + (1 - n)
-        coeff = pochhammer(low0, n)
-        if coeff != 0:
-            hs = HypSpec((r + 1, _ONE, p["c"] - p["a"]), (low0, p["c"]))
-            validate_spec(hs)
-            terms.append(
-                term(
-                    coeff,
-                    powz(r - n),
-                    pow1mz(-(r + 1)),
-                    hyp(hs, ArgMap.PFAFF),
-                )
-            )
-        return Expr(tuple(terms))
+# ---------------------------------------------------------------------------
+# entries generated from the table
 
-    es.append(
-        IdentityEntry(
-            id="Co2-10-exceptional",
-            params_schema=("a", "c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and 1 <= p["r"].exact <= p["n"],
-            lhs=lhs_co210,
-            rhs=lambda p: expr(rhs_co210_main(p)),
-            draw=lambda rng: draw_co2_pinned(rng, "exceptional"),
-        )
-    )
-    es.append(
-        IdentityEntry(
-            id="Co2-10-negative",
-            params_schema=("a", "c", "r", "n"),
-            applicable=lambda p: p["r"].exact is not None and p["r"].exact < 0,
-            lhs=lhs_co210,
-            rhs=rhs_co210_negative,
-            draw=lambda rng: draw_co2_pinned(rng, "negative"),
-            z_points=Z_POINTS_PFAFF,
-        )
+_SUFFIX = {
+    RBranch.GENERAL: "general",
+    RBranch.EXCEPTIONAL: "exceptional",
+    RBranch.NEGATIVE_INTEGER: "negative",
+}
+
+
+def _line_id(fam: _Family, branch: Optional[RBranch]) -> str:
+    if branch is None:
+        return fam.id
+    if fam.theorem.var == "c" and branch is RBranch.GENERAL:
+        return f"{fam.id}-regular"
+    return f"{fam.id}-{_SUFFIX[branch]}"
+
+
+def _applies(fam: _Family, branch: Optional[RBranch], p: dict) -> bool:
+    if branch is None:
+        return True
+    r = p["c"] - 1 if fam.theorem.var == "c" else p["r"]
+    return branch_holds(branch, r, p["n"]) and (
+        branch is not RBranch.EXCEPTIONAL or r.exact >= fam.r_min  # type: ignore[operator]
     )
 
-    return tuple(es)
+
+def _draw(fam: _Family, branch: Optional[RBranch], rng: random.Random) -> dict:
+    n = _draw_n(rng)
+    p: dict = {"n": n}
+    names, derived = fam.params.names, fam.params.derived
+    if fam.theorem.var == "c" and branch is RBranch.EXCEPTIONAL:
+        # c = r+1 exact: draw the other parameters, then keep the
+        # combinations with c off the integers
+        while True:
+            p.update(_draw_complexes(rng, [k for k in names if k != "c"]))
+            p["c"] = _draw_exponent(rng, branch, n) + 1
+            if derived is None or all(
+                _off_integers(v) for v in derived({k: p[k].value for k in names})
+            ):
+                return p
+    p.update(_draw_complexes(rng, names, derived))
+    if fam.theorem.var == "c" and "c" not in p:
+        p.update(_draw_complexes(rng, ["c"]))
+    elif fam.theorem.var == "r" or fam.params.r_always:
+        p["r"] = _draw_exponent(rng, branch or RBranch.NEGATIVE_INTEGER, n, fam.r_min)
+    return p
 
 
-_ENTRIES = _entries()
+def _literal(fam: _Family, branch: Optional[RBranch], p: dict) -> Expr:
+    if fam.rhs is not None:
+        return Expr(fam.rhs(p, branch))
+    return Expr(fam.theorem.terms(*fam.vectors(p), p, branch))
+
+
+def _entry(fam: _Family, branch: Optional[RBranch]) -> IdentityEntry:
+    return IdentityEntry(
+        id=_line_id(fam, branch),
+        applicable=lambda p: _applies(fam, branch, p),
+        lhs=fam.lhs,
+        rhs=lambda p: _literal(fam, branch, p),
+        draw=lambda rng: _draw(fam, branch, rng),
+        z_points=Z_POINTS_PFAFF if branch in fam.pfaff else Z_POINTS,
+    )
+
+
+def _lines():
+    for row in _TABLE:
+        group = row if isinstance(row, tuple) else (row,)
+        for branch in group[0].theorem.branches:
+            for fam in group:
+                yield fam, branch
+
+
+_LINES = tuple(_lines())
+_ENTRIES = tuple(_entry(fam, branch) for fam, branch in _LINES)
 _BY_ID = {e.id: e for e in _ENTRIES}
+_SOURCES = {e.id: line for e, line in zip(_ENTRIES, _LINES) if line[0].kind is not None}
 
 
 def catalog_entries() -> tuple[IdentityEntry, ...]:
@@ -1395,6 +910,27 @@ def catalog_entries() -> tuple[IdentityEntry, ...]:
 
 def entry(entry_id: str) -> IdentityEntry:
     return _BY_ID[entry_id]
+
+
+def corollary_sources() -> dict[str, str]:
+    """Map corollary entry id -> transform kind ('k1'|'k2'|'k3')."""
+    return {cid: fam.kind for cid, (fam, _) in _SOURCES.items()}  # type: ignore[misc]
+
+
+def theorem_composition(entry_id: str, params: dict) -> Expr:
+    """Corollary RHS rebuilt mechanically from its theorem-line source."""
+    source = _SOURCES.get(entry_id)
+    if source is None:
+        raise KeyError(f"no composition recorded for {entry_id}")
+    fam, branch = source
+    up, lo = fam.vectors(params)
+    base = Expr(fam.theorem.terms(up, lo, params, branch))
+    # the Euler substitution keeps the argument; the other two need the
+    # theorem's z-power r for the phase
+    if fam.kind == "k2":
+        return base
+    transform = _transform_k1 if fam.kind == "k1" else _transform_k3
+    return transform(base, fam.theorem.power(up, lo, params), params["n"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input/spec,
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -49,18 +51,15 @@ def _parse_scalar(tok: str):
     tok = tok.strip()
     if not tok:
         raise ValueError("empty parameter")
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    try:
-        return complex(tok.replace("i", "j").replace(" ", ""))
-    except ValueError:
-        raise ValueError(f"cannot parse parameter {tok!r}")
+    for parse in (int, float, lambda t: complex(t.replace("i", "j").replace(" ", ""))):
+        try:
+            x = parse(tok)
+        except ValueError:
+            continue
+        if not cmath.isfinite(x):
+            raise ValueError(f"non-finite parameter {tok!r}")
+        return x
+    raise ValueError(f"cannot parse parameter {tok!r}")
 
 
 def _parse_vector(text: str) -> list:
@@ -97,17 +96,25 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _invalid(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _cmd_table1(args) -> int:
+    if args.digits < 1:
+        return _invalid("--digits must be >= 1")
     sys.stdout.write(table1_csv(digits=args.digits))
     return EXIT_OK
 
 
 def _cmd_figure1(args) -> int:
+    if args.digits < 1:
+        return _invalid("--digits must be >= 1")
     try:
         csv_text = figure1_csv(args.c_min, args.c_max, args.step, digits=args.digits)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(str(exc))
     if args.out == "-":
         sys.stdout.write(csv_text)
     else:
@@ -124,11 +131,11 @@ def _cmd_verify(args) -> int:
         try:
             selected = [entry(args.identity)]
         except KeyError:
-            print(f"error: unknown identity {args.identity!r}", file=sys.stderr)
-            return EXIT_INVALID
+            return _invalid(f"unknown identity {args.identity!r}")
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid("--trials must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return _invalid("--tol must be finite and positive")
     reports = []
     for e in selected:
         if args.dump_expr:

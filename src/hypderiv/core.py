@@ -124,8 +124,8 @@ class EvalControl:
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be finite and positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 

@@ -8,9 +8,10 @@ names the specialized form it lands on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     HypSpec,
@@ -39,16 +40,32 @@ class IdentityForm:
     branch: RBranch
 
 
+def branch_holds(branch: RBranch, r: Parameter, n: int) -> bool:
+    """Whether the case line of ``branch`` holds at the power exponent r.
+
+    The general line holds unless r is an exact integer below n, the
+    exceptional line at exact r = 0..n, the negative-integer line at exact
+    r < 0.  The general and exceptional lines overlap at r = n, where both
+    give the same value; at r = c-1 this is the overlap of the two Th1-4
+    lines at c = n+1.
+    """
+    k = r.exact
+    if branch is RBranch.GENERAL:
+        return k is None or k >= n
+    if branch is RBranch.EXCEPTIONAL:
+        return k is not None and 0 <= k <= n
+    return k is not None and k < 0
+
+
 def classify_r(r: ParamLike, n: int) -> RBranch:
-    """Branch of the master identity for the power exponent r."""
+    """Branch of the master identity for the power exponent r.
+
+    The first line that holds, so the overlap r = n reports general.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     r = param(r)
-    if r.exact is None or r.exact >= n:
-        return RBranch.GENERAL
-    if r.exact >= 0:
-        return RBranch.EXCEPTIONAL
-    return RBranch.NEGATIVE_INTEGER
+    return next(b for b in RBranch if branch_holds(b, r, n))
 
 
 def _shift_vec(v: tuple[Parameter, ...], k: int) -> tuple[Parameter, ...]:
@@ -89,22 +106,52 @@ def theorem_exceptional_term(
     """n!/(n-r)! (a)_{n-r}/(b)_{n-r} F(n+1, a+n-r; n-r+1, b+n-r; z).
 
     The factorial ratio is computed as the Pochhammer product (n-r+1)_r,
-    which also covers negative r through the reciprocal extension.  Returns
-    None when the prefactor vanishes exactly.
+    which also covers negative r through the reciprocal extension.  An
+    exact upper parameter 1 is the Th1-5 case: its shifted slot n-r+1
+    cancels the lower n-r+1, and (n-r+1)_r (1)_{n-r} = n! is folded exactly,
+    leaving n! (a')_{n-r}/(b)_{n-r} F(n+1, a'+n-r; b+n-r; z) over the other
+    upper parameters a'.  Returns None when the prefactor vanishes exactly.
     """
     s = n - r_int
     den = pochhammer_vec(lower, s)
     if den == 0:
         raise SingularCoefficient(f"(b)_{s} vanishes in the exceptional prefactor")
-    coeff = pochhammer(s + 1, r_int) * pochhammer_vec(upper, s) / den
+    one = next((i for i, a in enumerate(upper) if a.exact == 1), None)
+    if one is None:
+        coeff = pochhammer(s + 1, r_int) * pochhammer_vec(upper, s) / den
+        lower0: tuple[Parameter, ...] = (param(s + 1),)
+    else:
+        upper = upper[:one] + upper[one + 1 :]
+        coeff = math.factorial(n) * pochhammer_vec(upper, s) / den
+        lower0 = ()
     if coeff == 0:
         return None
     spec = HypSpec(
         (param(n + 1),) + _shift_vec(upper, s),
-        (param(s + 1),) + _shift_vec(lower, s),
+        lower0 + _shift_vec(lower, s),
     )
     validate_spec(spec)
     return term(coeff, hyp(spec))
+
+
+def line_terms(
+    branch: RBranch,
+    general: Callable[[], Optional[Term]],
+    exceptional: Callable[[], Optional[Term]],
+) -> tuple[Term, ...]:
+    """The terms of the case line of ``branch``, general term first.
+
+    The general and negative-integer lines carry the general term, the
+    exceptional and negative-integer lines the exceptional one.  Each
+    builder is called only on a line that carries its term and may return
+    None for a prefactor that vanishes exactly.
+    """
+    terms: list[Optional[Term]] = []
+    if branch in (RBranch.GENERAL, RBranch.NEGATIVE_INTEGER):
+        terms.append(general())
+    if branch in (RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER):
+        terms.append(exceptional())
+    return tuple(t for t in terms if t is not None)
 
 
 def _branch_terms(
@@ -116,14 +163,11 @@ def _branch_terms(
     upper0: Optional[Parameter] = None,
     lower0: Optional[Parameter] = None,
 ) -> tuple[Term, ...]:
-    terms: list[Optional[Term]] = []
-    if branch in (RBranch.GENERAL, RBranch.NEGATIVE_INTEGER):
-        terms.append(
-            theorem_general_term(spec.upper, spec.lower, r, n, upper0=upper0, lower0=lower0)
-        )
-    if branch in (RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER):
-        terms.append(theorem_exceptional_term(spec.upper, spec.lower, r.exact, n))  # type: ignore[arg-type]
-    return tuple(t for t in terms if t is not None)
+    return line_terms(
+        branch,
+        lambda: theorem_general_term(spec.upper, spec.lower, r, n, upper0=upper0, lower0=lower0),
+        lambda: theorem_exceptional_term(spec.upper, spec.lower, r.exact, n),  # type: ignore[arg-type]
+    )
 
 
 def theorem1_rhs(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:

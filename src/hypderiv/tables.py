@@ -157,6 +157,7 @@ def table1_csv(digits: int = 15) -> str:
 # sweep over real c (the two identity lines against the derivative)
 
 _SWEEP_CTRL = EvalControl(rel_tol=1e-16)
+FIGURE1_MAX_ROWS = 10_000  # the default grid has 141 rows
 _A_F = 0.5
 _B_F = 2 / 3
 _Z_F = 1 / 3
@@ -220,9 +221,13 @@ def figure1_rows(
     c runs on a snapped grid so that intended integer stops land exactly on
     the poles (which report empty rather than overflowing values).
     """
+    if not all(math.isfinite(x) for x in (c_min, c_max, step)):
+        raise ValueError("sweep bounds and step must be finite")
     if step <= 0 or c_max < c_min:
         raise ValueError("empty sweep range")
     count = int(math.floor((c_max - c_min) / step + 1e-9)) + 1
+    if count > FIGURE1_MAX_ROWS:
+        raise ValueError(f"sweep has {count} rows, more than {FIGURE1_MAX_ROWS}")
     rows = []
     for i in range(count):
         c = round(c_min + i * step, 12)

@@ -1,10 +1,12 @@
 """Identity catalog, Kummer-type rewrites, and the verification driver."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
+from hypderiv import catalog, identities
 from hypderiv.catalog import (
     catalog_entries,
     corollary_sources,
@@ -24,8 +26,10 @@ from hypderiv.expressions import (
     ArgMap,
     Hyp,
     PowOneMinusZ,
+    Term,
     eval_expr,
     expr,
+    format_expr,
     hyp,
     nth_derivative,
     term,
@@ -256,3 +260,107 @@ class TestCorollaryComposition:
                 th = theorem_composition(cid, p)
                 for z0 in zpts:
                     assert rel_err(eval_expr(co, z0), eval_expr(th, z0)) < 1e-10
+
+
+CATALOG_FINGERPRINT = "7d5442e6dba0144339ecc727086e19839543041ad57e72fc408942609e2ab981"
+CO2_1_RHS_FINGERPRINT = "147b04606bbee9d64bf67833a0ebcc7a4b793fcd39bb594f07b52f4480ed324a"
+
+
+def _fingerprint(include) -> str:
+    """sha256 over 20 seed-0 draws of every entry: the draw and the
+    ``format_expr`` text of its LHS, RHS and (for a corollary) composition.
+    A part is hashed when ``include(entry_id, part)`` holds."""
+    sources = corollary_sources()
+    h = hashlib.sha256()
+    for e in catalog_entries():
+        rng = random.Random(f"0:{e.id}")
+        for i in range(20):
+            p = e.draw(rng)
+            parts = {
+                "draw": " ".join(f"{k}={p[k]!r}" for k in sorted(p)),
+                "lhs": format_expr(e.lhs(p)),
+                "rhs": format_expr(e.rhs(p)),
+            }
+            if e.id in sources:
+                parts["composition"] = format_expr(theorem_composition(e.id, p))
+            for part, text in parts.items():
+                if include(e.id, part):
+                    h.update(f"{e.id} {i} {part}: {text}\n".encode())
+    return h.hexdigest()
+
+
+def _co2_1_rhs(entry_id, part):
+    return entry_id.startswith("Co2-1-") and part == "rhs"
+
+
+class TestFingerprint:
+    """Draws and built expressions, bit for bit.
+
+    The literal Co2-1 RHS is hashed on its own: it multiplies its Pochhammer
+    factors in a different order from the Th1-1 builder its composition
+    uses, so its coefficients differ from that builder's in the last bits.
+    Everything else hashes as it did when the catalog listed every case line
+    by hand.
+    """
+
+    def test_catalog_fingerprint(self):
+        got = _fingerprint(lambda eid, part: not _co2_1_rhs(eid, part))
+        assert got == CATALOG_FINGERPRINT
+
+    def test_co2_1_rhs_fingerprint(self):
+        assert _fingerprint(_co2_1_rhs) == CO2_1_RHS_FINGERPRINT
+
+
+def _composition_error(cid: str) -> float:
+    """Worst relative gap between a corollary's literal RHS and its composed
+    theorem line, over the draws and points of acceptance criterion 4."""
+    e = entry(cid)
+    z_points = (0.2, 1 / 3) if corollary_sources()[cid] == "k3" else e.z_points
+    rng = random.Random(f"compose:{cid}")
+    worst = 0.0
+    for _ in range(20):
+        p = e.draw(rng)
+        co, th = e.rhs(p), theorem_composition(cid, p)
+        for z0 in z_points:
+            worst = max(worst, rel_err(eval_expr(co, z0), eval_expr(th, z0)))
+    return worst
+
+
+def _scaled(builder):
+    def scaled(*args, **kwargs):
+        out = builder(*args, **kwargs)
+        if out is None:
+            return None
+        if isinstance(out, Term):
+            return Term(out.coeff * 1.5, out.factors)
+        return tuple(Term(t.coeff * 1.5, t.factors) for t in out)
+
+    return scaled
+
+
+# every theorem-line builder a composition can reach
+THEOREM_BUILDERS = (
+    (identities, "theorem_general_term"),
+    (identities, "theorem_exceptional_term"),
+    (catalog, "theorem_general_term"),
+    (catalog, "theorem_exceptional_term"),
+    (catalog, "_terms_th12"),
+    (catalog, "_terms_th13"),
+    (catalog, "_terms_th14_regular"),
+    (catalog, "_terms_th14_exceptional"),
+    (catalog, "_terms_th15_main"),
+)
+
+
+class TestCompositionIsIndependent:
+    """Criterion 4 can fail: the literal corollary RHS does not go through
+    the theorem-line builders behind ``theorem_composition``."""
+
+    def test_every_corollary_sees_scaled_theorem_builders(self, monkeypatch):
+        ids = list(corollary_sources())
+        assert len(ids) == 28
+        assert all(_composition_error(cid) <= 1e-10 for cid in ids)
+        for module, name in THEOREM_BUILDERS:
+            monkeypatch.setattr(module, name, _scaled(getattr(module, name)))
+        unaffected = [cid for cid in ids if _composition_error(cid) <= 1e-10]
+        assert unaffected == []

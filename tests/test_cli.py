@@ -46,6 +46,22 @@ class TestEval:
     def test_bad_parameter_exit_2(self, capsys):
         assert main(["eval", "--upper", "zzz", "--lower", "2", "--z", "0"]) == 2
 
+    def test_non_finite_input_exit_2(self, capsys):
+        base = {"--upper": "0.5,0.6", "--lower": "1.5", "--z": "0.9"}
+        for flag in ("--upper", "--lower", "--z"):
+            for bad in ("inf", "nan", "-inf", "1e400"):
+                args = dict(base, **{flag: bad})
+                argv = ["eval"] + [f"{k}={v}" for k, v in args.items()]
+                assert main(argv) == 2, (flag, bad)
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_rel_tol_exit_2(self, capsys):
+        # an infinite tolerance would stop the sum after a few terms
+        argv = ["eval", "--upper", "0.5,0.6", "--lower", "1.5", "--z", "0.9"]
+        assert main(argv + ["--rel-tol", "inf"]) == 2
+        assert main(argv + ["--rel-tol", "nan"]) == 2
+        assert main(argv) == 0
+
 
 class TestTable1:
     def test_full_output(self, capsys):
@@ -64,6 +80,11 @@ class TestTable1:
         main(["table1", "--digits", "6"])
         out = capsys.readouterr().out
         assert out.splitlines()[1] == "1,16.2803,,16.2803"
+
+    def test_bad_digits_exit_2(self, capsys):
+        assert main(["table1", "--digits", "-1"]) == 2
+        assert main(["table1", "--digits", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_deterministic(self, capsys):
         main(["table1"])
@@ -99,6 +120,16 @@ class TestFigure1:
     def test_empty_range_exit_2(self, capsys):
         assert main(["figure1", "--c-min", "2", "--c-max", "1", "--out", "-"]) == 2
         assert main(["figure1", "--step", "0", "--out", "-"]) == 2
+
+    def test_non_finite_bounds_exit_2(self, capsys):
+        for flag in ("--c-min", "--c-max", "--step"):
+            for bad in ("inf", "nan"):
+                assert main(["figure1", flag, bad, "--out", "-"]) == 2, (flag, bad)
+
+    def test_row_cap_and_digits_exit_2(self, capsys):
+        assert main(["figure1", "--step", "1e-9", "--out", "-"]) == 2
+        assert main(["figure1", "--digits", "0", "--out", "-"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_stdout_mode_deterministic(self, capsys):
         main(["figure1", "--c-min", "1", "--c-max", "2", "--step", "0.25", "--out", "-"])
@@ -148,3 +179,9 @@ class TestVerify:
 
     def test_zero_trials_exit_2(self, capsys):
         assert main(["verify", "--identity", "Th1-2", "--trials", "0"]) == 2
+
+    def test_degenerate_tol_exit_2(self, capsys):
+        # err > nan is always false, so a nan tolerance would pass everything
+        for bad in ("nan", "inf", "-1", "0"):
+            assert main(["verify", "--identity", "Th1-2", "--trials", "1", "--tol", bad]) == 2
+        assert capsys.readouterr().out == ""

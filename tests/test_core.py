@@ -242,8 +242,9 @@ class TestEvaluate:
         assert rel(r.value, -cmath.log(1 - z) / z) < 1e-13
 
     def test_control_validation(self):
-        with pytest.raises(ValueError):
-            EvalControl(rel_tol=0.0)
+        for bad in (0.0, -1e-14, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                EvalControl(rel_tol=bad)
         with pytest.raises(ValueError):
             EvalControl(max_terms=0)
 

@@ -18,10 +18,12 @@ from hypderiv.errors import SingularLowerParameter
 from hypderiv.expressions import Hyp, eval_expr, expr, hyp, nth_derivative, powz, term
 from hypderiv.identities import (
     RBranch,
+    branch_holds,
     classify_r,
     reduce_cancellation,
     specialize,
     theorem1_rhs,
+    theorem_exceptional_term,
 )
 
 CTRL = EvalControl(rel_tol=1e-16)
@@ -55,6 +57,14 @@ class TestClassify:
     def test_n_positive_required(self):
         with pytest.raises(ValueError):
             classify_r(param(1), 0)
+
+    def test_lines_overlap_only_at_r_equals_n(self):
+        n = 4
+        for k in (-3, -1, 0, 2, n, n + 1):
+            held = [b for b in RBranch if branch_holds(b, param(k), n)]
+            want = [RBranch.GENERAL, RBranch.EXCEPTIONAL] if k == n else [classify_r(k, n)]
+            assert held == want, k
+        assert [b for b in RBranch if branch_holds(b, param(2.0), n)] == [RBranch.GENERAL]
 
 
 class TestTheorem1Rhs:
@@ -121,6 +131,21 @@ class TestTheorem1Rhs:
             exc = Expr((theorem_exceptional_term(spec.upper, spec.lower, n, n),))
             for z0 in (0.2, 0.7):
                 assert rel(eval_expr(gen, z0), eval_expr(exc, z0)) < 1e-10
+
+
+class TestExactUpperOne:
+    def test_pair_cancels_and_value_is_kept(self):
+        # an exact upper 1 drops the lower n-r+1 (the Th1-5 form); a numeric
+        # 1.0 keeps the pair, and both give the same value
+        n = 3
+        for r in (0, 2, -2):
+            folded = theorem_exceptional_term((param(1), param(0.8)), (param(1.9),), r, n)
+            kept = theorem_exceptional_term((param(1.0), param(0.8)), (param(1.9),), r, n)
+            h = next(f for f in folded.factors if isinstance(f, Hyp))
+            assert (h.spec.p, h.spec.q) == (2, 1)
+            assert h.spec.upper[0].exact == n + 1
+            v, w = (eval_expr(expr(t), 0.3, CTRL) for t in (folded, kept))
+            assert rel(v, w) < 1e-12, r
 
 
 class TestCoefficientDecomposition:

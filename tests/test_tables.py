@@ -1,10 +1,12 @@
 """Reference table and sweep: rational path, pole cells, grid hygiene."""
 
+import math
+
 import pytest
 
 from hypderiv.core import EvalControl, HypSpec, param
 from hypderiv.expressions import expr, hyp, nth_derivative, powz, term
-from hypderiv.tables import figure1_rows, table1_csv, table1_values
+from hypderiv.tables import FIGURE1_MAX_ROWS, figure1_rows, table1_csv, table1_values
 
 CTRL = EvalControl(rel_tol=1e-16)
 
@@ -43,6 +45,13 @@ class TestSweep:
             figure1_rows(2.0, 1.0, 0.05)
         with pytest.raises(ValueError):
             figure1_rows(0.5, 7.5, 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                figure1_rows(0.5, bad, 0.05)
+            with pytest.raises(ValueError):
+                figure1_rows(0.5, 7.5, bad)
+        with pytest.raises(ValueError):
+            figure1_rows(0.5, 7.5, 7 / (FIGURE1_MAX_ROWS + 1))
 
     def test_grid_covers_endpoints(self):
         rows = figure1_rows(0.5, 7.5, 0.05)
