@@ -38,7 +38,7 @@ from .core import (
     pochhammer_vec,
     validate_spec,
 )
-from .errors import NotApplicable, SingularCoefficient
+from .errors import HypDerivError, NotApplicable, SingularCoefficient
 from .expressions import (
     ArgMap,
     ExpZ,
@@ -92,6 +92,8 @@ class VerifyReport:
     id: str
     trials: int
     max_rel_err: float
+    # (params, z0, LHS derivative, RHS value) per failed point; a point that
+    # raised carries the error and None, and makes max_rel_err infinite
     failures: tuple
     seed: int
     tol: float
@@ -963,9 +965,14 @@ def verify_entry(
         lhs_e = e.lhs(p)
         rhs_e = e.rhs(p)
         for z0 in e.z_points:
-            lv = nth_derivative(lhs_e, p["n"], z0, ctrl)
-            rv = eval_expr(rhs_e, z0, ctrl)
-            err = rel_err(lv, rv)
+            try:
+                lv = nth_derivative(lhs_e, p["n"], z0, ctrl)
+                rv = eval_expr(rhs_e, z0, ctrl)
+                err = rel_err(lv, rv)
+            except HypDerivError as exc:
+                # a point either side cannot evaluate fails, with the error
+                # in place of the two values
+                lv, rv, err = exc, None, math.inf
             if err > max_err:
                 max_err = err
             if err > tol:

@@ -101,6 +101,18 @@ def _invalid(message: str) -> int:
     return EXIT_INVALID
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or None; checked before any work.
+
+    Opens in append mode, so an existing file keeps its content.
+    """
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        return f"cannot write {path}: {exc.strerror or exc}"
+    return None
+
+
 def _cmd_table1(args) -> int:
     if args.digits < 1:
         return _invalid("--digits must be >= 1")
@@ -111,6 +123,9 @@ def _cmd_table1(args) -> int:
 def _cmd_figure1(args) -> int:
     if args.digits < 1:
         return _invalid("--digits must be >= 1")
+    reason = _unwritable(args.out) if args.out != "-" else None
+    if reason:
+        return _invalid(reason)
     try:
         csv_text = figure1_csv(args.c_min, args.c_max, args.step, digits=args.digits)
     except ValueError as exc:
@@ -136,6 +151,9 @@ def _cmd_verify(args) -> int:
         return _invalid("--trials must be >= 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
         return _invalid("--tol must be finite and positive")
+    reason = _unwritable(args.csv) if args.csv else None
+    if reason:
+        return _invalid(reason)
     reports = []
     for e in selected:
         if args.dump_expr:

@@ -126,6 +126,8 @@ class EvalControl:
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError("rel_tol must be finite and positive")
+        if self.consecutive_small < 1:
+            raise ValueError("consecutive_small must be >= 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 

@@ -29,18 +29,10 @@ from .errors import BranchPointEvaluation
 from .jets import (
     _DEC_PREC,
     _KAPPA_LIMIT,
-    DPair,
+    DECIMAL,
     Jet,
-    d_add_scalar,
-    d_constant,
-    d_conv,
-    d_div,
-    d_exp,
     d_pair_to_complexes,
     d_pfq,
-    d_pow,
-    d_pow_int,
-    d_scale,
     d_variable,
     derivative,
     jet_add,
@@ -79,9 +71,9 @@ def map_jet(m: ArgMap, var: Jet) -> Jet:
         return var
     if m is ArgMap.NEGATE:
         return jet_scale(var, -1)
-    if var.coeffs[0] == 1:
+    if var.base_point == 1:
         raise BranchPointEvaluation("Pfaff argument z/(z-1) undefined at z=1")
-    den = jet_add(var, jet_constant(-1, var.base_point, var.order))
+    den = jet_add(var, jet_constant(-1, var.base_point, var.order, var.field))
     return jet_div(var, den)
 
 
@@ -192,53 +184,33 @@ def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
     return jet_pow(base, alpha.value)
 
 
-def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
-    if isinstance(f, PowZ):
-        return _jet_cpow(var, f.alpha)
-    if isinstance(f, PowOneMinusZ):
-        one_minus = jet_add(jet_constant(1, var.base_point, var.order), jet_scale(var, -1))
-        return _jet_cpow(one_minus, f.alpha)
-    if isinstance(f, ExpZ):
-        return jet_exp(var, f.sign)
-    return jet_pfq(f.spec, map_jet(f.map, var), ctrl)
-
-
 # For the extended-precision rerun of a poorly conditioned term the series
 # truncation error is amplified by the same cancellation, so the stop rule
 # runs much deeper than the double-precision default.
 _DEC_REL_TOL = 1e-30
 
 
-def _d_factor(f: Factor, var: DPair, z0: complex, order: int, ctrl: EvalControl) -> DPair:
+def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
+    """Jet of one factor over the field of ``var``, the variable jet."""
     if isinstance(f, PowZ):
-        if f.alpha.exact is not None:
-            return d_pow_int(var, f.alpha.exact)
-        return d_pow(var, f.alpha.value)
+        return _jet_cpow(var, f.alpha)
     if isinstance(f, PowOneMinusZ):
-        one_minus = d_add_scalar(d_scale(var, -1), 1)
-        if f.alpha.exact is not None:
-            return d_pow_int(one_minus, f.alpha.exact)
-        return d_pow(one_minus, f.alpha.value)
+        one = jet_constant(1, var.base_point, var.order, var.field)
+        return _jet_cpow(jet_add(one, jet_scale(var, -1)), f.alpha)
     if isinstance(f, ExpZ):
-        return d_exp(var, f.sign)
-    if f.map is ArgMap.IDENTITY:
-        arg = var
-    elif f.map is ArgMap.NEGATE:
-        arg = d_scale(var, -1)
-    else:
-        if z0 == 1:
-            raise BranchPointEvaluation("Pfaff argument z/(z-1) undefined at z=1")
-        arg = d_div(var, d_add_scalar(var, -1))
-    return d_pfq(f.spec, arg, ctrl, _DEC_REL_TOL)
+        return jet_exp(var, f.sign)
+    if var.field is DECIMAL:
+        return d_pfq(f.spec, map_jet(f.map, var), ctrl, _DEC_REL_TOL)
+    return jet_pfq(f.spec, map_jet(f.map, var), ctrl)
 
 
 def _term_jet_decimal(t: Term, z0: complex, order: int, ctrl: EvalControl) -> Jet:
     with localcontext() as cx:
         cx.prec = _DEC_PREC
         var = d_variable(z0, order)
-        acc = d_constant(t.coeff, order)
+        acc = jet_constant(t.coeff, z0, order, DECIMAL)
         for f in t.factors:
-            acc = d_conv(acc, _d_factor(f, var, z0, order, ctrl))
+            acc = jet_mul(acc, _factor_jet(f, var, ctrl))
         return Jet(z0, tuple(d_pair_to_complexes(acc)))
 
 

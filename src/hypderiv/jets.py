@@ -5,6 +5,27 @@ function around ``base_point``; the n-th derivative is n! * c_n.  Composing
 jets through products, powers, exponentials and hypergeometric series gives
 an exact-in-structure oracle for high-order derivatives, where finite
 differences would lose roughly half the significant digits per order.
+
+The jet routines (product, division, exp, pow, integer power and the pFq
+series with its stop rule) are written once, as methods of ``Field``, and
+run over three scalar fields:
+
+* ``COMPLEX`` -- complex doubles, the oracle's working field; products sum
+  exactly rounded (``csum``);
+* ``DECIMAL`` -- complex numbers as a pair of ``Decimal`` (``DC``) at the
+  precision of the active decimal context, 40 digits when the oracle reruns
+  an ill-conditioned series or term;
+* ``FRACTION`` -- exact real ``Fraction``, for the reference table's
+  rational inputs.
+
+A field supplies lift from complex and lower to complex, a fused sum of
+products (``dot``) and a magnitude for the stop rule; the complex field
+also re-sums each series coefficient's bucket of terms exactly rounded
+(``total``), where the other two keep their running sums.  The leading
+values of exp and of a non-integer power are transcendental; they are
+taken in double precision and lifted, and since the recurrences are linear
+in that value its rounding scales the whole result instead of being
+amplified by cancellation.
 """
 
 from __future__ import annotations
@@ -13,6 +34,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from operator import mul as _mul
 from typing import Optional
 
 from .core import (
@@ -20,7 +43,6 @@ from .core import (
     DEFAULT_CONTROL,
     EvalControl,
     HypSpec,
-    _term_ratio_parts,
     classify_convergence,
     csum,
     termination_order,
@@ -36,10 +58,270 @@ from .errors import (
 )
 
 
+class Field:
+    """The jet algebra over one scalar field, on coefficient sequences.
+
+    Subclasses supply ``zero``, ``one``, ``lift``, ``lower``, ``dot`` (the
+    fused sum of products x_0 y_0 + x_1 y_1 + ..., in that order) and
+    ``mag``.  The operations take and return lists of coefficients, and
+    each keeps the operand order of its sums, so that the complex field
+    reproduces the oracle's doubles bit for bit.
+    """
+
+    # The series kernel returns its running sums, unless the field re-sums
+    # each coefficient's bucket of terms with ``total`` to round it once.
+    total = None
+
+    def mul(self, a, b):
+        """Cauchy product truncated at the common order."""
+        dot = self.dot
+        rb = b[::-1]
+        top = len(a) - 1
+        return [dot(a, rb[top - i :]) for i in range(top + 1)]
+
+    def div(self, a, b):
+        """Division by recursive deconvolution; requires b[0] != 0."""
+        b0 = b[0]
+        if not b0:
+            raise DivisionByZeroJet("leading coefficient of divisor is zero")
+        q = []
+        for i in range(len(a)):
+            q.append((a[i] - self.dot(b[1 : i + 1], q[::-1])) / b0)
+        return q
+
+    def exp(self, a, sign: int = 1):
+        """exp(sign * f) via the recurrence g' = sign * f' * g."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        g = [self.lift(cmath.exp(sign * self.lower(a[0])))]
+        da = [j * a[j] for j in range(len(a))]
+        for i in range(1, len(a)):
+            g.append(sign * self.dot(da[1 : i + 1], g[::-1]) / i)
+        return g
+
+    def pow(self, a, alpha):
+        """f**alpha on the principal branch via alpha * f' * g = f * g'."""
+        c0 = a[0]
+        if not c0:
+            raise BasePointAtBranchPoint("jet_pow base point at branch point")
+        al1 = self.lift(alpha) + 1
+        g = [self.lift(self.lead_pow(self.lower(c0), complex(alpha)))]
+        for i in range(1, len(a)):
+            acc = self.dot([(al1 * j - i) * a[j] for j in range(1, i + 1)], g[::-1])
+            g.append(acc / (i * c0))
+        return g
+
+    @staticmethod
+    def lead_pow(c0: complex, alpha: complex) -> complex:
+        """The leading value c0**alpha, in double precision."""
+        return cmath.exp(alpha * cmath.log(c0))
+
+    def ipow(self, a, m: int):
+        """Integer power by repeated multiplication (no branch cut)."""
+        unit = [self.one] + [self.zero] * (len(a) - 1)
+        out = unit
+        for _ in range(abs(m)):
+            out = self.mul(out, a)
+        if m < 0:
+            out = self.div(unit, out)
+        return out
+
+    def powers(self, w):
+        """The coefficients of w^0, w^1, w^2, ... for w given by its coefficients."""
+        pw = [self.one] + [self.zero] * (len(w) - 1)
+        while True:
+            yield pw
+            pw = self.mul(pw, w)
+
+    def pfq(self, upper, lower, m, powers, ctrl: EvalControl, rel_tol):
+        """Coefficients of pFq(a; b; w), with ``powers`` yielding those of w^k.
+
+        ``upper`` and ``lower`` are the parameters in this field and ``m`` the
+        termination order (None for a nonterminating series).  A terminating
+        series is summed to its last term.  Otherwise the sum stops once the
+        largest term coefficient has stayed below ``rel_tol`` times the
+        largest running sum (both by ``mag``) for ``ctrl.consecutive_small``
+        terms in a row.  Returns the sums and, for a field with a ``total``,
+        the per-coefficient buckets of terms they were summed from (empty
+        lists otherwise).
+        """
+        mag, lift, one = self.mag, self.lift, self.one
+        pw = next(powers)
+        keep = self.total is not None
+        buckets = [[] for _ in pw]
+        running = [self.zero] * len(pw)
+        c = one
+        small = 0
+        k = 0
+        while True:
+            tmax = 0
+            for i, x in enumerate(pw):
+                t = c * x
+                if keep:
+                    buckets[i].append(t)
+                running[i] += t
+                at = mag(t)
+                if at > tmax:
+                    tmax = at
+            if m is not None:
+                if k == m:
+                    break
+            else:
+                if tmax < rel_tol * max(map(mag, running)):
+                    small += 1
+                    if small >= ctrl.consecutive_small:
+                        break
+                else:
+                    small = 0
+                if k + 1 >= ctrl.max_terms:
+                    raise NoConvergence(f"no convergence within {ctrl.max_terms} terms")
+            num = one
+            for a in upper:
+                num *= a + k
+            den = lift(k + 1)
+            for b in lower:
+                den *= b + k
+            if not den:
+                raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
+            c *= num / den
+            pw = next(powers)
+            k += 1
+        if keep:
+            running = [self.total(b) for b in buckets]
+        return running, buckets
+
+
+class _Complex(Field):
+    zero = 0j
+    one = 1 + 0j
+    lift = lower = staticmethod(complex)
+    mag = staticmethod(abs)
+    total = staticmethod(csum)
+
+    @staticmethod
+    def dot(xs, ys):
+        # csum of the products, inlined: this is the oracle's hottest call
+        ps = list(map(_mul, xs, ys))
+        return complex(math.fsum([p.real for p in ps]), math.fsum([p.imag for p in ps]))
+
+
+class DC:
+    """A complex number as a pair of Decimals, rounded by the active context.
+
+    The other operand may also be real (an int or a Decimal): on either side
+    of a product, on the right of the other operations.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Decimal, im: Decimal):
+        self.re = re
+        self.im = im
+
+    def __add__(self, o):
+        if type(o) is DC:
+            return DC(self.re + o.re, self.im + o.im)
+        return DC(self.re + o, self.im)
+
+    def __sub__(self, o):
+        if type(o) is DC:
+            return DC(self.re - o.re, self.im - o.im)
+        return DC(self.re - o, self.im)
+
+    def __mul__(self, o):
+        if type(o) is DC:
+            return DC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return DC(self.re * o, self.im * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is DC:
+            dr, di = o.re, o.im
+            dd = dr * dr + di * di
+            return DC((self.re * dr + self.im * di) / dd, (self.im * dr - self.re * di) / dd)
+        return DC(self.re / o, self.im / o)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __repr__(self):
+        return f"DC({self.re}, {self.im})"
+
+
+_D0 = Decimal(0)
+
+
+class _Decimal(Field):
+    zero = DC(_D0, _D0)
+    one = DC(Decimal(1), _D0)
+
+    # the decimal reruns take the leading value in polar form: it and
+    # exp(alpha log c0) can differ in the last bit, and the reruns' doubles
+    # (16 values of the seed 0 and 7919 campaigns) would move by an ulp
+    @staticmethod
+    def lead_pow(c0: complex, alpha: complex) -> complex:
+        return c0**alpha
+
+    @staticmethod
+    def lift(x) -> DC:
+        if type(x) is int:
+            return DC(Decimal(x), _D0)
+        z = complex(x)
+        return DC(Decimal(z.real), Decimal(z.imag))
+
+    @staticmethod
+    def lower(x: DC) -> complex:
+        return complex(float(x.re), float(x.im))
+
+    @staticmethod
+    def dot(xs, ys) -> DC:
+        re = im = _D0
+        for x, y in zip(xs, ys):
+            re += x.re * y.re - x.im * y.im
+            im += x.re * y.im + x.im * y.re
+        return DC(re, im)
+
+    @staticmethod
+    def mag(x: DC) -> Decimal:
+        return abs(x.re) + abs(x.im)
+
+
+class _Fraction(Field):
+    zero = Fraction(0)
+    one = Fraction(1)
+    mag = staticmethod(abs)
+
+    @staticmethod
+    def lift(x) -> Fraction:
+        if isinstance(x, complex):
+            if x.imag:
+                raise ValueError("the Fraction field is real")
+            x = x.real
+        return Fraction(x)
+
+    @staticmethod
+    def lower(x: Fraction) -> complex:
+        return complex(float(x))
+
+    @staticmethod
+    def dot(xs, ys) -> Fraction:
+        # start from the first product: adding Fraction(0) costs as much as
+        # any other exact addition
+        ps = list(map(_mul, xs, ys))
+        return sum(ps[1:], ps[0]) if ps else Fraction(0)
+
+
+COMPLEX = _Complex()
+DECIMAL = _Decimal()
+FRACTION = _Fraction()
+
+
 @dataclass(frozen=True)
 class Jet:
     base_point: complex
-    coeffs: tuple[complex, ...]
+    coeffs: tuple
+    field: Field = COMPLEX
 
     @property
     def order(self) -> int:
@@ -50,106 +332,81 @@ class Jet:
             raise ValueError("a jet needs at least the order-0 coefficient")
 
 
-def jet_variable(z0: complex, order: int) -> Jet:
+def jet_variable(z0, order: int, field: Field = COMPLEX) -> Jet:
     """The identity function f(z) = z as a jet at z0."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = [complex(z0)] + [0j] * order
+    c = [field.lift(z0)] + [field.zero] * order
     if order >= 1:
-        c[1] = 1 + 0j
-    return Jet(complex(z0), tuple(c))
+        c[1] = field.one
+    return Jet(complex(z0), tuple(c), field)
 
 
-def jet_constant(value: complex, z0: complex, order: int) -> Jet:
-    return Jet(complex(z0), (complex(value),) + (0j,) * order)
+def jet_constant(value, z0, order: int, field: Field = COMPLEX) -> Jet:
+    return Jet(complex(z0), (field.lift(value),) + (field.zero,) * order, field)
 
 
 def _check_compatible(a: Jet, b: Jet) -> None:
-    if a.base_point != b.base_point or a.order != b.order:
-        raise ValueError("jets must share base point and order")
+    if a.base_point != b.base_point or a.order != b.order or a.field is not b.field:
+        raise ValueError("jets must share base point, order and field")
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
-    return Jet(a.base_point, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return Jet(a.base_point, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.field)
 
 
-def jet_scale(a: Jet, s: complex) -> Jet:
-    return Jet(a.base_point, tuple(s * x for x in a.coeffs))
+def jet_scale(a: Jet, s) -> Jet:
+    s = a.field.lift(s)
+    return Jet(a.base_point, tuple(s * x for x in a.coeffs), a.field)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the common order."""
     _check_compatible(a, b)
-    ac, bc = a.coeffs, b.coeffs
-    out = []
-    for i in range(len(ac)):
-        out.append(csum([ac[j] * bc[i - j] for j in range(i + 1)]))
-    return Jet(a.base_point, tuple(out))
+    return Jet(a.base_point, tuple(a.field.mul(a.coeffs, b.coeffs)), a.field)
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Division by recursive deconvolution; requires b.coeffs[0] != 0."""
     _check_compatible(a, b)
-    if b.coeffs[0] == 0:
-        raise DivisionByZeroJet("leading coefficient of divisor is zero")
-    ac, bc = a.coeffs, b.coeffs
-    q: list[complex] = []
-    for i in range(len(ac)):
-        acc = ac[i] - csum([bc[j] * q[i - j] for j in range(1, i + 1)])
-        q.append(acc / bc[0])
-    return Jet(a.base_point, tuple(q))
+    return Jet(a.base_point, tuple(a.field.div(a.coeffs, b.coeffs)), a.field)
 
 
 def jet_exp(a: Jet, sign: int = 1) -> Jet:
     """exp(sign * f) via the recurrence g' = sign * f' * g."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    ac = a.coeffs
-    g = [cmath.exp(sign * ac[0])]
-    for i in range(1, len(ac)):
-        acc = csum([j * ac[j] * g[i - j] for j in range(1, i + 1)])
-        g.append(sign * acc / i)
-    return Jet(a.base_point, tuple(g))
+    return Jet(a.base_point, tuple(a.field.exp(a.coeffs, sign)), a.field)
 
 
 def jet_pow(a: Jet, alpha: complex) -> Jet:
     """f**alpha on the principal branch via alpha * f' * g = f * g'."""
-    ac = a.coeffs
-    if ac[0] == 0:
-        raise BasePointAtBranchPoint("jet_pow base point at branch point")
-    alpha = complex(alpha)
-    g = [cmath.exp(alpha * cmath.log(ac[0]))]
-    for i in range(1, len(ac)):
-        acc = csum([((alpha + 1) * j - i) * ac[j] * g[i - j] for j in range(1, i + 1)])
-        g.append(acc / (i * ac[0]))
-    return Jet(a.base_point, tuple(g))
+    return Jet(a.base_point, tuple(a.field.pow(a.coeffs, alpha)), a.field)
 
 
 def jet_ipow(a: Jet, m: int) -> Jet:
     """Integer power by repeated multiplication (no branch cut)."""
-    unit = jet_constant(1, a.base_point, a.order)
-    if m == 0:
-        return unit
-    out = unit
-    for _ in range(abs(m)):
-        out = jet_mul(out, a)
-    if m < 0:
-        out = jet_div(unit, out)
-    return out
+    return Jet(a.base_point, tuple(a.field.ipow(a.coeffs, m)), a.field)
 
 
 # Taylor coefficients of a series at z0 can cancel heavily (peak term far
 # above the sum, e.g. lower parameters with negative real part at |z0| near
 # the disk boundary).  When the measured peak-to-sum ratio of any jet
-# coefficient exceeds this, the accumulation is redone in 40-digit decimal
+# coefficient exceeds this, the series is rerun in 40-digit decimal
 # arithmetic so the returned doubles stay accurate to ~1 ulp.
 _KAPPA_LIMIT = 1e4
 _DEC_PREC = 40
 
 
+def _jet_powers(w: Jet):
+    """The coefficients of w^0, w^1, ...: one call of the ``jet_mul`` binding per power."""
+    pw = jet_constant(1, w.base_point, w.order)
+    while True:
+        yield pw.coeffs
+        pw = jet_mul(pw, w)
+
+
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
-    """pFq(a; b; w) with w an analytic argument given as a jet.
+    """pFq(a; b; w) with w an analytic argument given as a complex jet.
 
     Terminating series are summed exactly; otherwise the stop rule of the
     scalar evaluator is applied to the magnitude-dominant coefficient of the
@@ -165,48 +422,12 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
             raise DomainError(
                 f"jet base value {arg.coeffs[0]} not strictly inside the convergence domain"
             )
-
-    width = arg.order + 1
-    buckets: list[list[complex]] = [[] for _ in range(width)]
-    abs_sums = [0.0] * width
-    running = [0j] * width
-    pw = jet_constant(1, arg.base_point, arg.order)
-    c = 1 + 0j
-    small = 0
-    k = 0
-    while True:
-        tmax = 0.0
-        for i in range(width):
-            t = c * pw.coeffs[i]
-            buckets[i].append(t)
-            running[i] += t
-            at = abs(t)
-            abs_sums[i] += at
-            if at > tmax:
-                tmax = at
-        if m is not None:
-            if k == m:
-                break
-        else:
-            smax = max(abs(x) for x in running)
-            if tmax < ctrl.rel_tol * smax:
-                small += 1
-                if small >= ctrl.consecutive_small:
-                    break
-            else:
-                small = 0
-            if k + 1 >= ctrl.max_terms:
-                raise NoConvergence(f"no convergence within {ctrl.max_terms} terms")
-        num, den = _term_ratio_parts(spec, k)
-        if den == 0:
-            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
-        c *= num / den
-        pw = jet_mul(pw, arg)
-        k += 1
-
-    vals = [csum(b) for b in buckets]
-    for i in range(width):
-        if abs_sums[i] > 0 and abs_sums[i] > _KAPPA_LIMIT * abs(vals[i]):
+    upper = [a.value for a in spec.upper]
+    lower = [b.value for b in spec.lower]
+    vals, buckets = COMPLEX.pfq(upper, lower, m, _jet_powers(arg), ctrl, ctrl.rel_tol)
+    for v, bucket in zip(vals, buckets):
+        abs_sum = sum(map(abs, bucket))
+        if abs_sum > 0 and abs_sum > _KAPPA_LIMIT * abs(v):
             # the truncation tail is bounded relative to the dominant
             # coefficient, so the rerun also has to cut much deeper for the
             # cancelled coefficients to come out accurate
@@ -219,212 +440,33 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision jets
-#
-# A jet is carried as a pair of Decimal coefficient lists (real, imaginary).
-# All recurrences below are rational in the coefficients; the only
-# transcendental scalars (the leading values of exp and of a non-integer
-# power) enter as a uniform factor per jet, so their double-precision
-# rounding scales the result without being amplified by cancellation.
-# Callers are expected to hold a decimal localcontext with enough precision.
-
-DPair = tuple[list[Decimal], list[Decimal]]
+# entry and exit of the decimal reruns; callers hold a decimal localcontext
+# with enough precision
 
 
-def d_pair_from_jet(j: Jet) -> DPair:
-    return [Decimal(x.real) for x in j.coeffs], [Decimal(x.imag) for x in j.coeffs]
+def d_pair_from_jet(j: Jet) -> Jet:
+    """A complex jet lifted into the decimal field."""
+    return Jet(j.base_point, tuple(map(DECIMAL.lift, j.coeffs)), DECIMAL)
 
 
-def d_pair_to_complexes(p: DPair) -> list[complex]:
-    return [complex(float(r), float(i)) for r, i in zip(p[0], p[1])]
+def d_pair_to_complexes(j: Jet) -> list[complex]:
+    """The coefficients of a decimal jet, each rounded to a complex double."""
+    return list(map(DECIMAL.lower, j.coeffs))
 
 
-def d_variable(z0: complex, order: int) -> DPair:
-    zero = Decimal(0)
-    re = [Decimal(z0.real)] + [zero] * order
-    im = [Decimal(z0.imag)] + [zero] * order
-    if order >= 1:
-        re[1] = Decimal(1)
-    return re, im
+def d_variable(z0: complex, order: int) -> Jet:
+    """The variable jet in the decimal field: the start of a term rerun."""
+    return jet_variable(z0, order, DECIMAL)
 
 
-def d_constant(value: complex, order: int) -> DPair:
-    zero = Decimal(0)
-    re = [Decimal(value.real)] + [zero] * order
-    im = [Decimal(value.imag)] + [zero] * order
-    return re, im
-
-
-def d_scale(p: DPair, s: complex) -> DPair:
-    srd, sid = Decimal(s.real), Decimal(s.imag)
-    re = [srd * r - sid * i for r, i in zip(p[0], p[1])]
-    im = [srd * i + sid * r for r, i in zip(p[0], p[1])]
-    return re, im
-
-
-def d_add_scalar(p: DPair, s: complex) -> DPair:
-    re = list(p[0])
-    im = list(p[1])
-    re[0] += Decimal(s.real)
-    im[0] += Decimal(s.imag)
-    return re, im
-
-
-def d_conv(a: DPair, b: DPair) -> DPair:
-    ar, ai = a
-    br, bi = b
-    n = len(ar)
-    zero = Decimal(0)
-    re = []
-    im = []
-    for i in range(n):
-        accr = zero
-        acci = zero
-        for j in range(i + 1):
-            accr += ar[j] * br[i - j] - ai[j] * bi[i - j]
-            acci += ar[j] * bi[i - j] + ai[j] * br[i - j]
-        re.append(accr)
-        im.append(acci)
-    return re, im
-
-
-def _dc_div(nr, ni, dr, di):
-    dd = dr * dr + di * di
-    return (nr * dr + ni * di) / dd, (ni * dr - nr * di) / dd
-
-
-def d_div(a: DPair, b: DPair) -> DPair:
-    ar, ai = a
-    br, bi = b
-    if br[0] == 0 and bi[0] == 0:
-        raise DivisionByZeroJet("leading coefficient of divisor is zero")
-    qr: list[Decimal] = []
-    qi: list[Decimal] = []
-    zero = Decimal(0)
-    for i in range(len(ar)):
-        accr = ar[i]
-        acci = ai[i]
-        for j in range(1, i + 1):
-            accr -= br[j] * qr[i - j] - bi[j] * qi[i - j]
-            acci -= br[j] * qi[i - j] + bi[j] * qr[i - j]
-        r, im_ = _dc_div(accr, acci, br[0], bi[0])
-        qr.append(r)
-        qi.append(im_)
-    return qr, qi
-
-
-def d_pow_int(p: DPair, m: int) -> DPair:
-    order = len(p[0]) - 1
-    out = d_constant(1, order)
-    for _ in range(abs(m)):
-        out = d_conv(out, p)
-    if m < 0:
-        out = d_div(d_constant(1, order), out)
-    return out
-
-
-def d_pow(p: DPair, alpha: complex) -> DPair:
-    """f**alpha; the leading scalar c0**alpha is taken in double precision."""
-    ar, ai = p
-    if ar[0] == 0 and ai[0] == 0:
-        raise BasePointAtBranchPoint("jet_pow base point at branch point")
-    c0r, c0i = ar[0], ai[0]
-    alr, ali = Decimal(alpha.real), Decimal(alpha.imag)
-    gr = [Decimal(1)]
-    gi = [Decimal(0)]
-    for i in range(1, len(ar)):
-        di = Decimal(i)
-        accr = Decimal(0)
-        acci = Decimal(0)
-        for k in range(1, i + 1):
-            # weight = (alpha + 1) * k - i
-            kd = Decimal(k)
-            wr = (alr + 1) * kd - di
-            wi = ali * kd
-            tr = wr * ar[k] - wi * ai[k]
-            ti = wr * ai[k] + wi * ar[k]
-            accr += tr * gr[i - k] - ti * gi[i - k]
-            acci += tr * gi[i - k] + ti * gr[i - k]
-        r, im_ = _dc_div(accr, acci, di * c0r, di * c0i)
-        gr.append(r)
-        gi.append(im_)
-    lead = complex(float(c0r), float(c0i)) ** complex(alpha)
-    return d_scale((gr, gi), lead)
-
-
-def d_exp(p: DPair, sign: int = 1) -> DPair:
-    """exp(sign*f); the leading scalar exp(sign*c0) is double precision."""
-    ar, ai = p
-    gr = [Decimal(1)]
-    gi = [Decimal(0)]
-    sd = Decimal(sign)
-    for i in range(1, len(ar)):
-        accr = Decimal(0)
-        acci = Decimal(0)
-        for k in range(1, i + 1):
-            kd = Decimal(k)
-            accr += kd * (ar[k] * gr[i - k] - ai[k] * gi[i - k])
-            acci += kd * (ar[k] * gi[i - k] + ai[k] * gr[i - k])
-        di = Decimal(i)
-        gr.append(sd * accr / di)
-        gi.append(sd * acci / di)
-    lead = cmath.exp(sign * complex(float(ar[0]), float(ai[0])))
-    return d_scale((gr, gi), lead)
-
-
-def d_pfq(spec: HypSpec, arg: DPair, ctrl: EvalControl, rel_tol: float) -> DPair:
-    """pFq series over decimal jets with a magnitude stop rule."""
+def d_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl, rel_tol: float) -> Jet:
+    """pFq series over a decimal jet, stopping at ``rel_tol`` (no escalation)."""
     validate_spec(spec)
+    upper = [DECIMAL.lift(a.value) for a in spec.upper]
+    lower = [DECIMAL.lift(b.value) for b in spec.lower]
     m = termination_order(spec)
-    ar, ai = arg
-    width = len(ar)
-    zero = Decimal(0)
-    upr = [(Decimal(a.value.real), Decimal(a.value.imag)) for a in spec.upper]
-    lor = [(Decimal(b.value.real), Decimal(b.value.imag)) for b in spec.lower]
-    pwr = [Decimal(1)] + [zero] * (width - 1)
-    pwi = [zero] * width
-    sr = [zero] * width
-    si = [zero] * width
-    cr, ci = Decimal(1), zero
-    small = 0
-    k = 0
-    while True:
-        tmax = 0.0
-        smax = 0.0
-        for i in range(width):
-            tr = cr * pwr[i] - ci * pwi[i]
-            ti = cr * pwi[i] + ci * pwr[i]
-            sr[i] += tr
-            si[i] += ti
-            tmax = max(tmax, abs(float(tr)) + abs(float(ti)))
-            smax = max(smax, abs(float(sr[i])) + abs(float(si[i])))
-        if m is not None:
-            if k == m:
-                break
-        else:
-            if tmax < rel_tol * smax:
-                small += 1
-                if small >= ctrl.consecutive_small:
-                    break
-            else:
-                small = 0
-            if k + 1 >= ctrl.max_terms:
-                raise NoConvergence(f"no convergence within {ctrl.max_terms} terms")
-        kd = Decimal(k)
-        nr, ni = cr, ci
-        for xr, xi in upr:
-            fr, fi = xr + kd, xi
-            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
-        dr, di = Decimal(k + 1), zero
-        for xr, xi in lor:
-            fr, fi = xr + kd, xi
-            dr, di = dr * fr - di * fi, dr * fi + di * fr
-        if dr == 0 and di == 0:
-            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
-        cr, ci = _dc_div(nr, ni, dr, di)
-        pwr, pwi = d_conv((pwr, pwi), arg)
-        k += 1
-    return sr, si
+    vals, _ = DECIMAL.pfq(upper, lower, m, DECIMAL.powers(arg.coeffs), ctrl, Decimal(rel_tol))
+    return Jet(arg.base_point, tuple(vals), DECIMAL)
 
 
 def derivative(a: Jet, n: int) -> complex:

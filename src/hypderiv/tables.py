@@ -25,6 +25,7 @@ from .catalog import entry
 from .core import EvalControl, HypSpec, evaluate, param
 from .errors import HypDerivError
 from .expressions import eval_expr, expr, hyp, nth_derivative, powz, term
+from .jets import FRACTION, jet_variable
 
 TABLE_N = 4
 TABLE_A = Fraction(1, 2)
@@ -34,71 +35,19 @@ TABLE_Z = Fraction(1, 3)
 # stop once a term falls this far (relatively) below the running sum; the
 # discarded tail is then orders of magnitude below half an ulp of a double
 _RAT_TOL = Fraction(1, 10**34)
-_RAT_MAX_TERMS = 500
+_RAT_CTRL = EvalControl(consecutive_small=1, max_terms=500)
 
 
-def _rat_series_scalar(upper: list[Fraction], lower: list[Fraction], z: Fraction) -> Fraction:
-    """Sum of the series with positive rational parameters, exactly."""
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(_RAT_MAX_TERMS):
-        total += t
-        num = Fraction(1)
-        for a in upper:
-            num *= a + k
-        den = Fraction(k + 1)
-        for b in lower:
-            den *= b + k
-        t *= num / den * z
-        if t < _RAT_TOL * total:
-            break
-    return total
-
-
-def _rat_conv(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = len(a)
-    return [sum((a[j] * b[i - j] for j in range(i + 1)), Fraction(0)) for i in range(n)]
-
-
-def _rat_series_jet(
-    upper: list[Fraction], lower: list[Fraction], z: Fraction, order: int
-) -> list[Fraction]:
-    """Jet coefficients of the series at base point z, exactly."""
-    width = order + 1
-    var = [z, Fraction(1)] + [Fraction(0)] * (width - 2)
-    pw = [Fraction(1)] + [Fraction(0)] * (width - 1)
-    sums = [Fraction(0)] * width
-    c = Fraction(1)
-    for k in range(_RAT_MAX_TERMS):
-        tmax = Fraction(0)
-        smax = Fraction(0)
-        for i in range(width):
-            t = c * pw[i]
-            sums[i] += t
-            tmax = max(tmax, abs(t))
-            smax = max(smax, abs(sums[i]))
-        if tmax < _RAT_TOL * smax:
-            break
-        num = Fraction(1)
-        for a in upper:
-            num *= a + k
-        den = Fraction(k + 1)
-        for b in lower:
-            den *= b + k
-        c *= num / den
-        pw = _rat_conv(pw, var)
-    return sums
+def _rat_series(upper: list[Fraction], lower: list[Fraction], order: int) -> list[Fraction]:
+    """Jet coefficients of the series at z = TABLE_Z, exactly."""
+    powers = FRACTION.powers(jet_variable(TABLE_Z, order, FRACTION).coeffs)
+    return FRACTION.pfq(upper, lower, None, powers, _RAT_CTRL, _RAT_TOL)[0]
 
 
 def _table_f_l(c: int) -> Fraction:
-    fjet = _rat_series_jet([TABLE_A, TABLE_B], [Fraction(c)], TABLE_Z, TABLE_N)
-    width = TABLE_N + 1
-    zpow = [Fraction(1)] + [Fraction(0)] * (width - 1)
-    var = [TABLE_Z, Fraction(1)] + [Fraction(0)] * (width - 2)
-    for _ in range(c - 1):
-        zpow = _rat_conv(zpow, var)
-    prod = _rat_conv(zpow, fjet)
-    return math.factorial(TABLE_N) * prod[TABLE_N]
+    zpow = FRACTION.ipow(jet_variable(TABLE_Z, TABLE_N, FRACTION).coeffs, c - 1)
+    fjet = _rat_series([TABLE_A, TABLE_B], [Fraction(c)], TABLE_N)
+    return math.factorial(TABLE_N) * FRACTION.mul(zpow, fjet)[TABLE_N]
 
 
 def _rising(x: Fraction, k: int) -> Fraction:
@@ -111,7 +60,7 @@ def _rising(x: Fraction, k: int) -> Fraction:
 def _table_f_r1(c: int) -> Fraction:
     n = TABLE_N
     pref = _rising(Fraction(c - n), n) * TABLE_Z ** (c - n - 1)
-    return pref * _rat_series_scalar([TABLE_A, TABLE_B], [Fraction(c - n)], TABLE_Z)
+    return pref * _rat_series([TABLE_A, TABLE_B], [Fraction(c - n)], 0)[0]
 
 
 def _table_f_r2(c: int) -> Fraction:
@@ -123,9 +72,7 @@ def _table_f_r2(c: int) -> Fraction:
         * _rising(TABLE_B, s)
         / _rising(Fraction(c), s)
     )
-    return pref * _rat_series_scalar(
-        [TABLE_A + s, TABLE_B + s], [Fraction(s + 1)], TABLE_Z
-    )
+    return pref * _rat_series([TABLE_A + s, TABLE_B + s], [Fraction(s + 1)], 0)[0]
 
 
 def table1_values(c: int) -> tuple[float, Optional[float], Optional[float]]:

@@ -1,6 +1,10 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+from hypderiv import cli
+from hypderiv.catalog import IdentityEntry
 from hypderiv.cli import main
+from hypderiv.core import HypSpec
+from hypderiv.expressions import expr, hyp, powz, term
 
 TABLE_EXPECTED = """c,f_L,f_R1,f_R2
 1,16.2802578209098,,16.2802578209098
@@ -131,6 +135,13 @@ class TestFigure1:
         assert main(["figure1", "--digits", "0", "--out", "-"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        code = main(["figure1", "--out", str(tmp_path / "missing" / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write")
+
     def test_stdout_mode_deterministic(self, capsys):
         main(["figure1", "--c-min", "1", "--c-max", "2", "--step", "0.25", "--out", "-"])
         a = capsys.readouterr().out
@@ -168,6 +179,37 @@ class TestVerify:
         text = out.read_text()
         assert text.startswith("id,trials,seed,tol,max_rel_err,failures,passed")
         assert "Th1-3,5,0," in text
+
+    def test_unwritable_csv_exit_2_before_the_campaign(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the campaign ran before the --csv path was checked")
+
+        monkeypatch.setattr(cli, "verify_entry", must_not_run)
+        code = main(["verify", "--csv", str(tmp_path / "missing" / "report.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write")
+
+    def test_raising_point_is_a_failure(self, monkeypatch, capsys):
+        stub = IdentityEntry(
+            id="stub",
+            applicable=lambda p: True,
+            lhs=lambda p: expr(term(1, powz(2))),
+            # 1F0(1;;z) = 1/(1-z) converges too slowly this close to z = 1
+            # to stop within the default term budget: NoConvergence
+            rhs=lambda p: expr(term(1, hyp(HypSpec.of([1], [])))),
+            draw=lambda rng: {"n": 1},
+            z_points=(1 - 1e-7,),
+        )
+        monkeypatch.setattr(cli, "entry", lambda name: stub)
+        code = main(["verify", "--identity", "stub", "--trials", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines == [
+            "stub: trials=2 max_rel_err=inf FAIL (2 cases)",
+            "FAILED: 1 of 1 entries",
+        ]
 
     def test_dump_expr(self, capsys):
         code = main(

@@ -247,6 +247,10 @@ class TestEvaluate:
                 EvalControl(rel_tol=bad)
         with pytest.raises(ValueError):
             EvalControl(max_terms=0)
+        # fewer than one small term would stop the sum at its first small term
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                EvalControl(consecutive_small=bad)
 
 
 class TestClassify:
