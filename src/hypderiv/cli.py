@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -104,12 +105,19 @@ def _invalid(message: str) -> int:
 def _unwritable(path: str) -> Optional[str]:
     """Why ``path`` cannot be written, or None; checked before any work.
 
-    Opens in append mode, so an existing file keeps its content.
+    Creates nothing: an existing file must be writable, a new one needs a
+    writable directory.
     """
-    try:
-        open(path, "a").close()
-    except OSError as exc:
-        return f"cannot write {path}: {exc.strerror or exc}"
+    if os.path.isdir(path):
+        return f"cannot write {path}: is a directory"
+    if os.path.exists(path):
+        target = path
+    else:
+        target = os.path.dirname(path) or "."
+        if not os.path.isdir(target):
+            return f"cannot write {path}: no directory {target}"
+    if not os.access(target, os.W_OK):
+        return f"cannot write {path}: permission denied"
     return None
 
 

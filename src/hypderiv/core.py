@@ -156,7 +156,7 @@ def csum(terms: Sequence[complex]) -> complex:
     """Exactly-rounded complex sum (componentwise math.fsum)."""
     if not terms:
         return 0j
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def pochhammer(a: ParamLike, k: int) -> complex:

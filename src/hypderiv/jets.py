@@ -105,16 +105,11 @@ class Field:
         if not c0:
             raise BasePointAtBranchPoint("jet_pow base point at branch point")
         al1 = self.lift(alpha) + 1
-        g = [self.lift(self.lead_pow(self.lower(c0), complex(alpha)))]
+        g = [self.lift(cmath.exp(complex(alpha) * cmath.log(self.lower(c0))))]
         for i in range(1, len(a)):
             acc = self.dot([(al1 * j - i) * a[j] for j in range(1, i + 1)], g[::-1])
             g.append(acc / (i * c0))
         return g
-
-    @staticmethod
-    def lead_pow(c0: complex, alpha: complex) -> complex:
-        """The leading value c0**alpha, in double precision."""
-        return cmath.exp(alpha * cmath.log(c0))
 
     def ipow(self, a, m: int):
         """Integer power by repeated multiplication (no branch cut)."""
@@ -133,17 +128,18 @@ class Field:
             yield pw
             pw = self.mul(pw, w)
 
-    def pfq(self, upper, lower, m, powers, ctrl: EvalControl, rel_tol):
+    def pfq(self, upper, lower, m, powers, rel_tol, consecutive_small: int, max_terms: int):
         """Coefficients of pFq(a; b; w), with ``powers`` yielding those of w^k.
 
         ``upper`` and ``lower`` are the parameters in this field and ``m`` the
         termination order (None for a nonterminating series).  A terminating
         series is summed to its last term.  Otherwise the sum stops once the
         largest term coefficient has stayed below ``rel_tol`` times the
-        largest running sum (both by ``mag``) for ``ctrl.consecutive_small``
-        terms in a row.  Returns the sums and, for a field with a ``total``,
-        the per-coefficient buckets of terms they were summed from (empty
-        lists otherwise).
+        largest running sum (both by ``mag``) for ``consecutive_small`` terms
+        in a row, and raises ``NoConvergence`` at ``max_terms`` terms.
+        Returns the sums and, for a field with a ``total``, the
+        per-coefficient buckets of terms they were summed from (empty lists
+        otherwise).
         """
         mag, lift, one = self.mag, self.lift, self.one
         pw = next(powers)
@@ -169,12 +165,12 @@ class Field:
             else:
                 if tmax < rel_tol * max(map(mag, running)):
                     small += 1
-                    if small >= ctrl.consecutive_small:
+                    if small >= consecutive_small:
                         break
                 else:
                     small = 0
-                if k + 1 >= ctrl.max_terms:
-                    raise NoConvergence(f"no convergence within {ctrl.max_terms} terms")
+                if k + 1 >= max_terms:
+                    raise NoConvergence(f"no convergence within {max_terms} terms")
             num = one
             for a in upper:
                 num *= a + k
@@ -200,9 +196,7 @@ class _Complex(Field):
 
     @staticmethod
     def dot(xs, ys):
-        # csum of the products, inlined: this is the oracle's hottest call
-        ps = list(map(_mul, xs, ys))
-        return complex(math.fsum([p.real for p in ps]), math.fsum([p.imag for p in ps]))
+        return csum(list(map(_mul, xs, ys)))
 
 
 class DC:
@@ -255,13 +249,6 @@ _D0 = Decimal(0)
 class _Decimal(Field):
     zero = DC(_D0, _D0)
     one = DC(Decimal(1), _D0)
-
-    # the decimal reruns take the leading value in polar form: it and
-    # exp(alpha log c0) can differ in the last bit, and the reruns' doubles
-    # (16 values of the seed 0 and 7919 campaigns) would move by an ulp
-    @staticmethod
-    def lead_pow(c0: complex, alpha: complex) -> complex:
-        return c0**alpha
 
     @staticmethod
     def lift(x) -> DC:
@@ -424,7 +411,9 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
             )
     upper = [a.value for a in spec.upper]
     lower = [b.value for b in spec.lower]
-    vals, buckets = COMPLEX.pfq(upper, lower, m, _jet_powers(arg), ctrl, ctrl.rel_tol)
+    vals, buckets = COMPLEX.pfq(
+        upper, lower, m, _jet_powers(arg), ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
+    )
     for v, bucket in zip(vals, buckets):
         abs_sum = sum(map(abs, bucket))
         if abs_sum > 0 and abs_sum > _KAPPA_LIMIT * abs(v):
@@ -465,7 +454,10 @@ def d_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl, rel_tol: float) -> Jet:
     upper = [DECIMAL.lift(a.value) for a in spec.upper]
     lower = [DECIMAL.lift(b.value) for b in spec.lower]
     m = termination_order(spec)
-    vals, _ = DECIMAL.pfq(upper, lower, m, DECIMAL.powers(arg.coeffs), ctrl, Decimal(rel_tol))
+    powers = DECIMAL.powers(arg.coeffs)
+    vals, _ = DECIMAL.pfq(
+        upper, lower, m, powers, Decimal(rel_tol), ctrl.consecutive_small, ctrl.max_terms
+    )
     return Jet(arg.base_point, tuple(vals), DECIMAL)
 
 

@@ -35,13 +35,13 @@ TABLE_Z = Fraction(1, 3)
 # stop once a term falls this far (relatively) below the running sum; the
 # discarded tail is then orders of magnitude below half an ulp of a double
 _RAT_TOL = Fraction(1, 10**34)
-_RAT_CTRL = EvalControl(consecutive_small=1, max_terms=500)
 
 
 def _rat_series(upper: list[Fraction], lower: list[Fraction], order: int) -> list[Fraction]:
     """Jet coefficients of the series at z = TABLE_Z, exactly."""
     powers = FRACTION.powers(jet_variable(TABLE_Z, order, FRACTION).coeffs)
-    return FRACTION.pfq(upper, lower, None, powers, _RAT_CTRL, _RAT_TOL)[0]
+    sums, _ = FRACTION.pfq(upper, lower, None, powers, _RAT_TOL, consecutive_small=1, max_terms=500)
+    return sums
 
 
 def _table_f_l(c: int) -> Fraction:

@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import pytest
+
 from hypderiv import cli
 from hypderiv.catalog import IdentityEntry
 from hypderiv.cli import main
@@ -142,6 +144,16 @@ class TestFigure1:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write")
 
+    def test_rejected_sweep_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["figure1", "--step", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_directory_out_exit_2(self, tmp_path, capsys):
+        assert main(["figure1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
     def test_stdout_mode_deterministic(self, capsys):
         main(["figure1", "--c-min", "1", "--c-max", "2", "--step", "0.25", "--out", "-"])
         a = capsys.readouterr().out
@@ -179,6 +191,16 @@ class TestVerify:
         text = out.read_text()
         assert text.startswith("id,trials,seed,tol,max_rel_err,failures,passed")
         assert "Th1-3,5,0," in text
+
+    def test_interrupted_campaign_leaves_no_csv(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "verify_entry", interrupted)
+        out = tmp_path / "report.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--identity", "Th1-3", "--csv", str(out)])
+        assert not out.exists()
 
     def test_unwritable_csv_exit_2_before_the_campaign(self, tmp_path, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
