@@ -299,7 +299,8 @@ def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> E
 
     Terminating series are summed exactly (m+1 terms).  Otherwise terms are
     accumulated until ``consecutive_small`` successive terms fall below
-    rel_tol * |partial sum|; the final value is an fsum of all terms.
+    rel_tol * |partial sum|; the final value is an fsum of all terms.  A term
+    that overflows raises ``NoConvergence`` at once.
     """
     ctrl = ctrl or DEFAULT_CONTROL
     validate_spec(spec)
@@ -334,10 +335,13 @@ def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> E
         t *= (num / den) * zc
         terms.append(t)
         partial += t
-        if abs(t) < ctrl.rel_tol * abs(partial):
+        at = abs(t)
+        if at < ctrl.rel_tol * abs(partial):
             small += 1
             if small >= ctrl.consecutive_small:
-                return EvalResult(csum(terms), len(terms), False, abs(t))
+                return EvalResult(csum(terms), len(terms), False, at)
         else:
             small = 0
+            if not math.isfinite(at):
+                raise NoConvergence(f"series term {k} overflowed: it is not finite")
     raise NoConvergence(f"no convergence within {ctrl.max_terms} terms")

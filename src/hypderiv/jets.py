@@ -26,6 +26,12 @@ values of exp and of a non-integer power are transcendental; they are
 taken in double precision and lifted, and since the recurrences are linear
 in that value its rounding scales the whole result instead of being
 amplified by cancellation.
+
+The series kernel takes its argument w as coefficients and steps the
+powers w^k itself.  An affine w = w0 + w1 h (the identity and negate maps)
+needs two products per coefficient, O(K) work per term at order K; any
+other w (the Pfaff map z/(z-1)) takes the full O(K^2) product, in the
+complex field through the module's ``jet_mul``.
 """
 
 from __future__ import annotations
@@ -121,28 +127,37 @@ class Field:
             out = self.div(unit, out)
         return out
 
-    def powers(self, w):
-        """The coefficients of w^0, w^1, w^2, ... for w given by its coefficients."""
-        pw = [self.one] + [self.zero] * (len(w) - 1)
-        while True:
-            yield pw
-            pw = self.mul(pw, w)
+    def dense_power(self, w):
+        """The step from the coefficients of w^k to those of w^(k+1): a full product."""
+        return lambda pw: self.mul(pw, w)
 
-    def pfq(self, upper, lower, m, powers, rel_tol, consecutive_small: int, max_terms: int):
-        """Coefficients of pFq(a; b; w), with ``powers`` yielding those of w^k.
+    def pfq(self, upper, lower, m, w, rel_tol, consecutive_small: int, max_terms: int):
+        """Coefficients of pFq(a; b; w), for w given by its coefficients.
 
         ``upper`` and ``lower`` are the parameters in this field and ``m`` the
         termination order (None for a nonterminating series).  A terminating
         series is summed to its last term.  Otherwise the sum stops once the
         largest term coefficient has stayed below ``rel_tol`` times the
         largest running sum (both by ``mag``) for ``consecutive_small`` terms
-        in a row, and raises ``NoConvergence`` at ``max_terms`` terms.
+        in a row, and raises ``NoConvergence`` at ``max_terms`` terms or at
+        the first term with an infinite coefficient.
         Returns the sums and, for a field with a ``total``, the
         per-coefficient buckets of terms they were summed from (empty lists
         otherwise).
+
+        The powers of an affine w = w0 + w1 h (w[2:] all zero, as for the
+        identity and negate maps) take two products per coefficient,
+        w^(k+1)_i = w^k_(i-1) w1 + w^k_i w0: the nonzero products of the full
+        product, added in its order, so every field gets the same values.
+        Any other w takes the full product of ``dense_power``.
         """
         mag, lift, one = self.mag, self.lift, self.one
-        pw = next(powers)
+        affine = not any(w[2:])
+        if affine:
+            w0, w1 = w[0], w[1] if len(w) > 1 else self.zero
+        else:
+            dense = self.dense_power(w)
+        pw = [one] + [self.zero] * (len(w) - 1)
         keep = self.total is not None
         buckets = [[] for _ in pw]
         running = [self.zero] * len(pw)
@@ -169,6 +184,8 @@ class Field:
                         break
                 else:
                     small = 0
+                    if tmax == math.inf:
+                        raise NoConvergence(f"series term {k} overflowed: it is not finite")
                 if k + 1 >= max_terms:
                     raise NoConvergence(f"no convergence within {max_terms} terms")
             num = one
@@ -180,7 +197,10 @@ class Field:
             if not den:
                 raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
             c *= num / den
-            pw = next(powers)
+            if affine:
+                pw = [pw[0] * w0] + [p * w1 + q * w0 for p, q in zip(pw, pw[1:])]
+            else:
+                pw = dense(pw)
             k += 1
         if keep:
             running = [self.total(b) for b in buckets]
@@ -197,6 +217,12 @@ class _Complex(Field):
     @staticmethod
     def dot(xs, ys):
         return csum(list(map(_mul, xs, ys)))
+
+    def dense_power(self, w):
+        # through the module's ``jet_mul`` binding, once per power, so that
+        # a tracer wrapping it sees every dense product
+        wj = Jet(0j, tuple(w))
+        return lambda pw: jet_mul(Jet(0j, pw), wj).coeffs
 
 
 class DC:
@@ -384,14 +410,6 @@ _KAPPA_LIMIT = 1e4
 _DEC_PREC = 40
 
 
-def _jet_powers(w: Jet):
-    """The coefficients of w^0, w^1, ...: one call of the ``jet_mul`` binding per power."""
-    pw = jet_constant(1, w.base_point, w.order)
-    while True:
-        yield pw.coeffs
-        pw = jet_mul(pw, w)
-
-
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     """pFq(a; b; w) with w an analytic argument given as a complex jet.
 
@@ -412,7 +430,7 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     upper = [a.value for a in spec.upper]
     lower = [b.value for b in spec.lower]
     vals, buckets = COMPLEX.pfq(
-        upper, lower, m, _jet_powers(arg), ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
+        upper, lower, m, arg.coeffs, ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
     )
     for v, bucket in zip(vals, buckets):
         abs_sum = sum(map(abs, bucket))
@@ -454,9 +472,8 @@ def d_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl, rel_tol: float) -> Jet:
     upper = [DECIMAL.lift(a.value) for a in spec.upper]
     lower = [DECIMAL.lift(b.value) for b in spec.lower]
     m = termination_order(spec)
-    powers = DECIMAL.powers(arg.coeffs)
     vals, _ = DECIMAL.pfq(
-        upper, lower, m, powers, Decimal(rel_tol), ctrl.consecutive_small, ctrl.max_terms
+        upper, lower, m, arg.coeffs, Decimal(rel_tol), ctrl.consecutive_small, ctrl.max_terms
     )
     return Jet(arg.base_point, tuple(vals), DECIMAL)
 

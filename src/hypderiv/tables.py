@@ -39,8 +39,8 @@ _RAT_TOL = Fraction(1, 10**34)
 
 def _rat_series(upper: list[Fraction], lower: list[Fraction], order: int) -> list[Fraction]:
     """Jet coefficients of the series at z = TABLE_Z, exactly."""
-    powers = FRACTION.powers(jet_variable(TABLE_Z, order, FRACTION).coeffs)
-    sums, _ = FRACTION.pfq(upper, lower, None, powers, _RAT_TOL, consecutive_small=1, max_terms=500)
+    w = jet_variable(TABLE_Z, order, FRACTION).coeffs
+    sums, _ = FRACTION.pfq(upper, lower, None, w, _RAT_TOL, consecutive_small=1, max_terms=500)
     return sums
 
 

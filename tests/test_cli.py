@@ -43,6 +43,14 @@ class TestEval:
         code = main(["eval", "--upper", "0.5,0.7", "--lower", "1.2", "--z", "1.5"])
         assert code == 3
 
+    def test_overflow_fails_fast_exit_3(self, capsys):
+        # the terms of 1F1(1; 2; 800) pass the largest double at term 470;
+        # the sum stops there instead of running all 10000 terms
+        code = main(["eval", "--upper", "1", "--lower", "2", "--z", "800"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: NoConvergence: series term 470 overflowed: it is not finite\n"
+
     def test_complex_input(self, capsys):
         code = main(["eval", "--upper", "0.5+0.5i", "--lower", "2", "--z", "0.3"])
         assert code == 0

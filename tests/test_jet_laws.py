@@ -12,6 +12,7 @@ law on jets with f_0 = 0 and the pow law on jets with f_0 = 1, where that
 leading value is exactly 1; the complex field checks any f_0.
 """
 
+import struct
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -172,6 +173,61 @@ def test_exp_and_pow_solve_their_differential_equations(F, data, alpha):
         p = F.pow(g, al)
         alpha_f = F.lift(al)
         assert_close(F, F.mul(g[:-1], deriv(p)), [alpha_f * x for x in F.mul(deriv(g), p[:-1])])
+
+
+def series_by_products(F, upper, lower, m, w):
+    """Terms 0..m of pFq(a; b; w), with the powers of w from ``F.mul``."""
+    pw = unit(F, len(w) - 1)
+    buckets = [[] for _ in w]
+    c = F.one
+    for k in range(m + 1):
+        for i, x in enumerate(pw):
+            buckets[i].append(c * x)
+        num = F.one
+        for a in upper:
+            num *= a + k
+        den = F.lift(k + 1)
+        for b in lower:
+            den *= b + k
+        c *= num / den
+        pw = F.mul(pw, w)
+    if F.total is not None:
+        return [F.total(b) for b in buckets]
+    sums = []
+    for b in buckets:
+        s = F.zero
+        for t in b:
+            s += t
+        sums.append(s)
+    return sums
+
+
+def scalar_bits(F, x):
+    if F is COMPLEX:
+        return struct.pack("<dd", x.real, x.imag)
+    if F is DECIMAL:
+        return x.re, x.im
+    return x
+
+
+@FIELDS
+@LAWS
+@given(data=st.data(), m=st.integers(min_value=0, max_value=12))
+def test_affine_powers_match_full_products(F, data, m):
+    # the identity and negate maps give w = w0 + w1 h, whose powers the
+    # series kernel steps with two products per coefficient
+    order = data.draw(orders)
+    re, im = data.draw(jets(order))
+    re[2:] = im[2:] = [Fraction(0)] * (order - 1)
+    w = lift(F, (re, im))
+    params = [lift(F, data.draw(jets(0)))[0] for _ in range(3)]
+    upper, lower = params[:2], [params[2] + 3]
+    with localcontext() as cx:
+        cx.prec = 40
+        # a terminating sum of m + 1 terms: the stop rule does not apply
+        got, _ = F.pfq(upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1)
+        want = series_by_products(F, upper, lower, m, w)
+    assert [scalar_bits(F, x) for x in got] == [scalar_bits(F, x) for x in want]
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -1,17 +1,23 @@
 """Jet arithmetic and the derivative oracle."""
 
+import cmath
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 
+from hypderiv import jets
 from hypderiv.core import HypSpec, evaluate
 from hypderiv.errors import (
     BasePointAtBranchPoint,
     DivisionByZeroJet,
     DomainError,
+    NoConvergence,
     OrderTooLow,
 )
+from hypderiv.expressions import ArgMap, map_jet
 from hypderiv.jets import (
     Jet,
     derivative,
@@ -177,6 +183,28 @@ class TestPfqJet:
         with pytest.raises(DomainError):
             jet_pfq(HypSpec.of([0.5, 2 / 3], [2]), jet_variable(1.0, 3))
 
+    def test_overflow_fails_fast(self):
+        # w^107 passes the largest double at w0 = 800 (either affine map),
+        # w^54 at w0 = 800^2 (a dense argument)
+        spec = HypSpec.of([1], [2])
+        var = jet_variable(800, 3)
+        negated = map_jet(ArgMap.NEGATE, jet_variable(-800, 3))
+        for arg, k in ((var, 107), (negated, 107), (jet_mul(var, var), 54)):
+            with pytest.raises(NoConvergence, match=f"^series term {k} overflowed"):
+                jet_pfq(spec, arg)
+
+    def test_powers_of_affine_arguments_skip_the_product(self, monkeypatch):
+        # the identity and negate maps step their powers with two products per
+        # coefficient; only a dense argument (the Pfaff map) calls jet_mul,
+        # once per series term after the first
+        calls = []
+        monkeypatch.setattr(jets, "jet_mul", lambda a, b: calls.append(1) or jet_mul(a, b))
+        spec = HypSpec.of([-4, 0.5], [1.5])
+        for amap, want in ((ArgMap.IDENTITY, 0), (ArgMap.NEGATE, 0), (ArgMap.PFAFF, 4)):
+            calls.clear()
+            jet_pfq(spec, map_jet(amap, jet_variable(0.3, 3)))
+            assert len(calls) == want, amap
+
     def test_terminating(self):
         # (-2)F at any base: a degree-2 polynomial, jet is exact
         spec = HypSpec.of([-2, 1.5], [1.25])
@@ -219,3 +247,70 @@ class TestPolynomialExactness:
                     for k in range(n, deg + 1)
                 )
                 assert rel(derivative(j, n), want) < 1e-13
+
+
+JET_PFQ_FINGERPRINT = "7067a08019695a51a85186919380e93673201e4b47d5841d4b8678ea1e68a350"
+
+# 1F1(1/2; 3/2) on the negate map at |z0| = 15 cancels and is rerun in decimal
+S11_DEEP = HypSpec.of([0.5], [1.5])
+
+
+def _z0(rng, amap, radius, real):
+    """A base point whose mapped argument lies within ``radius`` of 0."""
+    while True:
+        if real:
+            z0 = complex(rng.uniform(-radius, radius))
+        else:
+            z0 = cmath.rect(rng.uniform(0, radius), rng.uniform(-math.pi, math.pi))
+        if amap is not ArgMap.PFAFF or abs(z0 / (z0 - 1)) <= radius:
+            return z0
+
+
+def _param(rng, real):
+    x = rng.uniform(-2.5, 2.5)
+    return x if real else complex(x, rng.uniform(-1.5, 1.5))
+
+
+def _fingerprint_cases():
+    """Seeded (spec, map, z0, order) inputs of every kind the oracle meets:
+    2F1 (|w0| < 0.9), 1F1 and 0F1 (|w0| < 8), terminating 2F1 and the
+    decimal rerun, each at a real and a complex base point, per map and order."""
+    rng = random.Random("jet-pfq-fingerprint")
+    for order in range(13):
+        for amap in ArgMap:
+            for real in (True, False, True, False):
+                p = lambda: _param(rng, real)  # noqa: E731
+                yield HypSpec.of([p(), p()], [p() + 3]), amap, _z0(rng, amap, 0.9, real), order
+                yield HypSpec.of([p()], [p() + 3]), amap, _z0(rng, amap, 8, real), order
+                yield HypSpec.of([], [p() + 3]), amap, _z0(rng, amap, 8, real), order
+                m = -rng.randint(0, 6)
+                yield HypSpec.of([m, p()], [p() + 3]), amap, _z0(rng, amap, 3, real), order
+        for deep in (15, cmath.rect(15, rng.uniform(-0.3, 0.3))):
+            yield S11_DEEP, ArgMap.NEGATE, deep, order
+
+
+def _jet_pfq_fingerprint():
+    h = hashlib.sha256()
+    n = 0
+    for spec, amap, z0, order in _fingerprint_cases():
+        coeffs = jet_pfq(spec, map_jet(amap, jet_variable(z0, order))).coeffs
+        h.update(b"".join(struct.pack("<dd", c.real, c.imag) for c in coeffs))
+        n += 1
+    return h.hexdigest(), n
+
+
+class TestJetPfqFingerprint:
+    """``jet_pfq`` bit for bit, over every argument map and orders 0-12.
+
+    The hash pins the bits that full products of the argument's powers give;
+    the kernel's two-product step for affine arguments keeps them.
+    """
+
+    def test_fingerprint(self, monkeypatch):
+        reruns = []
+        d_pfq = jets.d_pfq
+        monkeypatch.setattr(jets, "d_pfq", lambda *a: reruns.append(1) or d_pfq(*a))
+        got, n = _jet_pfq_fingerprint()
+        assert n >= 400
+        assert len(reruns) >= 26
+        assert got == JET_PFQ_FINGERPRINT
