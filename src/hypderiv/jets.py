@@ -27,11 +27,13 @@ taken in double precision and lifted, and since the recurrences are linear
 in that value its rounding scales the whole result instead of being
 amplified by cancellation.
 
-The series kernel takes its argument w as coefficients and steps the
-powers w^k itself.  An affine w = w0 + w1 h (the identity and negate maps)
-needs two products per coefficient, O(K) work per term at order K; any
-other w (the Pfaff map z/(z-1)) takes the full O(K^2) product, in the
-complex field through the module's ``jet_mul``.
+The series kernel takes its argument w as coefficients.  It steps the
+powers of an affine w = w0 + w1 h (the identity and negate maps) itself,
+with two products per coefficient: O(K) work per term at order K.  Any
+other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
+the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
+products (in the complex field through the module's ``jet_mul``) however
+many terms the series takes.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ class Field:
             out = self.div(unit, out)
         return out
 
-    def dense_power(self, w):
-        """The step from the coefficients of w^k to those of w^(k+1): a full product."""
-        return lambda pw: self.mul(pw, w)
+    def power_mul(self, a, b):
+        """The product that steps the powers of a composition: ``mul``."""
+        return self.mul(a, b)
 
     def pfq(self, upper, lower, m, w, rel_tol, consecutive_small: int, max_terms: int):
         """Coefficients of pFq(a; b; w), for w given by its coefficients.
@@ -141,23 +143,39 @@ class Field:
         largest running sum (both by ``mag``) for ``consecutive_small`` terms
         in a row, and raises ``NoConvergence`` at ``max_terms`` terms or at
         the first term with an infinite coefficient.
-        Returns the sums and, for a field with a ``total``, the
-        per-coefficient buckets of terms they were summed from (empty lists
-        otherwise).
+        Returns the sums and, for a field with a ``total``, per coefficient
+        the sum of its terms' magnitudes, or a bound above it, for the
+        cancellation guard (None for the other fields).
 
-        The powers of an affine w = w0 + w1 h (w[2:] all zero, as for the
-        identity and negate maps) take two products per coefficient,
+        An affine w = w0 + w1 h (w[2:] all zero: the identity and negate
+        maps) has its powers stepped with two products per coefficient,
         w^(k+1)_i = w^k_(i-1) w1 + w^k_i w0: the nonzero products of the full
         product, added in its order, so every field gets the same values.
-        Any other w takes the full product of ``dense_power``.
+        Any other w (the Pfaff map) is composed once: the series summed at
+        the affine jet w0 + h gives g_j = F^(j)(w0)/j!, and with d = w - w0
+        coefficient i of the result is sum_(j<=i) g_j (d^j)_i, from the K-1
+        products d^2..d^K of ``power_mul`` however many terms the series
+        takes.  The stop rule so runs on the g_j.  The magnitude bound is
+        B_i = sum_j A_j |(d^j)_i|, with A_j that of g_j; by the binomial
+        expansion of w^k = (w0 + d)^k, it is at least the sum of the
+        magnitudes of the terms c_k (w^k)_i.
         """
         mag, lift, one = self.mag, self.lift, self.one
-        affine = not any(w[2:])
-        if affine:
-            w0, w1 = w[0], w[1] if len(w) > 1 else self.zero
-        else:
-            dense = self.dense_power(w)
         pw = [one] + [self.zero] * (len(w) - 1)
+        if any(w[2:]):
+            g, abs_g = self.pfq(
+                upper, lower, m, [w[0], one] + pw[2:], rel_tol, consecutive_small, max_terms
+            )
+            d = [self.zero] + list(w[1:])
+            powers = [pw, d]
+            while len(powers) < len(w):
+                powers.append(self.power_mul(powers[-1], d))
+            cols = [[p[i] for p in powers[: i + 1]] for i in range(len(w))]
+            sums = [self.dot(g[: i + 1], col) for i, col in enumerate(cols)]
+            if abs_g is not None:
+                abs_g = [sum(map(_mul, abs_g, map(mag, col))) for col in cols]
+            return sums, abs_g
+        w0, w1 = w[0], w[1] if len(w) > 1 else self.zero
         keep = self.total is not None
         buckets = [[] for _ in pw]
         running = [self.zero] * len(pw)
@@ -197,14 +215,11 @@ class Field:
             if not den:
                 raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
             c *= num / den
-            if affine:
-                pw = [pw[0] * w0] + [p * w1 + q * w0 for p, q in zip(pw, pw[1:])]
-            else:
-                pw = dense(pw)
+            pw = [pw[0] * w0] + [p * w1 + q * w0 for p, q in zip(pw, pw[1:])]
             k += 1
-        if keep:
-            running = [self.total(b) for b in buckets]
-        return running, buckets
+        if not keep:
+            return running, None
+        return [self.total(b) for b in buckets], [sum(map(mag, b)) for b in buckets]
 
 
 class _Complex(Field):
@@ -218,11 +233,10 @@ class _Complex(Field):
     def dot(xs, ys):
         return csum(list(map(_mul, xs, ys)))
 
-    def dense_power(self, w):
-        # through the module's ``jet_mul`` binding, once per power, so that
-        # a tracer wrapping it sees every dense product
-        wj = Jet(0j, tuple(w))
-        return lambda pw: jet_mul(Jet(0j, pw), wj).coeffs
+    def power_mul(self, a, b):
+        # through the module's ``jet_mul`` binding, so that a tracer wrapping
+        # it sees the composition's products
+        return jet_mul(Jet(0j, a), Jet(0j, b)).coeffs
 
 
 class DC:
@@ -429,11 +443,10 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
             )
     upper = [a.value for a in spec.upper]
     lower = [b.value for b in spec.lower]
-    vals, buckets = COMPLEX.pfq(
+    vals, abs_sums = COMPLEX.pfq(
         upper, lower, m, arg.coeffs, ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
     )
-    for v, bucket in zip(vals, buckets):
-        abs_sum = sum(map(abs, bucket))
+    for v, abs_sum in zip(vals, abs_sums):
         if abs_sum > 0 and abs_sum > _KAPPA_LIMIT * abs(v):
             # the truncation tail is bounded relative to the dominant
             # coefficient, so the rerun also has to cut much deeper for the

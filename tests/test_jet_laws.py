@@ -175,8 +175,9 @@ def test_exp_and_pow_solve_their_differential_equations(F, data, alpha):
         assert_close(F, F.mul(g[:-1], deriv(p)), [alpha_f * x for x in F.mul(deriv(g), p[:-1])])
 
 
-def series_by_products(F, upper, lower, m, w):
-    """Terms 0..m of pFq(a; b; w), with the powers of w from ``F.mul``."""
+def series_terms(F, upper, lower, m, w):
+    """Per coefficient, terms 0..m of pFq(a; b; w), with the powers of w
+    from ``F.mul``."""
     pw = unit(F, len(w) - 1)
     buckets = [[] for _ in w]
     c = F.one
@@ -191,6 +192,11 @@ def series_by_products(F, upper, lower, m, w):
             den *= b + k
         c *= num / den
         pw = F.mul(pw, w)
+    return buckets
+
+
+def series_by_products(F, upper, lower, m, w):
+    buckets = series_terms(F, upper, lower, m, w)
     if F.total is not None:
         return [F.total(b) for b in buckets]
     sums = []
@@ -228,6 +234,38 @@ def test_affine_powers_match_full_products(F, data, m):
         got, _ = F.pfq(upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1)
         want = series_by_products(F, upper, lower, m, w)
     assert [scalar_bits(F, x) for x in got] == [scalar_bits(F, x) for x in want]
+
+
+@FIELDS
+@LAWS
+@given(data=st.data(), m=st.integers(min_value=0, max_value=12))
+def test_dense_argument_is_the_series_composed(F, data, m):
+    # any other w (the Pfaff map) is summed at w0 + h and composed with the
+    # powers of w - w0; the result is still sum_k c_k w^k.  Exact in the
+    # Fraction field; in the complex field the two sums round differently,
+    # each by a few ulps of the magnitudes it adds up, so the gap is bounded
+    # relative to the sum of the terms' magnitudes.
+    order = data.draw(st.integers(min_value=2, max_value=6))
+    wj = data.draw(jets(order))
+    assume(any(wj[0][2:]) or any(wj[1][2:]))
+    w = lift(F, wj)
+    params = [lift(F, data.draw(jets(0)))[0] for _ in range(3)]
+    upper, lower = params[:2], [params[2] + 3]
+    with localcontext() as cx:
+        cx.prec = 40
+        got, bound = F.pfq(upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1)
+        terms = series_terms(F, upper, lower, m, w)
+        want = series_by_products(F, upper, lower, m, w)
+    if F is not COMPLEX:
+        assert bound is None
+        assert_close(F, got, want)
+        return
+    for g, x, b, ts in zip(got, want, bound, terms):
+        magnitude = sum(map(abs, ts))
+        assert abs(g - x) <= 1e-13 * magnitude, (got, want)
+        # the cancellation guard's bound covers the terms c_k (w^k)_i, up to
+        # rounding
+        assert b >= magnitude * (1 - 1e-12), (bound, terms)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from hypderiv import jets
-from hypderiv.core import HypSpec, evaluate
+from hypderiv.core import HypSpec, evaluate, termination_order
 from hypderiv.errors import (
     BasePointAtBranchPoint,
     DivisionByZeroJet,
@@ -195,15 +195,28 @@ class TestPfqJet:
 
     def test_powers_of_affine_arguments_skip_the_product(self, monkeypatch):
         # the identity and negate maps step their powers with two products per
-        # coefficient; only a dense argument (the Pfaff map) calls jet_mul,
-        # once per series term after the first
+        # coefficient and call no jet_mul; a dense argument (the Pfaff map) is
+        # composed once, with the products d^2..d^K of d = w - w0: K - 1 calls
+        # at order K, however many terms the series takes, also when it ends
+        # at term 0
         calls = []
         monkeypatch.setattr(jets, "jet_mul", lambda a, b: calls.append(1) or jet_mul(a, b))
-        spec = HypSpec.of([-4, 0.5], [1.5])
-        for amap, want in ((ArgMap.IDENTITY, 0), (ArgMap.NEGATE, 0), (ArgMap.PFAFF, 4)):
+        spec = HypSpec.of([0.5, 1.5], [2.5])
+        cases = (  # spec, map, z0, order, jet_mul calls
+            (spec, ArgMap.IDENTITY, 0.3, 3, 0),
+            (spec, ArgMap.NEGATE, 0.3, 3, 0),
+            (spec, ArgMap.PFAFF, -0.05, 3, 2),
+            (spec, ArgMap.PFAFF, -3.0, 3, 2),
+            (spec, ArgMap.PFAFF, -3.0, 6, 5),
+            (HypSpec.of([0, 0.5], [1.5]), ArgMap.PFAFF, 0.2, 3, 2),
+        )
+        for s, amap, z0, order, want in cases:
             calls.clear()
-            jet_pfq(spec, map_jet(amap, jet_variable(0.3, 3)))
-            assert len(calls) == want, amap
+            jet_pfq(s, map_jet(amap, jet_variable(z0, order)))
+            assert len(calls) == want, (amap, z0, order)
+        # the two nonterminating Pfaff inputs differ sixfold in their terms
+        w = [evaluate(spec, z0 / (z0 - 1)).terms_used for z0 in (-0.05, -3.0)]
+        assert 6 * w[0] < w[1], w
 
     def test_terminating(self):
         # (-2)F at any base: a degree-2 polynomial, jet is exact
@@ -249,7 +262,11 @@ class TestPolynomialExactness:
                 assert rel(derivative(j, n), want) < 1e-13
 
 
-JET_PFQ_FINGERPRINT = "7067a08019695a51a85186919380e93673201e4b47d5841d4b8678ea1e68a350"
+# sha256 of the jets' bits, identity and negate maps apart from the Pfaff map
+JET_PFQ_FINGERPRINT = {
+    "affine": "9053210761b1ee1f2ceeaf76b0eedddd27deb795aa05accd03d784dfad18ec4c",
+    "pfaff": "8b5ab1d66cd38b56f3d00bf73955bd56dbf22524abf2c059e5a067346e9bb3a7",
+}
 
 # 1F1(1/2; 3/2) on the negate map at |z0| = 15 cancels and is rerun in decimal
 S11_DEEP = HypSpec.of([0.5], [1.5])
@@ -290,20 +307,24 @@ def _fingerprint_cases():
 
 
 def _jet_pfq_fingerprint():
-    h = hashlib.sha256()
+    h = {"affine": hashlib.sha256(), "pfaff": hashlib.sha256()}
     n = 0
     for spec, amap, z0, order in _fingerprint_cases():
         coeffs = jet_pfq(spec, map_jet(amap, jet_variable(z0, order))).coeffs
-        h.update(b"".join(struct.pack("<dd", c.real, c.imag) for c in coeffs))
+        key = "pfaff" if amap is ArgMap.PFAFF else "affine"
+        h[key].update(b"".join(struct.pack("<dd", c.real, c.imag) for c in coeffs))
         n += 1
-    return h.hexdigest(), n
+    return {key: x.hexdigest() for key, x in h.items()}, n
 
 
 class TestJetPfqFingerprint:
     """``jet_pfq`` bit for bit, over every argument map and orders 0-12.
 
-    The hash pins the bits that full products of the argument's powers give;
-    the kernel's two-product step for affine arguments keeps them.
+    The identity and negate maps keep the bits that full products of the
+    argument's powers give: the kernel's two-product step for affine
+    arguments adds the same products in the same order.  The Pfaff map is a
+    composition of the series summed at w0 with the powers of w - w0, and
+    is hashed apart.
     """
 
     def test_fingerprint(self, monkeypatch):
@@ -314,3 +335,30 @@ class TestJetPfqFingerprint:
         assert n >= 400
         assert len(reruns) >= 26
         assert got == JET_PFQ_FINGERPRINT
+
+
+def _pfaff_accuracy_cases():
+    """The nonterminating 2F1 inputs of the fingerprint on the Pfaff map
+    (|w0| < 0.9): real parameters and base points at orders 7-12, complex
+    ones at orders 7 and 8 (mpmath expands those more slowly)."""
+    for spec, amap, z0, order in _fingerprint_cases():
+        if amap is ArgMap.PFAFF and spec.p == 2 and termination_order(spec) is None:
+            if order in (7, 8) or (order > 8 and not z0.imag):
+                yield spec, z0, order
+
+
+def test_pfaff_map_jets_match_mpmath():
+    # every coefficient of 2F1(a, b; c; z/(z-1)) to 1e-12 relative, against
+    # mpmath's Taylor expansion of the same function at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    n = 0
+    with mpmath.workdps(40):
+        for spec, z0, order in _pfaff_accuracy_cases():
+            got = jet_pfq(spec, map_jet(ArgMap.PFAFF, jet_variable(z0, order))).coeffs
+            up = [mpmath.mpc(a.value) for a in spec.upper]
+            lo = [mpmath.mpc(b.value) for b in spec.lower]
+            want = mpmath.taylor(lambda z: mpmath.hyper(up, lo, z / (z - 1)), mpmath.mpc(z0), order)
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - complex(w)) <= 1e-12 * abs(complex(w)), (spec, z0, order, i)
+            n += 1
+    assert n == 16
