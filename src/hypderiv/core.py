@@ -12,6 +12,7 @@ instead of inferring it from floats.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,8 +20,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DomainError,
-    NoConvergence,
-    PoleCoefficient,
     PolePochhammer,
     SingularLowerParameter,
 )
@@ -229,17 +228,6 @@ def validate_spec(spec: HypSpec) -> None:
                 raise SingularLowerParameter(idx)
 
 
-def _term_ratio_parts(spec: HypSpec, j: int) -> tuple[complex, complex]:
-    """Numerator/denominator of c_{j+1}/c_j (without the z factor)."""
-    num = 1 + 0j
-    for a in spec.upper:
-        num *= a.value + j
-    den = complex(j + 1)
-    for b in spec.lower:
-        den *= b.value + j
-    return num, den
-
-
 def coefficient(spec: HypSpec, k: int) -> complex:
     """Series coefficient c_k = (a)_k / ((b)_k k!).
 
@@ -247,18 +235,19 @@ def coefficient(spec: HypSpec, k: int) -> complex:
     k <= m is the finite ratio of nonvanishing products; for k > m the
     iterated limit gives 0.
     """
+    from .jets import COMPLEX  # jets imports this module
+
     if k < 0:
         raise ValueError("k must be nonnegative")
     validate_spec(spec)
     m = termination_order(spec)
     if m is not None and k > m:
         return 0j
+    upper = [a.value for a in spec.upper]
+    lower = [b.value for b in spec.lower]
     c = 1 + 0j
     for j in range(k):
-        num, den = _term_ratio_parts(spec, j)
-        if den == 0:
-            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={j + 1}")
-        c *= num / den
+        c *= COMPLEX.ratio(upper, lower, j)
     return c
 
 
@@ -294,54 +283,45 @@ _PERMITTED = (
 )
 
 
+def check_finite(spec: HypSpec, args: Iterable[complex]) -> None:
+    """Reject a parameter or argument value that is not finite, with
+    ``ValueError`` before any term is summed.
+
+    Summed, such a value would fail only later and as something else: as
+    an overflowed term, or after the whole term budget.
+    """
+    for x in (*(a.value for a in spec.upper), *(b.value for b in spec.lower), *args):
+        if not cmath.isfinite(x):
+            raise ValueError(f"non-finite parameter or argument {x!r}")
+
+
 def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> EvalResult:
     """Evaluate pFq(a; b; z) by direct summation.
 
-    Terminating series are summed exactly (m+1 terms).  Otherwise terms are
-    accumulated until ``consecutive_small`` successive terms fall below
-    rel_tol * |partial sum|; the final value is an fsum of all terms.  A term
-    that overflows raises ``NoConvergence`` at once.
+    This is the series kernel of the jet algebra at order 0: the complex
+    field's ``Field.pfq`` summing the scalar series at w = [z], stepping each
+    term by the term ratio.  Terminating series are summed exactly (m+1
+    terms).  Otherwise terms are accumulated until ``consecutive_small``
+    successive terms fall below rel_tol * |partial sum|; the final value is
+    an fsum of all terms and ``tail_estimate`` the last term's modulus.  A
+    term that overflows raises ``NoConvergence`` at once.
     """
+    from .jets import COMPLEX  # jets imports this module
+
     ctrl = ctrl or DEFAULT_CONTROL
     validate_spec(spec)
     zc = complex(z)
+    check_finite(spec, (zc,))
     m = termination_order(spec)
-
+    if m is None:
+        cls = classify_convergence(spec, zc)
+        if cls not in _PERMITTED:
+            raise DomainError(f"series does not converge at z={zc} ({cls.value})")
+    upper = [a.value for a in spec.upper]
+    lower = [b.value for b in spec.lower]
+    sums, _, terms, tail = COMPLEX.pfq(
+        upper, lower, m, [zc], ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
+    )
     if m is not None:
-        terms = []
-        t = 1 + 0j
-        for k in range(m + 1):
-            terms.append(t)
-            if k == m:
-                break
-            num, den = _term_ratio_parts(spec, k)
-            if den == 0:
-                raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
-            t *= (num / den) * zc
-        return EvalResult(csum(terms), m + 1, True, 0.0)
-
-    cls = classify_convergence(spec, zc)
-    if cls not in _PERMITTED:
-        raise DomainError(f"series does not converge at z={zc} ({cls.value})")
-
-    terms = [1 + 0j]
-    partial = 1 + 0j
-    t = 1 + 0j
-    small = 0
-    for k in range(1, ctrl.max_terms):
-        num, den = _term_ratio_parts(spec, k - 1)
-        if den == 0:
-            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
-        t *= (num / den) * zc
-        terms.append(t)
-        partial += t
-        at = abs(t)
-        if at < ctrl.rel_tol * abs(partial):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                return EvalResult(csum(terms), len(terms), False, at)
-        else:
-            small = 0
-            if not math.isfinite(at):
-                raise NoConvergence(f"series term {k} overflowed: it is not finite")
-    raise NoConvergence(f"no convergence within {ctrl.max_terms} terms")
+        return EvalResult(sums[0], terms, True, 0.0)
+    return EvalResult(sums[0], terms, False, tail)

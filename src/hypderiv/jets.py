@@ -27,9 +27,13 @@ taken in double precision and lifted, and since the recurrences are linear
 in that value its rounding scales the whole result instead of being
 amplified by cancellation.
 
-The series kernel takes its argument w as coefficients.  It steps the
-powers of an affine w = w0 + w1 h (the identity and negate maps) itself,
-with two products per coefficient: O(K) work per term at order K.  Any
+The series kernel ``Field.pfq`` is the one place any pFq series is summed:
+``core.evaluate`` runs it at order 0, ``jet_pfq`` on complex jets, the
+decimal reruns and the reference table in their fields.  It takes its
+argument w as coefficients.  For an affine w = w0 + w1 h (a scalar, the
+identity and negate maps) it steps the term jet c_k w^k itself by the term
+ratio c_(k+1)/c_k, with two products per coefficient: O(K) work per term at
+order K, and no power of w that could overflow before the term does.  Any
 other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
 the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
 products (in the complex field through the module's ``jet_mul``) however
@@ -43,6 +47,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import add as _add
 from operator import mul as _mul
 from typing import Optional
 
@@ -51,6 +56,7 @@ from .core import (
     DEFAULT_CONTROL,
     EvalControl,
     HypSpec,
+    check_finite,
     classify_convergence,
     csum,
     termination_order,
@@ -133,6 +139,18 @@ class Field:
         """The product that steps the powers of a composition: ``mul``."""
         return self.mul(a, b)
 
+    def ratio(self, upper, lower, k: int):
+        """The term ratio c_(k+1)/c_k = (a_1 + k)...(a_p + k) / ((b_1 + k)...(b_q + k) (k + 1))."""
+        num = self.one
+        for a in upper:
+            num *= a + k
+        den = self.lift(k + 1)
+        for b in lower:
+            den *= b + k
+        if not den:
+            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
+        return num / den
+
     def pfq(self, upper, lower, m, w, rel_tol, consecutive_small: int, max_terms: int):
         """Coefficients of pFq(a; b; w), for w given by its coefficients.
 
@@ -142,15 +160,18 @@ class Field:
         largest term coefficient has stayed below ``rel_tol`` times the
         largest running sum (both by ``mag``) for ``consecutive_small`` terms
         in a row, and raises ``NoConvergence`` at ``max_terms`` terms or at
-        the first term with an infinite coefficient.
-        Returns the sums and, for a field with a ``total``, per coefficient
-        the sum of its terms' magnitudes, or a bound above it, for the
-        cancellation guard (None for the other fields).
+        the first term with a coefficient that is not finite.
+        Returns the sums; for a field with a ``total``, per coefficient the
+        sum of its terms' magnitudes, or a bound above it, for the
+        cancellation guard (None for the other fields); the number of terms
+        summed; and the largest magnitude among the last term's coefficients.
+        At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums.
 
         An affine w = w0 + w1 h (w[2:] all zero: the identity and negate
-        maps) has its powers stepped with two products per coefficient,
-        w^(k+1)_i = w^k_(i-1) w1 + w^k_i w0: the nonzero products of the full
-        product, added in its order, so every field gets the same values.
+        maps, and a scalar) steps the term jet t_k = c_k w^k itself with the
+        term ratio r_k = c_(k+1)/c_k folded into two products per
+        coefficient, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0), so a
+        term overflows only where it, not w^k, passes the largest double.
         Any other w (the Pfaff map) is composed once: the series summed at
         the affine jet w0 + h gives g_j = F^(j)(w0)/j!, and with d = w - w0
         coefficient i of the result is sum_(j<=i) g_j (d^j)_i, from the K-1
@@ -160,66 +181,54 @@ class Field:
         expansion of w^k = (w0 + d)^k, it is at least the sum of the
         magnitudes of the terms c_k (w^k)_i.
         """
-        mag, lift, one = self.mag, self.lift, self.one
-        pw = [one] + [self.zero] * (len(w) - 1)
+        mag, one, ratio = self.mag, self.one, self.ratio
         if any(w[2:]):
-            g, abs_g = self.pfq(
-                upper, lower, m, [w[0], one] + pw[2:], rel_tol, consecutive_small, max_terms
+            unit = [one] + [self.zero] * (len(w) - 1)
+            g, abs_g, terms, tail = self.pfq(
+                upper, lower, m, [w[0], one] + unit[2:], rel_tol, consecutive_small, max_terms
             )
             d = [self.zero] + list(w[1:])
-            powers = [pw, d]
+            powers = [unit, d]
             while len(powers) < len(w):
                 powers.append(self.power_mul(powers[-1], d))
             cols = [[p[i] for p in powers[: i + 1]] for i in range(len(w))]
             sums = [self.dot(g[: i + 1], col) for i, col in enumerate(cols)]
             if abs_g is not None:
                 abs_g = [sum(map(_mul, abs_g, map(mag, col))) for col in cols]
-            return sums, abs_g
+            return sums, abs_g, terms, tail
         w0, w1 = w[0], w[1] if len(w) > 1 else self.zero
-        keep = self.total is not None
-        buckets = [[] for _ in pw]
-        running = [self.zero] * len(pw)
-        c = one
+        t = [one] + [self.zero] * (len(w) - 1)
+        running, terms = t[:], [t[:]]
+        down = range(len(w) - 1, 0, -1)
         small = 0
         k = 0
-        while True:
-            tmax = 0
-            for i, x in enumerate(pw):
-                t = c * x
-                if keep:
-                    buckets[i].append(t)
-                running[i] += t
-                at = mag(t)
-                if at > tmax:
-                    tmax = at
-            if m is not None:
-                if k == m:
-                    break
-            else:
+        while k != m:
+            if m is None and k + 1 >= max_terms:
+                raise NoConvergence(f"no convergence within {max_terms} terms")
+            r = ratio(upper, lower, k)
+            rz, rw = r * w0, r * w1
+            # in place, from the top, so that t[i - 1] is still term k's
+            for i in down:
+                t[i] = t[i - 1] * rw + t[i] * rz
+            t[0] *= rz
+            terms.append(t[:])
+            running = list(map(_add, running, t))
+            k += 1
+            if m is None:
+                tmax = max(map(mag, t))
                 if tmax < rel_tol * max(map(mag, running)):
                     small += 1
                     if small >= consecutive_small:
                         break
                 else:
                     small = 0
-                    if tmax == math.inf:
+                    if not tmax < math.inf:
                         raise NoConvergence(f"series term {k} overflowed: it is not finite")
-                if k + 1 >= max_terms:
-                    raise NoConvergence(f"no convergence within {max_terms} terms")
-            num = one
-            for a in upper:
-                num *= a + k
-            den = lift(k + 1)
-            for b in lower:
-                den *= b + k
-            if not den:
-                raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
-            c *= num / den
-            pw = [pw[0] * w0] + [p * w1 + q * w0 for p, q in zip(pw, pw[1:])]
-            k += 1
-        if not keep:
-            return running, None
-        return [self.total(b) for b in buckets], [sum(map(mag, b)) for b in buckets]
+        tail = max(map(mag, t))
+        if self.total is None:
+            return running, None, k + 1, tail
+        cols = list(zip(*terms))
+        return list(map(self.total, cols)), [sum(map(mag, c)) for c in cols], k + 1, tail
 
 
 class _Complex(Field):
@@ -427,13 +436,15 @@ _DEC_PREC = 40
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     """pFq(a; b; w) with w an analytic argument given as a complex jet.
 
-    Terminating series are summed exactly; otherwise the stop rule of the
-    scalar evaluator is applied to the magnitude-dominant coefficient of the
-    accumulating jet.  Ill-conditioned accumulations escalate to extended
-    precision internally.
+    The series kernel ``Field.pfq`` of the complex field, which ``evaluate``
+    runs at order 0: terminating series are summed exactly; otherwise the
+    sum stops once the largest term coefficient stays below ``rel_tol``
+    times the largest coefficient of the running jet.  Ill-conditioned
+    accumulations escalate to extended precision internally.
     """
     ctrl = ctrl or DEFAULT_CONTROL
     validate_spec(spec)
+    check_finite(spec, arg.coeffs)
     m = termination_order(spec)
     if m is None:
         cls = classify_convergence(spec, arg.coeffs[0])
@@ -443,7 +454,7 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
             )
     upper = [a.value for a in spec.upper]
     lower = [b.value for b in spec.lower]
-    vals, abs_sums = COMPLEX.pfq(
+    vals, abs_sums, _, _ = COMPLEX.pfq(
         upper, lower, m, arg.coeffs, ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
     )
     for v, abs_sum in zip(vals, abs_sums):
@@ -485,7 +496,7 @@ def d_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl, rel_tol: float) -> Jet:
     upper = [DECIMAL.lift(a.value) for a in spec.upper]
     lower = [DECIMAL.lift(b.value) for b in spec.lower]
     m = termination_order(spec)
-    vals, _ = DECIMAL.pfq(
+    vals, _, _, _ = DECIMAL.pfq(
         upper, lower, m, arg.coeffs, Decimal(rel_tol), ctrl.consecutive_small, ctrl.max_terms
     )
     return Jet(arg.base_point, tuple(vals), DECIMAL)

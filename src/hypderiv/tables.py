@@ -40,8 +40,7 @@ _RAT_TOL = Fraction(1, 10**34)
 def _rat_series(upper: list[Fraction], lower: list[Fraction], order: int) -> list[Fraction]:
     """Jet coefficients of the series at z = TABLE_Z, exactly."""
     w = jet_variable(TABLE_Z, order, FRACTION).coeffs
-    sums, _ = FRACTION.pfq(upper, lower, None, w, _RAT_TOL, consecutive_small=1, max_terms=500)
-    return sums
+    return FRACTION.pfq(upper, lower, None, w, _RAT_TOL, consecutive_small=1, max_terms=500)[0]
 
 
 def _table_f_l(c: int) -> Fraction:

@@ -1,8 +1,10 @@
 """Parameters, Pochhammer symbols, series evaluation, convergence."""
 
 import cmath
+import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from hypderiv.core import (
 )
 from hypderiv.errors import (
     DomainError,
+    HypDerivError,
     NoConvergence,
     PoleCoefficient,
     PolePochhammer,
@@ -229,6 +232,17 @@ class TestEvaluate:
     def test_no_convergence_budget(self):
         with pytest.raises(NoConvergence):
             evaluate(HypSpec.of([1, 1], [2]), 0.999, EvalControl(max_terms=10))
+        # max_terms counts term 0: a sum that stops at its 26th term needs 26
+        spec = HypSpec.of([0.5, 1.5], [2.5])
+        assert evaluate(spec, 0.3, EvalControl(max_terms=26)).terms_used == 26
+        with pytest.raises(NoConvergence, match="^no convergence within 25 terms$"):
+            evaluate(spec, 0.3, EvalControl(max_terms=25))
+
+    def test_not_a_number_term_fails_fast(self):
+        # r_0 z = (1e200 + 1e200i)^2 overflows to (nan, inf), which makes
+        # term 1 (nan, nan): a term whose modulus is not even infinite
+        with pytest.raises(NoConvergence, match="^series term 1 overflowed"):
+            evaluate(HypSpec.of([1e200 + 1e200j], [1]), 1e200 + 1e200j)
 
     def test_empty_vectors_give_exponential(self):
         # p = q = 0: every coefficient is 1/k!
@@ -297,3 +311,80 @@ class TestClassify:
             classify_convergence(HypSpec.of([0.5, 1 / 3, 0.25], [1.1]), 0.5)
             is ConvergenceClass.DIVERGENT_UNLESS_TERMINATING
         )
+
+
+# sha256 of evaluate's results over _evaluate_cases(): repr of the value,
+# terms used, terminated and the tail estimate, or the error's class and text.
+# One input raises a bare OverflowError: its partial sum's modulus passes the
+# largest double while both parts stay finite.
+EVALUATE_FINGERPRINT = "3ece52191c1665db324ae6c7bd5f924d6e4dfdc614ea0c1190930993c4258304"
+
+
+def _evaluate_cases():
+    """Seeded (spec, z, ctrl) inputs with p <= 3 and q <= 2, real or complex:
+    terminating series, entire series up to |z| = 40 (and a few at 1000),
+    |z| < 0.99 inside the unit disk, and the boundary, divergent and
+    singular inputs that ``evaluate`` rejects; a fifth of them under a looser stop rule or a small
+    term budget."""
+    rng = random.Random("evaluate-fingerprint")
+    controls = (EvalControl(rel_tol=1e-8, consecutive_small=1), EvalControl(max_terms=60))
+    for _ in range(2000):
+        p, q = rng.randint(0, 3), rng.randint(0, 2)
+        real = rng.random() < 0.5
+
+        def par():
+            x = rng.uniform(-2.5, 2.5)
+            return x if real else complex(x, rng.uniform(-1.5, 1.5))
+
+        upper = [par() for _ in range(p)]
+        lower = [par() + 3 for _ in range(q)]
+        u = rng.random()
+        if p and u < 0.3:
+            upper[rng.randrange(p)] = -rng.randint(0, 8)
+        elif q and u < 0.34:
+            lower[0] = rng.choice([-rng.randint(0, 3), -float(rng.randint(0, 3))])
+        if termination_order(HypSpec.of(upper, lower)) is not None:
+            radius = 5.0
+        elif p <= q:
+            # now and then far enough out for a term to overflow
+            radius = rng.choice([40.0] * 24 + [1000.0])
+        elif p == q + 1:
+            radius = rng.choice([0.99] * 8 + [1.5])
+        else:
+            radius = 0.5
+        if p == q + 1 and rng.random() < 0.05:
+            z = rng.choice([1.0, -1.0])
+        elif real:
+            z = rng.uniform(-radius, radius)
+        else:
+            z = cmath.rect(rng.uniform(0, radius), rng.uniform(-math.pi, math.pi))
+        ctrl = rng.choice(controls) if rng.random() < 0.2 else None
+        yield HypSpec.of(upper, lower), z, ctrl
+
+
+def _evaluate_fingerprint():
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for spec, z, ctrl in _evaluate_cases():
+        try:
+            r = evaluate(spec, z, ctrl)
+        except (HypDerivError, OverflowError) as e:
+            line = f"{type(e).__name__}: {e}"
+            outcomes[type(e).__name__] += 1
+        else:
+            line = f"{r.value!r} {r.terms_used} {r.terminated} {r.tail_estimate!r}"
+            outcomes["terminated" if r.terminated else "summed"] += 1
+        h.update(line.encode() + b"\n")
+    return h.hexdigest(), outcomes
+
+
+class TestEvaluateFingerprint:
+    """``evaluate`` bit for bit: values, term counts, tail estimates and
+    error messages over a seeded sweep of finite inputs."""
+
+    def test_fingerprint(self):
+        got, outcomes = _evaluate_fingerprint()
+        assert sum(outcomes.values()) == 2000
+        for kind in ("summed", "terminated", "DomainError", "NoConvergence", "PoleCoefficient"):
+            assert outcomes[kind] >= 10, outcomes
+        assert got == EVALUATE_FINGERPRINT

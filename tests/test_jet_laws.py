@@ -12,7 +12,6 @@ law on jets with f_0 = 0 and the pow law on jets with f_0 = 1, where that
 leading value is exactly 1; the complex field checks any f_0.
 """
 
-import struct
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -208,54 +207,29 @@ def series_by_products(F, upper, lower, m, w):
     return sums
 
 
-def scalar_bits(F, x):
-    if F is COMPLEX:
-        return struct.pack("<dd", x.real, x.imag)
-    if F is DECIMAL:
-        return x.re, x.im
-    return x
-
-
-@FIELDS
-@LAWS
-@given(data=st.data(), m=st.integers(min_value=0, max_value=12))
-def test_affine_powers_match_full_products(F, data, m):
-    # the identity and negate maps give w = w0 + w1 h, whose powers the
-    # series kernel steps with two products per coefficient
-    order = data.draw(orders)
+def check_series_composed(F, data, m, dense):
+    # the series kernel gives sum_k c_k w^k for an argument of either shape.
+    # Exact in the Fraction field; in the complex field the sums round
+    # differently, each by a few ulps of the magnitudes it adds up, so the gap
+    # is bounded relative to the sum of the terms' magnitudes.
+    order = data.draw(st.integers(min_value=2 if dense else 0, max_value=6))
     re, im = data.draw(jets(order))
-    re[2:] = im[2:] = [Fraction(0)] * (order - 1)
+    if dense:
+        assume(any(re[2:]) or any(im[2:]))
+    else:
+        re[2:] = im[2:] = [Fraction(0)] * (order - 1)
     w = lift(F, (re, im))
     params = [lift(F, data.draw(jets(0)))[0] for _ in range(3)]
     upper, lower = params[:2], [params[2] + 3]
     with localcontext() as cx:
         cx.prec = 40
         # a terminating sum of m + 1 terms: the stop rule does not apply
-        got, _ = F.pfq(upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1)
-        want = series_by_products(F, upper, lower, m, w)
-    assert [scalar_bits(F, x) for x in got] == [scalar_bits(F, x) for x in want]
-
-
-@FIELDS
-@LAWS
-@given(data=st.data(), m=st.integers(min_value=0, max_value=12))
-def test_dense_argument_is_the_series_composed(F, data, m):
-    # any other w (the Pfaff map) is summed at w0 + h and composed with the
-    # powers of w - w0; the result is still sum_k c_k w^k.  Exact in the
-    # Fraction field; in the complex field the two sums round differently,
-    # each by a few ulps of the magnitudes it adds up, so the gap is bounded
-    # relative to the sum of the terms' magnitudes.
-    order = data.draw(st.integers(min_value=2, max_value=6))
-    wj = data.draw(jets(order))
-    assume(any(wj[0][2:]) or any(wj[1][2:]))
-    w = lift(F, wj)
-    params = [lift(F, data.draw(jets(0)))[0] for _ in range(3)]
-    upper, lower = params[:2], [params[2] + 3]
-    with localcontext() as cx:
-        cx.prec = 40
-        got, bound = F.pfq(upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1)
+        got, bound, n, _ = F.pfq(
+            upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1
+        )
         terms = series_terms(F, upper, lower, m, w)
         want = series_by_products(F, upper, lower, m, w)
+    assert n == m + 1
     if F is not COMPLEX:
         assert bound is None
         assert_close(F, got, want)
@@ -266,6 +240,24 @@ def test_dense_argument_is_the_series_composed(F, data, m):
         # the cancellation guard's bound covers the terms c_k (w^k)_i, up to
         # rounding
         assert b >= magnitude * (1 - 1e-12), (bound, terms)
+
+
+@FIELDS
+@LAWS
+@given(data=st.data(), m=st.integers(min_value=0, max_value=12))
+def test_affine_powers_match_full_products(F, data, m):
+    # the identity and negate maps give w = w0 + w1 h, whose term jet the
+    # series kernel steps by the term ratio with two products per coefficient
+    check_series_composed(F, data, m, dense=False)
+
+
+@FIELDS
+@LAWS
+@given(data=st.data(), m=st.integers(min_value=0, max_value=12))
+def test_dense_argument_is_the_series_composed(F, data, m):
+    # any other w (the Pfaff map) is summed at w0 + h and composed with the
+    # powers of w - w0
+    check_series_composed(F, data, m, dense=True)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from hypderiv import jets
-from hypderiv.core import HypSpec, evaluate, termination_order
+from hypderiv.core import EvalControl, HypSpec, evaluate, termination_order
 from hypderiv.errors import (
     BasePointAtBranchPoint,
     DivisionByZeroJet,
@@ -184,17 +184,50 @@ class TestPfqJet:
             jet_pfq(HypSpec.of([0.5, 2 / 3], [2]), jet_variable(1.0, 3))
 
     def test_overflow_fails_fast(self):
-        # w^107 passes the largest double at w0 = 800 (either affine map),
-        # w^54 at w0 = 800^2 (a dense argument)
+        # the kernel steps the term jet itself, so it overflows at the term
+        # where the scalar series does (470 at w0 = 800, either affine map;
+        # 71 at w0 = 800^2, a dense argument), not where w^k would
         spec = HypSpec.of([1], [2])
         var = jet_variable(800, 3)
         negated = map_jet(ArgMap.NEGATE, jet_variable(-800, 3))
-        for arg, k in ((var, 107), (negated, 107), (jet_mul(var, var), 54)):
-            with pytest.raises(NoConvergence, match=f"^series term {k} overflowed"):
-                jet_pfq(spec, arg)
+        for arg, k in ((var, 470), (negated, 470), (jet_mul(var, var), 71)):
+            for run, x in ((evaluate, arg.coeffs[0]), (jet_pfq, arg)):
+                with pytest.raises(NoConvergence, match=f"^series term {k} overflowed"):
+                    run(spec, x)
+
+    def test_large_terms_do_not_overflow_the_power(self):
+        # w^k overflows past term 72 at w0 = 2e4, the terms c_k w^k never do
+        spec = HypSpec.of([], [1.5])
+        coeffs = jet_pfq(spec, jet_variable(2e4, 2)).coeffs
+        assert coeffs[0] == evaluate(spec, 2e4).value == 1.2146587558307586e120
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.taylor(lambda z: mpmath.hyper([], [1.5], z), 20000, 2)
+        for g, w in zip(coeffs[1:], want[1:]):
+            assert abs(g - complex(w)) <= 1e-12 * abs(complex(w))
+
+    def test_non_finite_input_fails_before_summing(self):
+        nan, inf = math.nan, math.inf
+        tight = EvalControl(max_terms=1)
+        for upper, lower, z0 in (
+            ([1], [2], nan),
+            ([1], [2], inf),
+            ([1], [2], complex(0.5, nan)),
+            ([nan], [2], 0.5),
+            ([1], [complex(2, inf)], 0.5),
+        ):
+            spec = HypSpec.of(upper, lower)
+            for ctrl in (None, tight):
+                with pytest.raises(ValueError, match="^non-finite"):
+                    evaluate(spec, z0, ctrl)
+                with pytest.raises(ValueError, match="^non-finite"):
+                    jet_pfq(spec, jet_variable(z0, 2), ctrl)
+        # a non-finite coefficient past the base value is rejected too
+        with pytest.raises(ValueError, match="^non-finite"):
+            jet_pfq(HypSpec.of([1], [2]), Jet(0.5, (0.5, nan)))
 
     def test_powers_of_affine_arguments_skip_the_product(self, monkeypatch):
-        # the identity and negate maps step their powers with two products per
+        # the identity and negate maps step their term jets with two products per
         # coefficient and call no jet_mul; a dense argument (the Pfaff map) is
         # composed once, with the products d^2..d^K of d = w - w0: K - 1 calls
         # at order K, however many terms the series takes, also when it ends
@@ -264,8 +297,8 @@ class TestPolynomialExactness:
 
 # sha256 of the jets' bits, identity and negate maps apart from the Pfaff map
 JET_PFQ_FINGERPRINT = {
-    "affine": "9053210761b1ee1f2ceeaf76b0eedddd27deb795aa05accd03d784dfad18ec4c",
-    "pfaff": "8b5ab1d66cd38b56f3d00bf73955bd56dbf22524abf2c059e5a067346e9bb3a7",
+    "affine": "94734a52357c40e8b37080fc1c00fab464339a11ccf27baa054e77bc1ceaa81d",
+    "pfaff": "a4f7f5430d6c70cda0477887a4e302120e84e928753cbe2b7c12b932a7447c52",
 }
 
 # 1F1(1/2; 3/2) on the negate map at |z0| = 15 cancels and is rerun in decimal
@@ -320,11 +353,10 @@ def _jet_pfq_fingerprint():
 class TestJetPfqFingerprint:
     """``jet_pfq`` bit for bit, over every argument map and orders 0-12.
 
-    The identity and negate maps keep the bits that full products of the
-    argument's powers give: the kernel's two-product step for affine
-    arguments adds the same products in the same order.  The Pfaff map is a
-    composition of the series summed at w0 with the powers of w - w0, and
-    is hashed apart.
+    The identity and negate maps are the kernel's term jets stepped by the
+    term ratio; the Pfaff map is a composition of the series summed at w0
+    with the powers of w - w0, and is hashed apart.  The accuracy of both
+    is checked against mpmath below.
     """
 
     def test_fingerprint(self, monkeypatch):
@@ -362,3 +394,35 @@ def test_pfaff_map_jets_match_mpmath():
                 assert abs(g - complex(w)) <= 1e-12 * abs(complex(w)), (spec, z0, order, i)
             n += 1
     assert n == 16
+
+
+def test_affine_map_jets_match_mpmath():
+    # every nonterminating identity- and negate-map input of the fingerprint
+    # at orders 7-12, to 1e-12 relative to the jet's largest coefficient (the
+    # stop rule bounds the tail by that coefficient, not by each one).  At 40
+    # digits, coefficient j of pFq(a; b; s z) at z0 (s = +-1) is
+    # s^j (a)_j / ((b)_j j!) pFq(a + j; b + j; s z0) (DLMF 16.3.1), one
+    # mpmath series per coefficient in place of a numerical expansion.
+    mpmath = pytest.importorskip("mpmath")
+    n = {ArgMap.IDENTITY: 0, ArgMap.NEGATE: 0}
+    with mpmath.workdps(40):
+        for spec, amap, z0, order in _fingerprint_cases():
+            if amap not in n or order < 7 or termination_order(spec) is not None:
+                continue
+            got = jet_pfq(spec, map_jet(amap, jet_variable(z0, order))).coeffs
+            s = 1 if amap is ArgMap.IDENTITY else -1
+            up = [mpmath.mpc(a.value) for a in spec.upper]
+            lo = [mpmath.mpc(b.value) for b in spec.lower]
+            want = []
+            for j in range(order + 1):
+                c = mpmath.mpf(s) ** j / mpmath.factorial(j)
+                for a in up:
+                    c *= mpmath.rf(a, j)
+                for b in lo:
+                    c /= mpmath.rf(b, j)
+                w = mpmath.hyper([a + j for a in up], [b + j for b in lo], s * mpmath.mpc(z0))
+                want.append(complex(c * w))
+            err = max(abs(g - w) for g, w in zip(got, want))
+            assert err <= 1e-12 * max(map(abs, want)), (spec, amap, z0, order)
+            n[amap] += 1
+    assert n == {ArgMap.IDENTITY: 72, ArgMap.NEGATE: 84}
