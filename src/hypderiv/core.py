@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -24,28 +25,35 @@ from .errors import (
     SingularLowerParameter,
 )
 
-ParamLike = Union["Parameter", int, float, complex]
+ParamLike = Union["Parameter", int, Fraction, float, complex]
+Exact = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class Parameter:
-    """A scalar parameter: exact integer or complex double.
+    """A scalar parameter: exact rational or complex double.
 
-    ``exact`` is the integer value when the parameter was built from an
-    integer literal, else ``None``.  Only exact integers participate in
-    integrality-based branching; a Numeric 2.0 is *not* treated as the
-    integer 2 even though it compares equal numerically.
+    ``exact`` is the value (an ``int``, else a ``Fraction``) of a parameter
+    built from an integer or a Fraction, else ``None``.  Only exact integers
+    (``integer``) participate in integrality-based branching; a numeric 2.0
+    is *not* treated as the integer 2 even though it compares equal
+    numerically.  Outside an exact field a parameter computes with ``value``.
     """
 
     value: complex
-    exact: Optional[int] = None
+    exact: Optional[Exact] = None
 
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
 
+    @property
+    def integer(self) -> Optional[int]:
+        """The exact value if it is an integer, else None."""
+        return self.exact if type(self.exact) is int else None
+
     def is_nonpositive_int(self) -> bool:
-        return self.exact is not None and self.exact <= 0
+        return type(self.exact) is int and self.exact <= 0
 
     def __complex__(self) -> complex:
         return self.value
@@ -54,7 +62,7 @@ class Parameter:
         o = param(other)
         if self.exact is not None and o.exact is not None:
             k = self.exact + o.exact
-            return Parameter(complex(k), k)
+            return Parameter(complex(k), k) if type(k) is int else param(k)
         return Parameter(self.value + o.value, None)
 
     def __sub__(self, other: ParamLike) -> "Parameter":
@@ -74,7 +82,7 @@ class Parameter:
 
 
 def param(x: ParamLike) -> Parameter:
-    """Coerce to Parameter. Integer literals become exact integers."""
+    """Coerce to Parameter.  Integers and Fractions become exact."""
     if isinstance(x, Parameter):
         return x
     if isinstance(x, bool):
@@ -83,6 +91,8 @@ def param(x: ParamLike) -> Parameter:
         return Parameter(complex(x), x)
     if isinstance(x, (float, complex)):
         return Parameter(complex(x), None)
+    if isinstance(x, Fraction):
+        return Parameter(complex(x), x.numerator if x.denominator == 1 else x)
     raise TypeError(f"cannot interpret {x!r} as a parameter")
 
 
@@ -158,46 +168,34 @@ def csum(terms: Sequence[complex]) -> complex:
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
-def pochhammer(a: ParamLike, k: int) -> complex:
+def pochhammer(a: ParamLike, k: int) -> Union[complex, Fraction]:
     """Pochhammer symbol (a)_k = a(a+1)...(a+k-1).
 
     k = 0 gives 1; negative order uses the reciprocal product
-    (a)_{-m} = 1 / ((a-m)(a-m+1)...(a-1)), the Gamma-ratio extension.
+    (a)_{-m} = 1 / ((a-m)(a-m+1)...(a-1)), the Gamma-ratio extension.  An
+    exact parameter gives an exact ``Fraction``, a numeric one a complex.
     """
     a = param(a)
-    if k == 0:
-        return 1 + 0j
-    if k > 0:
-        if a.exact is not None:
-            prod = 1
-            for j in range(k):
-                prod *= a.exact + j
-            return complex(prod)
-        out = 1 + 0j
+    # the factors of an exact p/q are (p + j q)/q: integers over one q^|k|
+    e = a.exact
+    x, q, one = (a.value, 1, 1 + 0j) if e is None else (e.numerator, e.denominator, 1)
+    out = one
+    if k >= 0:
         for j in range(k):
-            out *= a.value + j
-        return out
+            out *= x + j * q
+        return out if e is None else Fraction(out, q**k)
     m = -k
-    if a.exact is not None:
-        prod = 1
-        for j in range(m):
-            f = a.exact - m + j
-            if f == 0:
-                raise PolePochhammer(f"({a})_{k} has a zero factor")
-            prod *= f
-        return 1 / complex(prod)
-    out = 1 + 0j
     for j in range(m):
-        f = a.value - m + j
+        f = x - m * q + j * q
         if f == 0:
             raise PolePochhammer(f"({a})_{k} has a zero factor")
         out *= f
-    return 1 / out
+    return one / out if e is None else Fraction(q**m, out)
 
 
-def pochhammer_vec(v: Sequence[ParamLike], k: int) -> complex:
+def pochhammer_vec(v: Sequence[ParamLike], k: int) -> Union[complex, Exact]:
     """Product of Pochhammer symbols over a parameter vector; empty -> 1."""
-    out = 1 + 0j
+    out = 1
     for x in v:
         out *= pochhammer(x, k)
     return out

@@ -13,11 +13,13 @@ import cmath
 from dataclasses import dataclass
 from decimal import localcontext
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Union
 
 from .core import (
     DEFAULT_CONTROL,
     EvalControl,
+    Exact,
     HypSpec,
     ParamLike,
     Parameter,
@@ -30,6 +32,7 @@ from .jets import (
     _DEC_PREC,
     _KAPPA_LIMIT,
     DECIMAL,
+    FRACTION,
     Jet,
     d_pair_to_complexes,
     d_pfq,
@@ -45,6 +48,7 @@ from .jets import (
     jet_pow,
     jet_scale,
     jet_variable,
+    series_order,
 )
 
 
@@ -99,11 +103,12 @@ class Hyp:
 
 
 Factor = Union[PowZ, PowOneMinusZ, ExpZ, Hyp]
+Point = Union[complex, Fraction]
 
 
 @dataclass(frozen=True)
 class Term:
-    coeff: complex
+    coeff: Union[Exact, complex]
     factors: tuple[Factor, ...]
 
 
@@ -130,8 +135,9 @@ def hyp(spec: HypSpec, m: ArgMap = ArgMap.IDENTITY) -> Hyp:
     return Hyp(spec, m)
 
 
-def term(coeff: complex, *factors: Factor) -> Term:
-    return Term(complex(coeff), tuple(factors))
+def term(coeff: Union[Exact, complex], *factors: Factor) -> Term:
+    """A term; an int or Fraction coefficient stays exact."""
+    return Term(coeff if type(coeff) in (int, Fraction) else complex(coeff), tuple(factors))
 
 
 def expr(*terms: Term) -> Expr:
@@ -139,8 +145,8 @@ def expr(*terms: Term) -> Expr:
 
 
 def _cpow(base: complex, alpha: Parameter) -> complex:
-    if alpha.exact is not None:
-        k = alpha.exact
+    k = alpha.integer
+    if k is not None:
         if base == 0:
             if k > 0:
                 return 0j
@@ -171,7 +177,7 @@ def eval_expr(e: Expr, z: complex, ctrl: Optional[EvalControl] = None) -> comple
     for t in e.terms:
         if t.coeff == 0:
             continue
-        v = t.coeff
+        v = complex(t.coeff)
         for f in t.factors:
             v *= _factor_value(f, zc, ctrl)
         vals.append(v)
@@ -179,8 +185,8 @@ def eval_expr(e: Expr, z: complex, ctrl: Optional[EvalControl] = None) -> comple
 
 
 def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
-    if alpha.exact is not None:
-        return jet_ipow(base, alpha.exact)
+    if alpha.integer is not None:
+        return jet_ipow(base, alpha.integer)
     return jet_pow(base, alpha.value)
 
 
@@ -188,6 +194,21 @@ def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
 # truncation error is amplified by the same cancellation, so the stop rule
 # runs much deeper than the double-precision default.
 _DEC_REL_TOL = 1e-30
+
+# An exact series stops at its first term this far below the running sum, so
+# that the tail is far below half an ulp of the double it is rounded to.
+_EXACT_REL_TOL = Fraction(1, 10**34)
+
+
+def _exact_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl) -> Jet:
+    """pFq series over a Fraction jet, from the parameters' exact values."""
+    m = series_order(spec, arg)
+    upper, lower = (
+        [FRACTION.lift(x.value if x.exact is None else x.exact) for x in v]
+        for v in (spec.upper, spec.lower)
+    )
+    vals = FRACTION.pfq(upper, lower, m, arg.coeffs, _EXACT_REL_TOL, 1, ctrl.max_terms)[0]
+    return Jet(arg.base_point, tuple(vals), FRACTION)
 
 
 def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
@@ -201,17 +222,23 @@ def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
         return jet_exp(var, f.sign)
     if var.field is DECIMAL:
         return d_pfq(f.spec, map_jet(f.map, var), ctrl, _DEC_REL_TOL)
+    if var.field is FRACTION:
+        return _exact_pfq(f.spec, map_jet(f.map, var), ctrl)
     return jet_pfq(f.spec, map_jet(f.map, var), ctrl)
+
+
+def _term_product(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
+    """Unguarded product jet of one term over the field of ``var``."""
+    acc = jet_constant(t.coeff, var.base_point, var.order, var.field)
+    for f in t.factors:
+        acc = jet_mul(acc, _factor_jet(f, var, ctrl))
+    return acc
 
 
 def _term_jet_decimal(t: Term, z0: complex, order: int, ctrl: EvalControl) -> Jet:
     with localcontext() as cx:
         cx.prec = _DEC_PREC
-        var = d_variable(z0, order)
-        acc = jet_constant(t.coeff, z0, order, DECIMAL)
-        for f in t.factors:
-            acc = jet_mul(acc, _factor_jet(f, var, ctrl))
-        return Jet(z0, tuple(d_pair_to_complexes(acc)))
+        return Jet(z0, tuple(d_pair_to_complexes(_term_product(t, d_variable(z0, order), ctrl))))
 
 
 def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
@@ -223,7 +250,7 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
     """
     order = var.order
     j = jet_constant(t.coeff, var.base_point, order)
-    mags = [abs(t.coeff)] + [0.0] * order
+    mags = [abs(complex(t.coeff))] + [0.0] * order
     for f in t.factors:
         fj = _factor_jet(f, var, ctrl)
         j = jet_mul(j, fj)
@@ -237,20 +264,29 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
     return j
 
 
-def eval_expr_jet(e: Expr, z0: complex, order: int, ctrl: Optional[EvalControl] = None) -> Jet:
-    """Taylor jet of the expression around z0, truncated at ``order``."""
+def eval_expr_jet(e: Expr, z0: Point, order: int, ctrl: Optional[EvalControl] = None) -> Jet:
+    """Taylor jet of the expression around z0, truncated at ``order``.
+
+    At a ``Fraction`` z0 it is exact, in ``FRACTION``, for real terms: up to
+    series truncated 1e-34 below their sums, and non-integer powers, whose
+    leading value is a double.
+    """
     ctrl = ctrl or DEFAULT_CONTROL
-    var = jet_variable(complex(z0), order)
-    acc = jet_constant(0, var.base_point, order)
+    if isinstance(z0, Fraction):
+        var, term_jet = jet_variable(z0, order, FRACTION), _term_product
+    else:
+        var, term_jet = jet_variable(complex(z0), order), _term_jet
+    acc = jet_constant(0, var.base_point, order, var.field)
     for t in e.terms:
         if t.coeff == 0:
             continue
-        acc = jet_add(acc, _term_jet(t, var, ctrl))
+        acc = jet_add(acc, term_jet(t, var, ctrl))
     return acc
 
 
-def nth_derivative(e: Expr, n: int, z0: complex, ctrl: Optional[EvalControl] = None) -> complex:
-    """d^n/dz^n of the expression at z0, computed through jet arithmetic."""
+def nth_derivative(e: Expr, n: int, z0: Point, ctrl: Optional[EvalControl] = None) -> Point:
+    """d^n/dz^n of the expression at z0, computed through jet arithmetic
+    (a ``Fraction`` at a ``Fraction`` z0)."""
     return derivative(eval_expr_jet(e, z0, n, ctrl), n)
 
 
@@ -270,12 +306,13 @@ def format_expr(e: Expr) -> str:
                 | 'pfq' p q param*p ';' param*q map
         map    := 'identity' | 'negate' | 'pfaff'
 
-    Exact-integer parameters print as bare integers, numeric ones as floats
-    (or re+imj for complex values).
+    Exact parameters print as bare integers or as p/q, numeric ones as
+    floats (or re+imj for complex values).  A coefficient prints as its
+    complex double, exact or not.
     """
     lines = []
     for t in e.terms:
-        toks = [_fmt_complex(t.coeff)]
+        toks = [_fmt_complex(complex(t.coeff))]
         for f in t.factors:
             if isinstance(f, PowZ):
                 toks += ["powz", str(f.alpha)]

@@ -49,7 +49,7 @@ def branch_holds(branch: RBranch, r: Parameter, n: int) -> bool:
     give the same value; at r = c-1 this is the overlap of the two Th1-4
     lines at c = n+1.
     """
-    k = r.exact
+    k = r.integer
     if branch is RBranch.GENERAL:
         return k is None or k >= n
     if branch is RBranch.EXCEPTIONAL:

@@ -15,8 +15,8 @@ run over three scalar fields:
 * ``DECIMAL`` -- complex numbers as a pair of ``Decimal`` (``DC``) at the
   precision of the active decimal context, 40 digits when the oracle reruns
   an ill-conditioned series or term;
-* ``FRACTION`` -- exact real ``Fraction``, for the reference table's
-  rational inputs.
+* ``FRACTION`` -- exact real ``Fraction``, for exact rational inputs such
+  as the reference table's.
 
 A field supplies lift from complex and lower to complex, a fused sum of
 products (``dot``) and a magnitude for the stop rule; the complex field
@@ -29,7 +29,7 @@ amplified by cancellation.
 
 The series kernel ``Field.pfq`` is the one place any pFq series is summed:
 ``core.evaluate`` runs it at order 0, ``jet_pfq`` on complex jets, the
-decimal reruns and the reference table in their fields.  It takes its
+decimal reruns and the exact (Fraction) jets in their fields.  It takes its
 argument w as coefficients.  For an affine w = w0 + w1 h (a scalar, the
 identity and negate maps) it steps the term jet c_k w^k itself by the term
 ratio c_(k+1)/c_k, with two products per coefficient: O(K) work per term at
@@ -159,8 +159,9 @@ class Field:
         series is summed to its last term.  Otherwise the sum stops once the
         largest term coefficient has stayed below ``rel_tol`` times the
         largest running sum (both by ``mag``) for ``consecutive_small`` terms
-        in a row, and raises ``NoConvergence`` at ``max_terms`` terms or at
-        the first term with a coefficient that is not finite.
+        in a row, and raises ``NoConvergence`` at ``max_terms`` terms, at
+        the first term with a coefficient that is not finite, and where a
+        term or a sum overflows (``OverflowError``) with finite parts.
         Returns the sums; for a field with a ``total``, per coefficient the
         sum of its terms' magnitudes, or a bound above it, for the
         cancellation guard (None for the other fields); the number of terms
@@ -202,33 +203,36 @@ class Field:
         down = range(len(w) - 1, 0, -1)
         small = 0
         k = 0
-        while k != m:
-            if m is None and k + 1 >= max_terms:
-                raise NoConvergence(f"no convergence within {max_terms} terms")
-            r = ratio(upper, lower, k)
-            rz, rw = r * w0, r * w1
-            # in place, from the top, so that t[i - 1] is still term k's
-            for i in down:
-                t[i] = t[i - 1] * rw + t[i] * rz
-            t[0] *= rz
-            terms.append(t[:])
-            running = list(map(_add, running, t))
-            k += 1
-            if m is None:
-                tmax = max(map(mag, t))
-                if tmax < rel_tol * max(map(mag, running)):
-                    small += 1
-                    if small >= consecutive_small:
-                        break
-                else:
-                    small = 0
-                    if not tmax < math.inf:
-                        raise NoConvergence(f"series term {k} overflowed: it is not finite")
-        tail = max(map(mag, t))
-        if self.total is None:
-            return running, None, k + 1, tail
-        cols = list(zip(*terms))
-        return list(map(self.total, cols)), [sum(map(mag, c)) for c in cols], k + 1, tail
+        try:
+            while k != m:
+                if m is None and k + 1 >= max_terms:
+                    raise NoConvergence(f"no convergence within {max_terms} terms")
+                r = ratio(upper, lower, k)
+                rz, rw = r * w0, r * w1
+                # in place, from the top, so that t[i - 1] is still term k's
+                for i in down:
+                    t[i] = t[i - 1] * rw + t[i] * rz
+                t[0] *= rz
+                terms.append(t[:])
+                running = list(map(_add, running, t))
+                k += 1
+                if m is None:
+                    tmax = max(map(mag, t))
+                    if tmax < rel_tol * max(map(mag, running)):
+                        small += 1
+                        if small >= consecutive_small:
+                            break
+                    else:
+                        small = 0
+                        if not tmax < math.inf:
+                            raise NoConvergence(f"series term {k} overflowed: it is not finite")
+            tail = max(map(mag, t))
+            if self.total is None:
+                return running, None, k + 1, tail
+            cols = list(zip(*terms))
+            return list(map(self.total, cols)), [sum(map(mag, c)) for c in cols], k + 1, tail
+        except OverflowError as exc:
+            raise NoConvergence(f"series term {k} overflowed: {exc}") from None
 
 
 class _Complex(Field):
@@ -433,6 +437,20 @@ _KAPPA_LIMIT = 1e4
 _DEC_PREC = 40
 
 
+def series_order(spec: HypSpec, arg: Jet) -> Optional[int]:
+    """Termination order of a series over ``arg``, after the input checks."""
+    validate_spec(spec)
+    check_finite(spec, arg.coeffs)
+    m = termination_order(spec)
+    if m is None:
+        cls = classify_convergence(spec, arg.coeffs[0])
+        if cls not in (ConvergenceClass.ENTIRE, ConvergenceClass.INSIDE_UNIT_DISK):
+            raise DomainError(
+                f"jet base value {arg.coeffs[0]} not strictly inside the convergence domain"
+            )
+    return m
+
+
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     """pFq(a; b; w) with w an analytic argument given as a complex jet.
 
@@ -443,15 +461,7 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     accumulations escalate to extended precision internally.
     """
     ctrl = ctrl or DEFAULT_CONTROL
-    validate_spec(spec)
-    check_finite(spec, arg.coeffs)
-    m = termination_order(spec)
-    if m is None:
-        cls = classify_convergence(spec, arg.coeffs[0])
-        if cls not in (ConvergenceClass.ENTIRE, ConvergenceClass.INSIDE_UNIT_DISK):
-            raise DomainError(
-                f"jet base value {arg.coeffs[0]} not strictly inside the convergence domain"
-            )
+    m = series_order(spec, arg)
     upper = [a.value for a in spec.upper]
     lower = [b.value for b in spec.lower]
     vals, abs_sums, _, _ = COMPLEX.pfq(

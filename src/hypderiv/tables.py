@@ -1,18 +1,21 @@
 """Reference table and parameter sweep for the n=4, a=1/2, b=2/3, z=1/3 case.
 
-``table1_csv`` reproduces the reference table: the derivative
-d^4/dz^4 [z^{c-1} 2F1(1/2,2/3;c;z)] at z=1/3 (column f_L, via the jet
-oracle) against the regular-line value f_R1 = (c-4)_4 z^{c-5}
-2F1(1/2,2/3;c-4;z) and the exceptional-line value
-f_R2 = 4!/(5-c)! (1/2)_{5-c}(2/3)_{5-c}/(c)_{5-c} 2F1(..;6-c;z) for
-integer c = 1..7, with blanks where a line is inapplicable (singular).
+``table1_csv`` reproduces the reference table for integer c = 1..7: the
+derivative d^4/dz^4 [z^{c-1} 2F1(1/2,2/3;c;z)] at z=1/3 (column f_L) against
+f_R1 = (c-4)_4 z^{c-5} 2F1(1/2,2/3;c-4;z) and f_R2 = 4!/(5-c)! (1/2)_{5-c}
+(2/3)_{5-c}/(c)_{5-c} 2F1(..;6-c;z), blank where a line is inapplicable
+(singular).  The columns and blanks are the LHS, the RHS and the
+applicability of the catalog entries ``Th1-4-regular`` and
+``Th1-4-exceptional``.
 
 Every input of the table is rational, and one printed cell sits within one
-double ulp of its 15-digit rounding boundary, so the table path runs the jet
-arithmetic over exact Fractions and converts once at the end; the float
-results are correctly rounded.  The sweep over real c (``figure1_rows``)
-needs no digit-exact output and uses the double-precision machinery, with
-the exceptional-line factorials continued through the Gamma-function ratio.
+double ulp of its 15-digit rounding boundary, so the entries are evaluated
+at the exact parameters and the Fraction z = 1/3, where ``nth_derivative``
+runs the jet algebra over exact Fractions, and rounded once at the end.
+Only these two lines run exactly: ``verify`` checks the catalog in double
+precision, and an exact run would need a new command-line option.  The
+sweep over real c (``figure1_rows``) needs no digit-exact output and runs
+in double precision.
 """
 
 from __future__ import annotations
@@ -22,68 +25,33 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalog import entry
-from .core import EvalControl, HypSpec, evaluate, param
+from .core import EvalControl, HypSpec, evaluate, param, pochhammer
 from .errors import HypDerivError
 from .expressions import eval_expr, expr, hyp, nth_derivative, powz, term
-from .jets import FRACTION, jet_variable
 
 TABLE_N = 4
 TABLE_A = Fraction(1, 2)
 TABLE_B = Fraction(2, 3)
 TABLE_Z = Fraction(1, 3)
 
-# stop once a term falls this far (relatively) below the running sum; the
-# discarded tail is then orders of magnitude below half an ulp of a double
-_RAT_TOL = Fraction(1, 10**34)
+_REGULAR, _EXCEPTIONAL = entry("Th1-4-regular"), entry("Th1-4-exceptional")
 
 
-def _rat_series(upper: list[Fraction], lower: list[Fraction], order: int) -> list[Fraction]:
-    """Jet coefficients of the series at z = TABLE_Z, exactly."""
-    w = jet_variable(TABLE_Z, order, FRACTION).coeffs
-    return FRACTION.pfq(upper, lower, None, w, _RAT_TOL, consecutive_small=1, max_terms=500)[0]
-
-
-def _table_f_l(c: int) -> Fraction:
-    zpow = FRACTION.ipow(jet_variable(TABLE_Z, TABLE_N, FRACTION).coeffs, c - 1)
-    fjet = _rat_series([TABLE_A, TABLE_B], [Fraction(c)], TABLE_N)
-    return math.factorial(TABLE_N) * FRACTION.mul(zpow, fjet)[TABLE_N]
-
-
-def _rising(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= x + j
-    return out
-
-
-def _table_f_r1(c: int) -> Fraction:
-    n = TABLE_N
-    pref = _rising(Fraction(c - n), n) * TABLE_Z ** (c - n - 1)
-    return pref * _rat_series([TABLE_A, TABLE_B], [Fraction(c - n)], 0)[0]
-
-
-def _table_f_r2(c: int) -> Fraction:
-    n = TABLE_N
-    s = n - c + 1
-    pref = (
-        Fraction(math.factorial(n), math.factorial(s))
-        * _rising(TABLE_A, s)
-        * _rising(TABLE_B, s)
-        / _rising(Fraction(c), s)
-    )
-    return pref * _rat_series([TABLE_A + s, TABLE_B + s], [Fraction(s + 1)], 0)[0]
+def table_params(a, b, c) -> dict:
+    return {"a1": param(a), "a2": param(b), "c": param(c), "n": TABLE_N}
 
 
 def table1_values(c: int) -> tuple[float, Optional[float], Optional[float]]:
     """(f_L, f_R1, f_R2) for integer c; None where the line is inapplicable.
 
-    Applicability comes from the Th1-4 catalog entries; values are exact
-    rational computations converted to correctly rounded doubles.
+    Computed as Fractions and rounded once, so correctly rounded.
     """
-    p = {"a1": param(0.5), "a2": param(2 / 3), "c": param(c), "n": TABLE_N}
-    f_l = float(_table_f_l(c))
-    f_r1 = float(_table_f_r1(c)) if entry("Th1-4-regular").applicable(p) else None
-    f_r2 = float(_table_f_r2(c)) if entry("Th1-4-exceptional").applicable(p) else None
+    p = table_params(TABLE_A, TABLE_B, c)
+    f_l = float(nth_derivative(_REGULAR.lhs(p), TABLE_N, TABLE_Z))
+    f_r1, f_r2 = (
+        float(nth_derivative(e.rhs(p), 0, TABLE_Z)) if e.applicable(p) else None
+        for e in (_REGULAR, _EXCEPTIONAL)
+    )
     return f_l, f_r1, f_r2
 
 
@@ -104,39 +72,24 @@ def table1_csv(digits: int = 15) -> str:
 
 _SWEEP_CTRL = EvalControl(rel_tol=1e-16)
 FIGURE1_MAX_ROWS = 10_000  # the default grid has 141 rows
-_A_F = 0.5
-_B_F = 2 / 3
-_Z_F = 1 / 3
+_A_F, _B_F, _Z_F = map(float, (TABLE_A, TABLE_B, TABLE_Z))
 
 
 def _sweep_f_l(c: float) -> float:
-    e = expr(
-        term(
-            1,
-            powz(param(c) - 1),
-            hyp(HypSpec.of([_A_F, _B_F], [c])),
-        )
-    )
-    return nth_derivative(e, TABLE_N, _Z_F, _SWEEP_CTRL).real
+    lhs = _REGULAR.lhs(table_params(_A_F, _B_F, c))
+    return nth_derivative(lhs, TABLE_N, _Z_F, _SWEEP_CTRL).real
+
+
+# f_R1 and f_R2 continue the catalog lines to real c (f_R2 by Gamma ratios).
+# At float integer c <= 4 the regular line would drop its term, whose (c-4)_4
+# vanishes, and return 0, where the sweep reports the pole of its series.
 
 
 def _sweep_f_r1(c: float) -> float:
-    # the prefactor (c-4)_4 vanishes at integer c <= 4 while the series
-    # factor is singular there; evaluate the series first so the pole is
-    # reported rather than masked by the zero coefficient
     n = TABLE_N
-    e = expr(
-        term(
-            1,
-            powz(param(c - n) - 1),
-            hyp(HypSpec.of([_A_F, _B_F], [c - n])),
-        )
-    )
+    e = expr(term(1, powz(param(c - n) - 1), hyp(HypSpec.of([_A_F, _B_F], [c - n]))))
     v = eval_expr(e, _Z_F, _SWEEP_CTRL).real
-    pref = 1.0
-    for j in range(n):
-        pref *= c - n + j
-    return pref * v
+    return pochhammer(c - n, n).real * v
 
 
 def _poch_gamma(x: float, s: float) -> float:

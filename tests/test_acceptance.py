@@ -6,7 +6,10 @@ pass/fail lines and timings.
 
 import math
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypderiv.catalog import (
     catalog_entries,
@@ -59,6 +62,27 @@ def test_criterion_1_table_reproduction():
         ok,
         f"{elapsed * 1000:.0f} ms",
     )
+
+
+def test_no_runtime_dependencies():
+    """The package, its CLI and the table need the standard library alone:
+    a child interpreter without site-packages (``-S``, and ``-E`` so that no
+    PYTHONPATH adds them back) imports both and prints the table."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "if any(p.endswith(('site-packages', 'dist-packages')) for p in sys.path):\n"
+        "    sys.exit(f'site-packages on the path: {sys.path}')\n"
+        "import hypderiv, hypderiv.cli\n"
+        "from hypderiv.tables import table1_csv\n"
+        "sys.stdout.write(table1_csv())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == TABLE_EXPECTED
 
 
 def test_criterion_2_intersection_at_c5():

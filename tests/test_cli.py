@@ -51,6 +51,18 @@ class TestEval:
         assert code == 3
         assert err == "error: NoConvergence: series term 470 overflowed: it is not finite\n"
 
+    def test_modulus_overflow_exit_3(self, capsys):
+        # a term with finite parts whose modulus passes the largest double
+        code = main([
+            "eval",
+            "--upper=-1.7578212868566205-0.9537896754743135i,0.1587802271860932-0.12151611070839508i",
+            "--lower=2.2329338363549835-1.2644216836529585i,1.6878564804728038+1.488454469905864i",
+            "--z=907.0651684233964+231.64008844188933i",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: NoConvergence: series term 409 overflowed: absolute value too large\n"
+
     def test_complex_input(self, capsys):
         code = main(["eval", "--upper", "0.5+0.5i", "--lower", "2", "--z", "0.3"])
         assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,16 @@ from hypderiv.core import (
     validate_spec,
 )
 from hypderiv.errors import SingularLowerParameter
-from hypderiv.expressions import Hyp, eval_expr, expr, hyp, nth_derivative, powz, term
+from hypderiv.expressions import (
+    Hyp,
+    eval_expr,
+    expr,
+    format_expr,
+    hyp,
+    nth_derivative,
+    powz,
+    term,
+)
 from hypderiv.identities import (
     RBranch,
     branch_holds,
@@ -65,6 +75,11 @@ class TestClassify:
             want = [RBranch.GENERAL, RBranch.EXCEPTIONAL] if k == n else [classify_r(k, n)]
             assert held == want, k
         assert [b for b in RBranch if branch_holds(b, param(2.0), n)] == [RBranch.GENERAL]
+        # an exact rational is never an integer, unless its denominator is 1
+        for x in (Fraction(2, 3), Fraction(-1, 2), Fraction(9, 2)):
+            assert [b for b in RBranch if branch_holds(b, param(x), n)] == [RBranch.GENERAL]
+        assert classify_r(Fraction(6, 2), n) is classify_r(3, n) is RBranch.EXCEPTIONAL
+        assert classify_r(Fraction(-4, 2), n) is RBranch.NEGATIVE_INTEGER
 
 
 class TestTheorem1Rhs:
@@ -78,6 +93,28 @@ class TestTheorem1Rhs:
         f = theorem1_rhs(HypSpec((A, B), (param(2),)), param(1), 4)
         assert f.branch is RBranch.EXCEPTIONAL
         assert rel(eval_expr(f.rhs, 1 / 3, CTRL), 3.39340187542396) < 1e-14
+
+    def test_exact_rational_exponent(self):
+        # the general line, with exact slots r+1 = 5/3 and r-n+1 = -4/3, an
+        # exact coefficient (-4/3)_3 = 8/27, and the value of the double r
+        spec = HypSpec((param(Fraction(1, 2)),), (param(Fraction(5, 2)),))
+        f = theorem1_rhs(spec, Fraction(2, 3), 3)
+        assert f.branch is RBranch.GENERAL
+        assert f.rhs.terms[0].coeff == Fraction(8, 27)
+        assert format_expr(f.rhs) == (
+            f"{8 / 27!r} powz -7/3 pfq 2 2 5/3 1/2 ; -4/3 5/2 identity"
+        )
+        numeric = theorem1_rhs(HypSpec.of([0.5], [2.5]), 2 / 3, 3)
+        assert rel(eval_expr(f.rhs, 0.3), eval_expr(numeric.rhs, 0.3)) < 1e-14
+
+    def test_exact_rational_power_computes_like_the_double(self):
+        def lhs(half, rest):
+            return expr(term(1, powz(half), hyp(HypSpec.of([half], [rest]))))
+
+        exact, numeric = lhs(Fraction(1, 2), Fraction(5, 2)), lhs(0.5, 2.5)
+        for z0 in (0.3, 1 / 3, 0.2 + 0.1j):
+            assert repr(eval_expr(exact, z0)) == repr(eval_expr(numeric, z0))
+            assert repr(nth_derivative(exact, 3, z0)) == repr(nth_derivative(numeric, 3, z0))
 
     def test_negative_branch_first_term_is_polynomial(self):
         spec = HypSpec.of([0.3, 1.1], [1.7])

@@ -195,6 +195,21 @@ class TestPfqJet:
                 with pytest.raises(NoConvergence, match=f"^series term {k} overflowed"):
                     run(spec, x)
 
+    def test_modulus_overflow_fails_fast(self):
+        # both parts of term 409 stay finite, but its modulus passes the
+        # largest double: abs() raises OverflowError in the stop test
+        spec = HypSpec.of(
+            [-1.7578212868566205 - 0.9537896754743135j, 0.1587802271860932 - 0.12151611070839508j],
+            [2.2329338363549835 - 1.2644216836529585j, 1.6878564804728038 + 1.488454469905864j],
+        )
+        z0 = 907.0651684233964 + 231.64008844188933j
+        msg = "^series term 409 overflowed: absolute value too large$"
+        with pytest.raises(NoConvergence, match=msg):
+            evaluate(spec, z0)
+        for order in (1, 4):
+            with pytest.raises(NoConvergence, match=msg):
+                jet_pfq(spec, jet_variable(z0, order))
+
     def test_large_terms_do_not_overflow_the_power(self):
         # w^k overflows past term 72 at w0 = 2e4, the terms c_k w^k never do
         spec = HypSpec.of([], [1.5])

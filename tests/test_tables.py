@@ -1,12 +1,24 @@
 """Reference table and sweep: rational path, pole cells, grid hygiene."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from hypderiv import catalog
 from hypderiv.core import EvalControl, HypSpec, param
-from hypderiv.expressions import expr, hyp, nth_derivative, powz, term
-from hypderiv.tables import FIGURE1_MAX_ROWS, figure1_rows, table1_csv, table1_values
+from hypderiv.expressions import Term, expr, hyp, nth_derivative, powz, term
+from hypderiv.tables import (
+    FIGURE1_MAX_ROWS,
+    TABLE_A,
+    TABLE_B,
+    TABLE_N,
+    TABLE_Z,
+    figure1_rows,
+    table1_csv,
+    table1_values,
+    table_params,
+)
 
 CTRL = EvalControl(rel_tol=1e-16)
 
@@ -33,6 +45,20 @@ class TestTableValues:
             e = expr(term(1, powz(param(c) - 1), hyp(HypSpec.of([0.5, 2 / 3], [c]))))
             oracle = nth_derivative(e, 4, 1 / 3, CTRL).real
             assert abs(oracle - f_l) <= 1e-12 * abs(f_l)
+
+    def test_float_bits(self):
+        want = {
+            1: ("0x1.047bef9ff4184p+4", None, "0x1.047bef9ff4184p+4"),
+            2: ("0x1.b25afe1e90c41p+1", None, "0x1.b25afe1e90c41p+1"),
+            3: ("0x1.05fe0388a2aaep+1", None, "0x1.05fe0388a2aaep+1"),
+            4: ("0x1.a7c8ac414d081p+1", None, "0x1.a7c8ac414d081p+1"),
+            5: ("0x1.b691a0a3d818fp+4", "0x1.b691a0a3d818fp+4", "0x1.b691a0a3d818fp+4"),
+            6: ("0x1.54d51939a1a35p+5", "0x1.54d51939a1a35p+5", None),
+            7: ("0x1.4d4f6e4dd6406p+5", "0x1.4d4f6e4dd6406p+5", None),
+        }
+        for c, cells in want.items():
+            got = tuple(None if x is None else x.hex() for x in table1_values(c))
+            assert got == cells, c
 
     def test_csv_digits_configurable(self):
         lines = table1_csv(digits=8).splitlines()
@@ -77,3 +103,38 @@ class TestSweep:
         for c, row in rows.items():
             f_l, f_r1 = row[1], row[2]
             assert abs(f_l - f_r1) <= 1e-10 * abs(f_l)
+
+
+def _check_th14_lines_exactly():
+    """Each applicable Th1-4 line equals the derivative as Fractions, up to
+    the 1e-34 series truncation, at the table's inputs."""
+    regular, exceptional = catalog.entry("Th1-4-regular"), catalog.entry("Th1-4-exceptional")
+    for c in range(1, 8):
+        p = table_params(TABLE_A, TABLE_B, c)
+        f_l = nth_derivative(regular.lhs(p), TABLE_N, TABLE_Z)
+        lines = [e for e in (regular, exceptional) if e.applicable(p)]
+        assert len(lines) == 1 + (c == 5)
+        for e in lines:
+            f_r = nth_derivative(e.rhs(p), 0, TABLE_Z)
+            assert type(f_l) is type(f_r) is Fraction
+            assert abs(f_r - f_l) <= Fraction(1, 10**30) * abs(f_l), (e.id, c)
+
+
+class TestExactLines:
+    def test_th14_lines_equal_the_derivative(self):
+        _check_th14_lines_exactly()
+
+    @pytest.mark.parametrize("builder", ["_terms_th14_regular", "_terms_th14_exceptional"])
+    def test_a_line_off_by_1e_20_fails(self, monkeypatch, builder):
+        # a relative error the 15-digit table cannot show
+        table = table1_csv()
+        original = getattr(catalog, builder)
+
+        def perturbed(*args):
+            scale = Fraction(10**20 + 1, 10**20)
+            return tuple(Term(t.coeff * scale, t.factors) for t in original(*args))
+
+        monkeypatch.setattr(catalog, builder, perturbed)
+        assert table1_csv() == table
+        with pytest.raises(AssertionError):
+            _check_th14_lines_exactly()
