@@ -457,10 +457,10 @@ def _powz_exponent(t: Term) -> complex:
     return sum((f.alpha.value for f in t.factors if isinstance(f, PowZ)), 0j)
 
 
-def _transform_k1(e: Expr, r: Parameter, n: int) -> Expr:
+def _transform_k1(e: Expr, r: complex, n: int) -> Expr:
     out = []
     for t in e.terms:
-        coeff = t.coeff * _phase(n - r.value + _powz_exponent(t))
+        coeff = t.coeff * _phase(n - r + _powz_exponent(t))
         fs: list[Factor] = []
         for f in t.factors:
             if isinstance(f, Hyp):
@@ -474,10 +474,10 @@ def _transform_k1(e: Expr, r: Parameter, n: int) -> Expr:
     return Expr(tuple(out))
 
 
-def _transform_k3(e: Expr, r: Parameter, n: int) -> Expr:
+def _transform_k3(e: Expr, r: complex, n: int) -> Expr:
     out = []
     for t in e.terms:
-        coeff = t.coeff * _phase(n + r.value - _powz_exponent(t))
+        coeff = t.coeff * _phase(n + r - _powz_exponent(t))
         fs: list[Factor] = []
         for f in t.factors:
             if isinstance(f, PowZ):
@@ -497,18 +497,16 @@ def _transform_k3(e: Expr, r: Parameter, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 # the family table
 #
-# A theorem family is a function of its (upper, lower) vectors: the z-power
-# of its LHS (the r of the Kummer phases) and the terms of its case lines.
-# Its lines branch on the exponent r, or on r = c-1 for the Th1-4 shape,
-# whose lines are named regular (the general rule) and exceptional.  The
-# builders are looked up when called, so they can be swapped in tests.
+# A theorem family is a function of its (upper, lower) vectors: the terms of
+# its case lines, which branch on the exponent r, or on r = c-1 for the Th1-4
+# shape, whose lines are named regular (the general rule) and exceptional.
+# The builders are looked up when called, so they can be swapped in tests.
 
 
 @dataclass(frozen=True)
 class _Theorem:
     var: Optional[str]  # 'r', 'c' or None: the parameter the lines branch on
     branches: tuple[Optional[RBranch], ...]
-    power: Callable[[Vec, Vec, dict], Parameter]
     terms: Callable[[Vec, Vec, dict, Optional[RBranch]], tuple[Term, ...]]
 
 
@@ -516,22 +514,18 @@ _ALL = tuple(RBranch)
 
 _TH11 = _Theorem(
     "r", _ALL,
-    lambda up, lo, p: p["r"],
     lambda up, lo, p, b: _branch_terms(HypSpec(up, lo), p["r"], p["n"], b),
 )
 _TH12 = _Theorem(
     None, (None,),
-    lambda up, lo, p: param(0),
     lambda up, lo, p, b: _terms_th12(up, lo, p["n"]),
 )
 _TH13 = _Theorem(
     None, (None,),
-    lambda up, lo, p: up[0] + (p["n"] - 1),
     lambda up, lo, p, b: _terms_th13(up[0], up[1:], lo, p["n"]),
 )
 _TH14 = _Theorem(
     "c", (RBranch.GENERAL, RBranch.EXCEPTIONAL),
-    lambda up, lo, p: lo[0] - 1,
     lambda up, lo, p, b: (
         _terms_th14_regular if b is RBranch.GENERAL else _terms_th14_exceptional
     )(up, lo, p["n"]),
@@ -539,7 +533,6 @@ _TH14 = _Theorem(
 # upper vectors exclude the leading parameter 1
 _TH15 = _Theorem(
     "r", (RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER),
-    lambda up, lo, p: p["r"],
     lambda up, lo, p, b: (
         _terms_th15_main if b is RBranch.EXCEPTIONAL else _terms_th15_negative
     )(up, lo, p["r"].exact, p["n"]),
@@ -928,11 +921,11 @@ def theorem_composition(entry_id: str, params: dict) -> Expr:
     up, lo = fam.vectors(params)
     base = Expr(fam.theorem.terms(up, lo, params, branch))
     # the Euler substitution keeps the argument; the other two need the
-    # theorem's z-power r for the phase
+    # z-power r of the row's LHS for the phase
     if fam.kind == "k2":
         return base
     transform = _transform_k1 if fam.kind == "k1" else _transform_k3
-    return transform(base, fam.theorem.power(up, lo, params), params["n"])
+    return transform(base, _powz_exponent(fam.lhs(params).terms[0]), params["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -973,10 +966,14 @@ def verify_entry(
                 # a point either side cannot evaluate fails, with the error
                 # in place of the two values
                 lv, rv, err = exc, None, math.inf
+            # a point fails unless its error is known to be within tol: a
+            # NaN error (a side that is NaN or infinite) fails as infinite
+            if not err <= tol:
+                failures.append((p, z0, lv, rv))
+                if math.isnan(err):
+                    err = math.inf
             if err > max_err:
                 max_err = err
-            if err > tol:
-                failures.append((p, z0, lv, rv))
     return VerifyReport(e.id, trials, max_err, tuple(failures), seed, tol)
 
 

@@ -19,11 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import (
-    DomainError,
-    PolePochhammer,
-    SingularLowerParameter,
-)
+from .errors import PolePochhammer, SingularLowerParameter
 
 ParamLike = Union["Parameter", int, Fraction, float, complex]
 Exact = Union[int, Fraction]
@@ -126,17 +122,19 @@ class HypSpec:
 
 @dataclass(frozen=True)
 class EvalControl:
-    """Truncation controls for direct series summation."""
+    """Truncation controls for series summation.
+
+    A nonterminating series stops once three terms in a row fall below
+    ``rel_tol`` times the partial sum, and raises ``NoConvergence`` at
+    ``max_terms`` terms.
+    """
 
     rel_tol: float = 1e-14
-    consecutive_small: int = 3
     max_terms: int = 10000
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError("rel_tol must be finite and positive")
-        if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be >= 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 
@@ -273,14 +271,6 @@ def classify_convergence(spec: HypSpec, z: complex) -> ConvergenceClass:
     return ConvergenceClass.UNIT_DISK_BOUNDARY_DIVERGENT
 
 
-_PERMITTED = (
-    ConvergenceClass.ENTIRE,
-    ConvergenceClass.INSIDE_UNIT_DISK,
-    ConvergenceClass.AT_PLUS_ONE,
-    ConvergenceClass.AT_MINUS_ONE,
-)
-
-
 def check_finite(spec: HypSpec, args: Iterable[complex]) -> None:
     """Reject a parameter or argument value that is not finite, with
     ``ValueError`` before any term is summed.
@@ -297,29 +287,18 @@ def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> E
     """Evaluate pFq(a; b; z) by direct summation.
 
     This is the series kernel of the jet algebra at order 0: the complex
-    field's ``Field.pfq`` summing the scalar series at w = [z], stepping each
-    term by the term ratio.  Terminating series are summed exactly (m+1
-    terms).  Otherwise terms are accumulated until ``consecutive_small``
-    successive terms fall below rel_tol * |partial sum|; the final value is
-    an fsum of all terms and ``tail_estimate`` the last term's modulus.  A
-    term that overflows raises ``NoConvergence`` at once.
+    field's ``Field.series`` at w = [z], with its input checks (z may sit on
+    a boundary point where the series converges), stepping each term by the
+    term ratio.  Terminating series are summed exactly (m+1 terms).
+    Otherwise terms are accumulated until three successive terms fall below
+    rel_tol * |partial sum|; the final value is an fsum of all terms and
+    ``tail_estimate`` the last term's modulus.  A term that overflows raises
+    ``NoConvergence`` at once.
     """
     from .jets import COMPLEX  # jets imports this module
 
     ctrl = ctrl or DEFAULT_CONTROL
-    validate_spec(spec)
-    zc = complex(z)
-    check_finite(spec, (zc,))
-    m = termination_order(spec)
-    if m is None:
-        cls = classify_convergence(spec, zc)
-        if cls not in _PERMITTED:
-            raise DomainError(f"series does not converge at z={zc} ({cls.value})")
-    upper = [a.value for a in spec.upper]
-    lower = [b.value for b in spec.lower]
-    sums, _, terms, tail = COMPLEX.pfq(
-        upper, lower, m, [zc], ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
-    )
+    sums, _, terms, tail, m = COMPLEX.series(spec, [complex(z)], ctrl.rel_tol, ctrl.max_terms)
     if m is not None:
         return EvalResult(sums[0], terms, True, 0.0)
     return EvalResult(sums[0], terms, False, tail)

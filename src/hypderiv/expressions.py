@@ -30,7 +30,7 @@ from .core import (
 from .errors import BranchPointEvaluation
 from .jets import (
     _DEC_PREC,
-    _KAPPA_LIMIT,
+    _cancelled,
     DECIMAL,
     FRACTION,
     Jet,
@@ -48,7 +48,6 @@ from .jets import (
     jet_pow,
     jet_scale,
     jet_variable,
-    series_order,
 )
 
 
@@ -195,20 +194,10 @@ def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
 # runs much deeper than the double-precision default.
 _DEC_REL_TOL = 1e-30
 
-# An exact series stops at its first term this far below the running sum, so
-# that the tail is far below half an ulp of the double it is rounded to.
+# An exact series stops once three terms in a row fall this far below the
+# running sum, so that the tail is far below half an ulp of the double it is
+# rounded to.
 _EXACT_REL_TOL = Fraction(1, 10**34)
-
-
-def _exact_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl) -> Jet:
-    """pFq series over a Fraction jet, from the parameters' exact values."""
-    m = series_order(spec, arg)
-    upper, lower = (
-        [FRACTION.lift(x.value if x.exact is None else x.exact) for x in v]
-        for v in (spec.upper, spec.lower)
-    )
-    vals = FRACTION.pfq(upper, lower, m, arg.coeffs, _EXACT_REL_TOL, 1, ctrl.max_terms)[0]
-    return Jet(arg.base_point, tuple(vals), FRACTION)
 
 
 def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
@@ -220,11 +209,13 @@ def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
         return _jet_cpow(jet_add(one, jet_scale(var, -1)), f.alpha)
     if isinstance(f, ExpZ):
         return jet_exp(var, f.sign)
+    arg = map_jet(f.map, var)
     if var.field is DECIMAL:
-        return d_pfq(f.spec, map_jet(f.map, var), ctrl, _DEC_REL_TOL)
+        return d_pfq(f.spec, arg, ctrl, _DEC_REL_TOL)
     if var.field is FRACTION:
-        return _exact_pfq(f.spec, map_jet(f.map, var), ctrl)
-    return jet_pfq(f.spec, map_jet(f.map, var), ctrl)
+        vals = FRACTION.series(f.spec, arg.coeffs, _EXACT_REL_TOL, ctrl.max_terms)[0]
+        return Jet(arg.base_point, tuple(vals), FRACTION)
+    return jet_pfq(f.spec, arg, ctrl)
 
 
 def _term_product(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
@@ -259,7 +250,7 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
             sum(mags[k] * fm[i - k] for k in range(i + 1)) for i in range(order + 1)
         ]
     for i in range(order + 1):
-        if mags[i] > 1e-250 and mags[i] > _KAPPA_LIMIT * abs(j.coeffs[i]):
+        if _cancelled(mags[i], j.coeffs[i]):
             return _term_jet_decimal(t, var.base_point, order, ctrl)
     return j
 

@@ -27,7 +27,8 @@ taken in double precision and lifted, and since the recurrences are linear
 in that value its rounding scales the whole result instead of being
 amplified by cancellation.
 
-The series kernel ``Field.pfq`` is the one place any pFq series is summed:
+The series kernel ``Field.pfq`` is the one place any pFq series is summed,
+and ``Field.series`` its one entry, which checks the input first:
 ``core.evaluate`` runs it at order 0, ``jet_pfq`` on complex jets, the
 decimal reruns and the exact (Fraction) jets in their fields.  It takes its
 argument w as coefficients.  For an affine w = w0 + w1 h (a scalar, the
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import add as _add
+from operator import attrgetter
 from operator import mul as _mul
 from typing import Optional
 
@@ -72,6 +74,12 @@ from .errors import (
 )
 
 
+# where a nonterminating series is summed: a jet strictly inside its domain,
+# a scalar also on the boundary points where it converges
+_INSIDE = (ConvergenceClass.ENTIRE, ConvergenceClass.INSIDE_UNIT_DISK)
+_CONVERGES = _INSIDE + (ConvergenceClass.AT_PLUS_ONE, ConvergenceClass.AT_MINUS_ONE)
+
+
 class Field:
     """The jet algebra over one scalar field, on coefficient sequences.
 
@@ -85,6 +93,10 @@ class Field:
     # The series kernel returns its running sums, unless the field re-sums
     # each coefficient's bucket of terms with ``total`` to round it once.
     total = None
+
+    def param(self, x):
+        """A ``Parameter`` in this field: its double, lifted."""
+        return self.lift(x.value)
 
     def mul(self, a, b):
         """Cauchy product truncated at the common order."""
@@ -151,21 +163,46 @@ class Field:
             raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
         return num / den
 
-    def pfq(self, upper, lower, m, w, rel_tol, consecutive_small: int, max_terms: int):
+    def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
+        """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
+
+        Validates the spec, and rejects a parameter or coefficient of w that
+        is not finite (``ValueError``).  A nonterminating series raises
+        ``DomainError`` unless w0 lies strictly inside its domain, or for a
+        scalar w = [z] (an order-0 jet too) on a boundary point where it
+        converges.  Parameters enter through ``param``, exactly in
+        ``FRACTION``.  Returns ``pfq``'s result and the termination order.
+        """
+        validate_spec(spec)
+        check_finite(spec, w)
+        m = termination_order(spec)
+        if m is None:
+            cls = classify_convergence(spec, w[0])
+            if len(w) == 1 and cls not in _CONVERGES:
+                raise DomainError(f"series does not converge at z={w[0]} ({cls.value})")
+            if len(w) > 1 and cls not in _INSIDE:
+                msg = f"jet base value {w[0]} not strictly inside the convergence domain"
+                raise DomainError(msg)
+        param = self.param
+        upper, lower = list(map(param, spec.upper)), list(map(param, spec.lower))
+        return (*self.pfq(upper, lower, m, w, rel_tol, max_terms), m)
+
+    def pfq(self, upper, lower, m, w, rel_tol, max_terms: int):
         """Coefficients of pFq(a; b; w), for w given by its coefficients.
 
         ``upper`` and ``lower`` are the parameters in this field and ``m`` the
-        termination order (None for a nonterminating series).  A terminating
-        series is summed to its last term.  Otherwise the sum stops once the
-        largest term coefficient has stayed below ``rel_tol`` times the
-        largest running sum (both by ``mag``) for ``consecutive_small`` terms
-        in a row, and raises ``NoConvergence`` at ``max_terms`` terms, at
-        the first term with a coefficient that is not finite, and where a
-        term or a sum overflows (``OverflowError``) with finite parts.
-        Returns the sums; for a field with a ``total``, per coefficient the
-        sum of its terms' magnitudes, or a bound above it, for the
-        cancellation guard (None for the other fields); the number of terms
-        summed; and the largest magnitude among the last term's coefficients.
+        termination order (None for a nonterminating series); ``series`` is
+        the entry that checks them.  A terminating series is summed to its
+        last term.  Otherwise the sum stops once the largest term coefficient
+        has stayed below ``rel_tol`` times the largest running sum (both by
+        ``mag``) for three terms in a row, and raises ``NoConvergence`` at
+        ``max_terms`` terms, at the first term with a coefficient that is not
+        finite, and where a term or a sum overflows (``OverflowError``) with
+        finite parts.  Returns the sums; for a field with a ``total``, per
+        coefficient the sum of its terms' magnitudes, or a bound above it,
+        for the cancellation guard (None for the other fields); the number of
+        terms summed; and the largest magnitude among the last term's
+        coefficients.
         At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums.
 
         An affine w = w0 + w1 h (w[2:] all zero: the identity and negate
@@ -186,7 +223,7 @@ class Field:
         if any(w[2:]):
             unit = [one] + [self.zero] * (len(w) - 1)
             g, abs_g, terms, tail = self.pfq(
-                upper, lower, m, [w[0], one] + unit[2:], rel_tol, consecutive_small, max_terms
+                upper, lower, m, [w[0], one] + unit[2:], rel_tol, max_terms
             )
             d = [self.zero] + list(w[1:])
             powers = [unit, d]
@@ -220,7 +257,7 @@ class Field:
                     tmax = max(map(mag, t))
                     if tmax < rel_tol * max(map(mag, running)):
                         small += 1
-                        if small >= consecutive_small:
+                        if small == 3:
                             break
                     else:
                         small = 0
@@ -239,6 +276,7 @@ class _Complex(Field):
     zero = 0j
     one = 1 + 0j
     lift = lower = staticmethod(complex)
+    param = staticmethod(attrgetter("value"))
     mag = staticmethod(abs)
     total = staticmethod(csum)
 
@@ -292,6 +330,9 @@ class DC:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
     def __repr__(self):
         return f"DC({self.re}, {self.im})"
 
@@ -310,9 +351,7 @@ class _Decimal(Field):
         z = complex(x)
         return DC(Decimal(z.real), Decimal(z.imag))
 
-    @staticmethod
-    def lower(x: DC) -> complex:
-        return complex(float(x.re), float(x.im))
+    lower = staticmethod(complex)
 
     @staticmethod
     def dot(xs, ys) -> DC:
@@ -339,6 +378,9 @@ class _Fraction(Field):
                 raise ValueError("the Fraction field is real")
             x = x.real
         return Fraction(x)
+
+    def param(self, x):
+        return self.lift(x.value if x.exact is None else x.exact)
 
     @staticmethod
     def lower(x: Fraction) -> complex:
@@ -437,38 +479,28 @@ _KAPPA_LIMIT = 1e4
 _DEC_PREC = 40
 
 
-def series_order(spec: HypSpec, arg: Jet) -> Optional[int]:
-    """Termination order of a series over ``arg``, after the input checks."""
-    validate_spec(spec)
-    check_finite(spec, arg.coeffs)
-    m = termination_order(spec)
-    if m is None:
-        cls = classify_convergence(spec, arg.coeffs[0])
-        if cls not in (ConvergenceClass.ENTIRE, ConvergenceClass.INSIDE_UNIT_DISK):
-            raise DomainError(
-                f"jet base value {arg.coeffs[0]} not strictly inside the convergence domain"
-            )
-    return m
+def _cancelled(abs_sum, value) -> bool:
+    """Whether a sum cancelled past ``_KAPPA_LIMIT``: ``abs_sum``, the sum of
+    its terms' magnitudes (or a bound above it), against the sum ``value``.
+    A magnitude sum at or below 1e-250 counts as nothing to lose."""
+    return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
 
 
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     """pFq(a; b; w) with w an analytic argument given as a complex jet.
 
-    The series kernel ``Field.pfq`` of the complex field, which ``evaluate``
-    runs at order 0: terminating series are summed exactly; otherwise the
-    sum stops once the largest term coefficient stays below ``rel_tol``
-    times the largest coefficient of the running jet.  Ill-conditioned
-    accumulations escalate to extended precision internally.
+    The complex field's ``Field.series``, which ``evaluate`` runs at order 0,
+    with its input checks (at order >= 1 the base value must lie strictly
+    inside the convergence domain): terminating series are summed exactly;
+    otherwise the sum stops once the largest term coefficient stays below
+    ``rel_tol`` times the largest coefficient of the running jet for three
+    terms.  A coefficient that cancelled (``_cancelled``) reruns the series
+    in 40-digit decimal arithmetic through ``d_pfq``.
     """
     ctrl = ctrl or DEFAULT_CONTROL
-    m = series_order(spec, arg)
-    upper = [a.value for a in spec.upper]
-    lower = [b.value for b in spec.lower]
-    vals, abs_sums, _, _ = COMPLEX.pfq(
-        upper, lower, m, arg.coeffs, ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
-    )
+    vals, abs_sums, _, _, _ = COMPLEX.series(spec, arg.coeffs, ctrl.rel_tol, ctrl.max_terms)
     for v, abs_sum in zip(vals, abs_sums):
-        if abs_sum > 0 and abs_sum > _KAPPA_LIMIT * abs(v):
+        if _cancelled(abs_sum, v):
             # the truncation tail is bounded relative to the dominant
             # coefficient, so the rerun also has to cut much deeper for the
             # cancelled coefficients to come out accurate
@@ -501,14 +533,12 @@ def d_variable(z0: complex, order: int) -> Jet:
 
 
 def d_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl, rel_tol: float) -> Jet:
-    """pFq series over a decimal jet, stopping at ``rel_tol`` (no escalation)."""
-    validate_spec(spec)
-    upper = [DECIMAL.lift(a.value) for a in spec.upper]
-    lower = [DECIMAL.lift(b.value) for b in spec.lower]
-    m = termination_order(spec)
-    vals, _, _, _ = DECIMAL.pfq(
-        upper, lower, m, arg.coeffs, Decimal(rel_tol), ctrl.consecutive_small, ctrl.max_terms
-    )
+    """pFq series over a decimal jet, stopping at ``rel_tol`` (no escalation).
+
+    The decimal field's ``Field.series``, with the same input checks as
+    ``jet_pfq``: a coefficient that is not finite raises ``ValueError``.
+    """
+    vals = DECIMAL.series(spec, arg.coeffs, Decimal(rel_tol), ctrl.max_terms)[0]
     return Jet(arg.base_point, tuple(vals), DECIMAL)
 
 

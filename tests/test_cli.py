@@ -234,24 +234,30 @@ class TestVerify:
         assert captured.err.startswith("error: cannot write")
 
     def test_raising_point_is_a_failure(self, monkeypatch, capsys):
-        stub = IdentityEntry(
-            id="stub",
-            applicable=lambda p: True,
-            lhs=lambda p: expr(term(1, powz(2))),
-            # 1F0(1;;z) = 1/(1-z) converges too slowly this close to z = 1
-            # to stop within the default term budget: NoConvergence
-            rhs=lambda p: expr(term(1, hyp(HypSpec.of([1], [])))),
-            draw=lambda rng: {"n": 1},
-            z_points=(1 - 1e-7,),
-        )
-        monkeypatch.setattr(cli, "entry", lambda name: stub)
-        code = main(["verify", "--identity", "stub", "--trials", "2"])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 1
-        assert lines == [
-            "stub: trials=2 max_rel_err=inf FAIL (2 cases)",
-            "FAILED: 1 of 1 entries",
-        ]
+        # 1F0(1;;z) = 1/(1-z) converges too slowly this close to z = 1 to
+        # stop within the default term budget: NoConvergence.  A NaN or an
+        # infinite side gives a NaN error, which fails too (fails closed)
+        for rhs in (
+            expr(term(1, hyp(HypSpec.of([1], [])))),
+            expr(term(complex("nan"))),
+            expr(term(complex("inf"))),
+        ):
+            stub = IdentityEntry(
+                id="stub",
+                applicable=lambda p: True,
+                lhs=lambda p: expr(term(1, powz(2))),
+                rhs=lambda p, rhs=rhs: rhs,
+                draw=lambda rng: {"n": 1},
+                z_points=(1 - 1e-7,),
+            )
+            monkeypatch.setattr(cli, "entry", lambda name, stub=stub: stub)
+            code = main(["verify", "--identity", "stub", "--trials", "2"])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 1, rhs
+            assert lines == [
+                "stub: trials=2 max_rel_err=inf FAIL (2 cases)",
+                "FAILED: 1 of 1 entries",
+            ], rhs
 
     def test_dump_expr(self, capsys):
         code = main(

@@ -318,10 +318,6 @@ class TestEvaluate:
                 EvalControl(rel_tol=bad)
         with pytest.raises(ValueError):
             EvalControl(max_terms=0)
-        # fewer than one small term would stop the sum at its first small term
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
-                EvalControl(consecutive_small=bad)
 
 
 class TestClassify:
@@ -374,7 +370,7 @@ class TestClassify:
 # terms used, terminated and the tail estimate, or the error's class and text.
 # Only library errors are caught, so a bare OverflowError (a modulus past the
 # largest double with both parts finite) fails the test.
-EVALUATE_FINGERPRINT = "b57a340f0400e367a4ef3400cb8a37abdffa2a0a4c15ab9087c551be1e1e5925"
+EVALUATE_FINGERPRINT = "63c0bd22e859b081a3879f5c91fe1a06ebd673351a2ed69c056170aa54c8c95f"
 
 
 def _evaluate_cases():
@@ -384,7 +380,7 @@ def _evaluate_cases():
     singular inputs that ``evaluate`` rejects; a fifth of them under a looser stop rule or a small
     term budget."""
     rng = random.Random("evaluate-fingerprint")
-    controls = (EvalControl(rel_tol=1e-8, consecutive_small=1), EvalControl(max_terms=60))
+    controls = (EvalControl(rel_tol=1e-8), EvalControl(max_terms=60))
     for _ in range(2000):
         p, q = rng.randint(0, 3), rng.randint(0, 2)
         real = rng.random() < 0.5

@@ -224,9 +224,7 @@ def check_series_composed(F, data, m, dense):
     with localcontext() as cx:
         cx.prec = 40
         # a terminating sum of m + 1 terms: the stop rule does not apply
-        got, bound, n, _ = F.pfq(
-            upper, lower, m, w, rel_tol=0, consecutive_small=1, max_terms=m + 1
-        )
+        got, bound, n, _ = F.pfq(upper, lower, m, w, rel_tol=0, max_terms=m + 1)
         terms = series_terms(F, upper, lower, m, w)
         want = series_by_products(F, upper, lower, m, w)
     assert n == m + 1

@@ -1,10 +1,14 @@
 """Jet arithmetic and the derivative oracle."""
 
+import ast
 import cmath
 import hashlib
 import math
 import random
 import struct
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +21,10 @@ from hypderiv.errors import (
     NoConvergence,
     OrderTooLow,
 )
-from hypderiv.expressions import ArgMap, map_jet
+from hypderiv.expressions import ArgMap, expr, hyp, map_jet, nth_derivative, term
 from hypderiv.jets import (
+    DC,
+    DECIMAL,
     Jet,
     derivative,
     jet_add,
@@ -180,8 +186,18 @@ class TestPfqJet:
             assert rel(j.coeffs[0], s) < 1e-12
 
     def test_domain_error_on_boundary(self):
-        with pytest.raises(DomainError):
-            jet_pfq(HypSpec.of([0.5, 2 / 3], [2]), jet_variable(1.0, 3))
+        # 2F1(1/2, 2/3; 2) converges at z = 1 (Re(c - a - b) = 5/6 > 0), too
+        # slowly to stop within the term budget.  A scalar, an order-0 jet
+        # too, may sit there; a jet of order >= 1 must lie strictly inside
+        spec = HypSpec.of([0.5, 2 / 3], [2])
+        msg = "^no convergence within 10000 terms$"
+        with pytest.raises(NoConvergence, match=msg):
+            evaluate(spec, 1)
+        with pytest.raises(NoConvergence, match=msg):
+            jet_pfq(spec, jet_variable(1.0, 0))
+        for order in (2, 3):
+            with pytest.raises(DomainError, match="^jet base value"):
+                jet_pfq(spec, jet_variable(1.0, order))
 
     def test_overflow_fails_fast(self):
         # the kernel steps the term jet itself, so it overflows at the term
@@ -240,6 +256,43 @@ class TestPfqJet:
         # a non-finite coefficient past the base value is rejected too
         with pytest.raises(ValueError, match="^non-finite"):
             jet_pfq(HypSpec.of([1], [2]), Jet(0.5, (0.5, nan)))
+        # the decimal and the exact entries run the same checks
+        d_nan, d_half = DC(Decimal("NaN"), Decimal(0)), DECIMAL.lift(0.5)
+        for coeffs in ((d_nan, DECIMAL.one), (d_half, d_nan)):
+            with pytest.raises(ValueError, match="^non-finite"):
+                jets.d_pfq(HypSpec.of([1], [2]), Jet(0.5, coeffs, DECIMAL), tight, 1e-30)
+        for upper, lower in (([nan], [2]), ([1], [complex(2, inf)])):
+            spec = HypSpec.of(upper, lower)
+            with pytest.raises(ValueError, match="^non-finite"):
+                jets.d_pfq(spec, jets.d_variable(0.5, 2), tight, 1e-30)
+            with pytest.raises(ValueError, match="^non-finite"):
+                nth_derivative(expr(term(1, hyp(spec))), 2, Fraction(1, 2))
+
+    def test_series_is_the_one_entry_of_the_kernel(self):
+        # in the package, only Field.series and the kernel's own Pfaff step
+        # name Field.pfq: every series goes through one set of input checks
+        class Refs(ast.NodeVisitor):
+            def __init__(self, module):
+                self.scope, self.found = [module], []
+
+            def visit_scope(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+            def visit_Attribute(self, node):
+                if node.attr == "pfq":
+                    self.found.append(".".join(self.scope))
+                self.generic_visit(node)
+
+        found = []
+        for path in sorted(Path(jets.__file__).parent.glob("*.py")):
+            refs = Refs(path.stem)
+            refs.visit(ast.parse(path.read_text()))
+            found += refs.found
+        assert sorted(found) == ["jets.Field.pfq", "jets.Field.series"]
 
     def test_powers_of_affine_arguments_skip_the_product(self, monkeypatch):
         # the identity and negate maps step their term jets with two products per
