@@ -57,7 +57,11 @@ def _parse_scalar(tok: str):
             x = parse(tok)
         except ValueError:
             continue
-        if not cmath.isfinite(x):
+        try:
+            finite = cmath.isfinite(x)
+        except OverflowError:  # an integer beyond the double range
+            finite = False
+        if not finite:
             raise ValueError(f"non-finite parameter {tok!r}")
         return x
     raise ValueError(f"cannot parse parameter {tok!r}")

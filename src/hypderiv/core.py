@@ -78,17 +78,22 @@ class Parameter:
 
 
 def param(x: ParamLike) -> Parameter:
-    """Coerce to Parameter.  Integers and Fractions become exact."""
+    """Coerce to Parameter.  Integers and Fractions become exact; one beyond
+    the double range raises ``ValueError``, as a non-finite value does where
+    it is summed."""
     if isinstance(x, Parameter):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a valid parameter")
-    if isinstance(x, int):
-        return Parameter(complex(x), x)
-    if isinstance(x, (float, complex)):
-        return Parameter(complex(x), None)
-    if isinstance(x, Fraction):
-        return Parameter(complex(x), x.numerator if x.denominator == 1 else x)
+    try:
+        if isinstance(x, int):
+            return Parameter(complex(x), x)
+        if isinstance(x, (float, complex)):
+            return Parameter(complex(x), None)
+        if isinstance(x, Fraction):
+            return Parameter(complex(x), x.numerator if x.denominator == 1 else x)
+    except OverflowError:
+        raise ValueError(f"parameter {x} is beyond the double range") from None
     raise TypeError(f"cannot interpret {x!r} as a parameter")
 
 

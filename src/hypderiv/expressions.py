@@ -3,13 +3,12 @@
 An Expr is a sum of terms; each term is a scalar coefficient times factors
 drawn from z^alpha, (1-z)^alpha, e^{+-z} and a single pFq whose argument is
 z, -z or z/(z-1).  This covers every side of the differentiation identities
-handled by this package.  Expressions evaluate numerically at a point or as
-Taylor jets, which is how n-th derivatives are obtained.
+handled by this package.  Expressions evaluate as Taylor jets, which is how
+n-th derivatives are obtained; the value at a point is the order-0 jet.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from decimal import localcontext
 from enum import Enum
@@ -24,7 +23,7 @@ from .core import (
     ParamLike,
     Parameter,
     csum,
-    evaluate,
+    evaluate,  # not called here; kept for bench/tracing.HOOKS, which wraps this binding
     param,
 )
 from .errors import BranchPointEvaluation
@@ -57,16 +56,6 @@ class ArgMap(Enum):
     IDENTITY = "identity"
     NEGATE = "negate"
     PFAFF = "pfaff"  # w = z/(z-1); requires z != 1
-
-
-def map_point(m: ArgMap, z: complex) -> complex:
-    if m is ArgMap.IDENTITY:
-        return z
-    if m is ArgMap.NEGATE:
-        return -z
-    if z == 1:
-        raise BranchPointEvaluation("Pfaff argument z/(z-1) undefined at z=1")
-    return z / (z - 1)
 
 
 def map_jet(m: ArgMap, var: Jet) -> Jet:
@@ -143,49 +132,15 @@ def expr(*terms: Term) -> Expr:
     return Expr(tuple(terms))
 
 
-def _cpow(base: complex, alpha: Parameter) -> complex:
-    k = alpha.integer
-    if k is not None:
-        if base == 0:
-            if k > 0:
-                return 0j
-            if k == 0:
-                return 1 + 0j
-            raise BranchPointEvaluation("z**k with k < 0 at z = 0")
-        return base**k
-    if base == 0:
-        raise BranchPointEvaluation("non-integer power at its branch point")
-    return cmath.exp(alpha.value * cmath.log(base))
-
-
-def _factor_value(f: Factor, z: complex, ctrl: EvalControl) -> complex:
-    if isinstance(f, PowZ):
-        return _cpow(z, f.alpha)
-    if isinstance(f, PowOneMinusZ):
-        return _cpow(1 - z, f.alpha)
-    if isinstance(f, ExpZ):
-        return cmath.exp(f.sign * z)
-    return evaluate(f.spec, map_point(f.map, z), ctrl).value
-
-
-def eval_expr(e: Expr, z: complex, ctrl: Optional[EvalControl] = None) -> complex:
-    """Numeric value of the expression at z; empty expression gives 0."""
-    ctrl = ctrl or DEFAULT_CONTROL
-    zc = complex(z)
-    vals = []
-    for t in e.terms:
-        if t.coeff == 0:
-            continue
-        v = complex(t.coeff)
-        for f in t.factors:
-            v *= _factor_value(f, zc, ctrl)
-        vals.append(v)
-    return csum(vals)
-
-
 def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
-    if alpha.integer is not None:
-        return jet_ipow(base, alpha.integer)
+    """base**alpha: an exact integer power by products, any other on the
+    principal branch.  At a base value of 0 a negative integer or non-integer
+    power raises ``BranchPointEvaluation``, in every field and at every order."""
+    k = alpha.integer
+    if not base.coeffs[0] and (k is None or k < 0):
+        raise BranchPointEvaluation(f"power {alpha} at its branch point, a base value of 0")
+    if k is not None:
+        return jet_ipow(base, k)
     return jet_pow(base, alpha.value)
 
 
@@ -219,7 +174,8 @@ def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
 
 
 def _term_product(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
-    """Unguarded product jet of one term over the field of ``var``."""
+    """Unguarded product jet of one term over the field of ``var``: the
+    exact path, the decimal rerun and, at order 0, ``eval_expr``."""
     acc = jet_constant(t.coeff, var.base_point, var.order, var.field)
     for f in t.factors:
         acc = jet_mul(acc, _factor_jet(f, var, ctrl))
@@ -253,6 +209,17 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
         if _cancelled(mags[i], j.coeffs[i]):
             return _term_jet_decimal(t, var.base_point, order, ctrl)
     return j
+
+
+def eval_expr(e: Expr, z: complex, ctrl: Optional[EvalControl] = None) -> complex:
+    """Numeric value of the expression at z: its order-0 jet, so each factor
+    is computed as ``eval_expr_jet`` computes it (a pFq through ``jet_pfq``,
+    with its cancellation guard and rerun).  A product of scalars cannot
+    cancel, so a term takes no product guard.  An empty expression gives 0.
+    """
+    ctrl = ctrl or DEFAULT_CONTROL
+    var = jet_variable(z, 0)
+    return csum([_term_product(t, var, ctrl).coeffs[0] for t in e.terms if t.coeff != 0])
 
 
 def eval_expr_jet(e: Expr, z0: Point, order: int, ctrl: Optional[EvalControl] = None) -> Jet:

@@ -415,13 +415,20 @@ class Jet:
 
 
 def jet_variable(z0, order: int, field: Field = COMPLEX) -> Jet:
-    """The identity function f(z) = z as a jet at z0."""
+    """The identity function f(z) = z as a jet at z0.
+
+    An exact z0 beyond the double range raises ``ValueError``, the error of a
+    non-finite input."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    try:
+        base = complex(z0)
+    except OverflowError:
+        raise ValueError(f"base point {z0} is beyond the double range") from None
     c = [field.lift(z0)] + [field.zero] * order
     if order >= 1:
         c[1] = field.one
-    return Jet(complex(z0), tuple(c), field)
+    return Jet(base, tuple(c), field)
 
 
 def jet_constant(value, z0, order: int, field: Field = COMPLEX) -> Jet:

@@ -75,11 +75,12 @@ class TestEval:
     def test_non_finite_input_exit_2(self, capsys):
         base = {"--upper": "0.5,0.6", "--lower": "1.5", "--z": "0.9"}
         for flag in ("--upper", "--lower", "--z"):
-            for bad in ("inf", "nan", "-inf", "1e400"):
+            # the last two are integers beyond the double range: exact input
+            for bad in ("inf", "nan", "-inf", "1e400", "1" + "0" * 400, "-" + "9" * 401):
                 args = dict(base, **{flag: bad})
                 argv = ["eval"] + [f"{k}={v}" for k, v in args.items()]
                 assert main(argv) == 2, (flag, bad)
-        assert "non-finite" in capsys.readouterr().err
+                assert "error: ValueError: non-finite" in capsys.readouterr().err
 
     def test_non_finite_rel_tol_exit_2(self, capsys):
         # an infinite tolerance would stop the sum after a few terms

@@ -79,6 +79,14 @@ class TestParameter:
             got = evaluate(HypSpec.of([v], [v - 1]), 0.3)
             assert got == evaluate(HypSpec.of([float(v)], [float(v - 1)]), 0.3)
 
+    def test_exact_value_beyond_the_double_range_is_invalid(self):
+        # ValueError, as for a non-finite value, not a bare OverflowError
+        for x in (10**400, -(10**400), Fraction(10**400), Fraction(10**400, 3)):
+            with pytest.raises(ValueError, match="beyond the double range"):
+                param(x)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            HypSpec.of([10**400], [2])
+
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             param(True)

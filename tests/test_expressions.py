@@ -1,11 +1,14 @@
 """Expression model: pointwise and jet evaluation, serialization."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hypderiv import expressions
 from hypderiv.catalog import entry
 from hypderiv.core import EvalControl, HypSpec, param
 from hypderiv.errors import BranchPointEvaluation
@@ -19,13 +22,14 @@ from hypderiv.expressions import (
     expz,
     format_expr,
     hyp,
-    map_point,
+    map_jet,
     nth_derivative,
     pow1mz,
     powz,
     term,
 )
 from hypderiv.identities import reduce_cancellation
+from hypderiv.jets import jet_variable
 
 CTRL = EvalControl(rel_tol=1e-16)
 
@@ -64,10 +68,46 @@ class TestEvalExpr:
         assert rel(eval_expr(e, 0.37), 1) < 1e-15
 
     def test_branch_points(self):
-        with pytest.raises(BranchPointEvaluation):
-            eval_expr(expr(term(1, powz(0.5))), 0)
-        with pytest.raises(BranchPointEvaluation):
-            eval_expr(expr(term(1, hyp(HypSpec.of([0.5, 0.6], [2]), ArgMap.PFAFF))), 1)
+        # a power at a base value of 0 and the Pfaff map at z = 1 raise one
+        # error, for the value and every derivative, at a complex and at an
+        # exact base point
+        at_zero = [expr(term(1, powz(a))) for a in (0.5, -1, -2)]
+        at_one = [expr(term(1, pow1mz(a))) for a in (0.5, -1, -2)]
+        at_one.append(expr(term(1, hyp(HypSpec.of([0.5, 0.6], [2]), ArgMap.PFAFF))))
+        for z, cases in ((0, at_zero), (1, at_one)):
+            for e in cases:
+                with pytest.raises(BranchPointEvaluation):
+                    eval_expr(e, z)
+                for n in (0, 1, 3):
+                    for z0 in (z, Fraction(z)):
+                        with pytest.raises(BranchPointEvaluation):
+                            nth_derivative(e, n, z0)
+        # a nonnegative integer power has no branch point
+        assert eval_expr(expr(term(1, powz(0))), 0) == 1
+        assert nth_derivative(expr(term(1, powz(2))), 2, 0) == 2
+
+    def test_pfq_factor_is_guarded(self):
+        # 1F1(1/2; 3/2; w) = sqrt(pi) erf(sqrt(-w)) / (2 sqrt(-w)) at w = -20
+        # and -15: the series cancels, so the factor reruns in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        spec = HypSpec.of([Fraction(1, 2)], [Fraction(3, 2)])
+        for m, z, w in ((ArgMap.IDENTITY, -20, -20), (ArgMap.NEGATE, 15, -15)):
+            with mpmath.workdps(40):
+                want = complex(mpmath.hyper([0.5], [1.5], w))
+            assert rel(eval_expr(expr(term(1, hyp(spec, m))), z), want) <= 1e-14
+
+    def test_evaluate_is_called_only_by_the_cli_and_the_tables(self):
+        # every other value of a pFq comes from jet_pfq: eval_expr is the
+        # order-0 jet, with the series guard
+        calls = set()
+        for path in sorted(Path(expressions.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "evaluate":
+                        calls.add(path.stem)
+        assert sorted(calls) == ["cli", "tables"]
 
 
 class TestEvalExprJet:
@@ -87,6 +127,7 @@ class TestEvalExprJet:
             z0 = rng.choice([0.2, 1 / 3, 0.7])
             j = eval_expr_jet(e, z0, 3)
             assert rel(j.coeffs[0], eval_expr(e, z0)) < 1e-12
+            assert eval_expr(e, z0) == eval_expr_jet(e, z0, 0).coeffs[0]
 
     def test_table_first_row_derivative(self):
         j = eval_expr_jet(table_lhs(1), 1 / 3, 4, CTRL)
@@ -128,9 +169,12 @@ class TestArgMap:
             assert w / (w - 1) == z
 
     def test_map_point(self):
-        assert map_point(ArgMap.IDENTITY, 0.3) == 0.3
-        assert map_point(ArgMap.NEGATE, 0.3) == -0.3
-        assert map_point(ArgMap.PFAFF, 1 / 3) == pytest.approx(-0.5, rel=1e-15)
+        def at(m, z):
+            return map_jet(m, jet_variable(z, 0)).coeffs[0]
+
+        assert at(ArgMap.IDENTITY, 0.3) == 0.3
+        assert at(ArgMap.NEGATE, 0.3) == -0.3
+        assert at(ArgMap.PFAFF, 1 / 3) == pytest.approx(-0.5, rel=1e-15)
 
 
 class TestCancellationTransparency:

@@ -21,7 +21,16 @@ from hypderiv.errors import (
     NoConvergence,
     OrderTooLow,
 )
-from hypderiv.expressions import ArgMap, expr, hyp, map_jet, nth_derivative, term
+from hypderiv.expressions import (
+    ArgMap,
+    eval_expr,
+    expr,
+    hyp,
+    map_jet,
+    nth_derivative,
+    powz,
+    term,
+)
 from hypderiv.jets import (
     DC,
     DECIMAL,
@@ -267,6 +276,15 @@ class TestPfqJet:
                 jets.d_pfq(spec, jets.d_variable(0.5, 2), tight, 1e-30)
             with pytest.raises(ValueError, match="^non-finite"):
                 nth_derivative(expr(term(1, hyp(spec))), 2, Fraction(1, 2))
+        # an exact base point beyond the double range is rejected as invalid
+        # input, before any factor is computed
+        spec = HypSpec.of([Fraction(1, 2)], [Fraction(3, 2)])
+        for e in (expr(term(1, powz(2))), expr(term(1, hyp(spec)))):
+            for z0 in (Fraction(10**400), Fraction(-(10**401), 7)):
+                with pytest.raises(ValueError, match="beyond the double range"):
+                    nth_derivative(e, 2, z0)
+                with pytest.raises(ValueError, match="beyond the double range"):
+                    eval_expr(e, z0)
 
     def test_series_is_the_one_entry_of_the_kernel(self):
         # in the package, only Field.series and the kernel's own Pfaff step
