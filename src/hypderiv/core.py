@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import PolePochhammer, SingularLowerParameter
+from .errors import PoleCoefficient, PolePochhammer, SingularLowerParameter
 
 ParamLike = Union["Parameter", int, Fraction, float, complex]
 Exact = Union[int, Fraction]
@@ -57,8 +58,7 @@ class Parameter:
     def __add__(self, other: ParamLike) -> "Parameter":
         o = param(other)
         if self.exact is not None and o.exact is not None:
-            k = self.exact + o.exact
-            return Parameter(complex(k), k) if type(k) is int else param(k)
+            return param(self.exact + o.exact)
         return Parameter(self.value + o.value, None)
 
     def __sub__(self, other: ParamLike) -> "Parameter":
@@ -164,11 +164,12 @@ class ConvergenceClass(Enum):
     DIVERGENT_UNLESS_TERMINATING = "divergent-unless-terminating"
 
 
+_real, _imag = attrgetter("real"), attrgetter("imag")
+
+
 def csum(terms: Sequence[complex]) -> complex:
     """Exactly-rounded complex sum (componentwise math.fsum)."""
-    if not terms:
-        return 0j
-    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    return complex(math.fsum(map(_real, terms)), math.fsum(map(_imag, terms)))
 
 
 def pochhammer(a: ParamLike, k: int) -> Union[complex, Fraction]:
@@ -213,8 +214,9 @@ def termination_order(spec: HypSpec) -> Optional[int]:
     return min(orders) if orders else None
 
 
-def validate_spec(spec: HypSpec) -> None:
-    """Reject lower parameters that make the coefficients singular.
+def validate_spec(spec: HypSpec) -> Optional[int]:
+    """Reject lower parameters that make the coefficients singular, and
+    return the termination order (``termination_order``).
 
     Nonterminating series: no lower parameter may be an exact nonpositive
     integer.  Terminating at order m: exact lower -k is allowed for k >= m
@@ -227,29 +229,28 @@ def validate_spec(spec: HypSpec) -> None:
             k = -b.exact  # type: ignore[operator]
             if m is None or k < m:
                 raise SingularLowerParameter(idx)
+    return m
 
 
-def coefficient(spec: HypSpec, k: int) -> complex:
-    """Series coefficient c_k = (a)_k / ((b)_k k!).
+def coefficient(spec: HypSpec, k: int) -> Union[complex, Fraction]:
+    """Series coefficient c_k = (a)_k / ((b)_k k!), from its definition.
 
-    In the doubly-integer regime (upper -m with lower -m-l) the value for
-    k <= m is the finite ratio of nonvanishing products; for k > m the
-    iterated limit gives 0.
+    Exact parameters give an exact ``Fraction``; otherwise each Pochhammer
+    symbol is a product in doubles, which stays finite for k up to about
+    170.  A lower factor b + j that vanishes for some j < k raises
+    ``PoleCoefficient``.  In the doubly-integer regime (upper -m with lower
+    -m-l) the value for k <= m is the finite ratio of nonvanishing
+    products; for k > m the iterated limit gives an exact 0.
     """
-    from .jets import COMPLEX  # jets imports this module
-
     if k < 0:
         raise ValueError("k must be nonnegative")
-    validate_spec(spec)
-    m = termination_order(spec)
+    m = validate_spec(spec)
     if m is not None and k > m:
-        return 0j
-    upper = [a.value for a in spec.upper]
-    lower = [b.value for b in spec.lower]
-    c = 1 + 0j
-    for j in range(k):
-        c *= COMPLEX.ratio(upper, lower, j)
-    return c
+        return Fraction(0)
+    den = pochhammer_vec(spec.lower, k) * Fraction(math.factorial(k))
+    if not den:
+        raise PoleCoefficient(f"vanishing lower Pochhammer factor in c_{k}")
+    return pochhammer_vec(spec.upper, k) / den
 
 
 def classify_convergence(spec: HypSpec, z: complex) -> ConvergenceClass:

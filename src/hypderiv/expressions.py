@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from decimal import localcontext
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 from .core import (
@@ -202,9 +203,7 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
         fj = _factor_jet(f, var, ctrl)
         j = jet_mul(j, fj)
         fm = [abs(x) for x in fj.coeffs]
-        mags = [
-            sum(mags[k] * fm[i - k] for k in range(i + 1)) for i in range(order + 1)
-        ]
+        mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
     for i in range(order + 1):
         if _cancelled(mags[i], j.coeffs[i]):
             return _term_jet_decimal(t, var.base_point, order, ctrl)

@@ -19,9 +19,10 @@ run over three scalar fields:
   as the reference table's.
 
 A field supplies lift from complex and lower to complex, a fused sum of
-products (``dot``) and a magnitude for the stop rule; the complex field
-also re-sums each series coefficient's bucket of terms exactly rounded
-(``total``), where the other two keep their running sums.  The leading
+products (``dot``) and a magnitude for the stop rule.  The series kernel
+adds each term to its running sums and to its coefficient's bucket in the
+step that forms it; the complex field re-sums each bucket exactly rounded
+(``total``), where the other two return their running sums.  The leading
 values of exp and of a non-integer power are transcendental; they are
 taken in double precision and lifted, and since the recurrences are linear
 in that value its rounding scales the whole result instead of being
@@ -34,8 +35,11 @@ decimal reruns and the exact (Fraction) jets in their fields.  It takes its
 argument w as coefficients.  For an affine w = w0 + w1 h (a scalar, the
 identity and negate maps) it steps the term jet c_k w^k itself by the term
 ratio c_(k+1)/c_k, with two products per coefficient: O(K) work per term at
-order K, and no power of w that could overflow before the term does.  Any
-other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
+order K, and no power of w that could overflow before the term does.  The
+stop test takes the largest running sum only where a cheaper bound above
+it, 1 plus the largest term coefficient of each term so far, admits the
+test, so a series stops on the same term as with the sum taken every term.
+Any other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
 the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
 products (in the complex field through the module's ``jet_mul``) however
 many terms the series takes.
@@ -48,7 +52,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import add as _add
 from operator import attrgetter
 from operator import mul as _mul
 from typing import Optional
@@ -61,7 +64,6 @@ from .core import (
     check_finite,
     classify_convergence,
     csum,
-    termination_order,
     validate_spec,
 )
 from .errors import (
@@ -126,12 +128,19 @@ class Field:
         return g
 
     def pow(self, a, alpha):
-        """f**alpha on the principal branch via alpha * f' * g = f * g'."""
+        """f**alpha on the principal branch via alpha * f' * g = f * g'.
+
+        The leading value is taken in double precision, so a base value whose
+        double is 0 (an exact one that underflows) is at the branch point too.
+        """
         c0 = a[0]
         if not c0:
             raise BasePointAtBranchPoint("jet_pow base point at branch point")
+        base = self.lower(c0)
+        if not base:
+            raise BasePointAtBranchPoint("jet_pow base value underflows to 0 in double precision")
         al1 = self.lift(alpha) + 1
-        g = [self.lift(cmath.exp(complex(alpha) * cmath.log(self.lower(c0))))]
+        g = [self.lift(cmath.exp(complex(alpha) * cmath.log(base)))]
         for i in range(1, len(a)):
             acc = self.dot([(al1 * j - i) * a[j] for j in range(1, i + 1)], g[::-1])
             g.append(acc / (i * c0))
@@ -151,18 +160,6 @@ class Field:
         """The product that steps the powers of a composition: ``mul``."""
         return self.mul(a, b)
 
-    def ratio(self, upper, lower, k: int):
-        """The term ratio c_(k+1)/c_k = (a_1 + k)...(a_p + k) / ((b_1 + k)...(b_q + k) (k + 1))."""
-        num = self.one
-        for a in upper:
-            num *= a + k
-        den = self.lift(k + 1)
-        for b in lower:
-            den *= b + k
-        if not den:
-            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k + 1}")
-        return num / den
-
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
         """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
 
@@ -173,9 +170,8 @@ class Field:
         converges.  Parameters enter through ``param``, exactly in
         ``FRACTION``.  Returns ``pfq``'s result and the termination order.
         """
-        validate_spec(spec)
+        m = validate_spec(spec)
         check_finite(spec, w)
-        m = termination_order(spec)
         if m is None:
             cls = classify_convergence(spec, w[0])
             if len(w) == 1 and cls not in _CONVERGES:
@@ -210,6 +206,14 @@ class Field:
         term ratio r_k = c_(k+1)/c_k folded into two products per
         coefficient, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0), so a
         term overflows only where it, not w^k, passes the largest double.
+        The ratio is formed in the loop, and r_k w1 only at order >= 1.  As
+        each t_(k+1),i is formed it is added to its running sum and appended
+        to coefficient i's bucket, which ``total`` re-sums at the end.  The
+        largest running sum is taken only where a bound above it admits the
+        stop test: 1 plus the largest term coefficient of every term so far,
+        with a factor 2 to spare for rounding.  The test itself is unchanged,
+        so every series stops on the same term as with the largest running
+        sum taken at every term.
         Any other w (the Pfaff map) is composed once: the series summed at
         the affine jet w0 + h gives g_j = F^(j)(w0)/j!, and with d = w - w0
         coefficient i of the result is sum_(j<=i) g_j (d^j)_i, from the K-1
@@ -219,7 +223,7 @@ class Field:
         expansion of w^k = (w0 + d)^k, it is at least the sum of the
         magnitudes of the terms c_k (w^k)_i.
         """
-        mag, one, ratio = self.mag, self.one, self.ratio
+        mag, one, lift = self.mag, self.one, self.lift
         if any(w[2:]):
             unit = [one] + [self.zero] * (len(w) - 1)
             g, abs_g, terms, tail = self.pfq(
@@ -234,40 +238,59 @@ class Field:
             if abs_g is not None:
                 abs_g = [sum(map(_mul, abs_g, map(mag, col))) for col in cols]
             return sums, abs_g, terms, tail
-        w0, w1 = w[0], w[1] if len(w) > 1 else self.zero
+        w0 = w[0]
         t = [one] + [self.zero] * (len(w) - 1)
-        running, terms = t[:], [t[:]]
+        running, buckets = t[:], [[x] for x in t]
         down = range(len(w) - 1, 0, -1)
-        small = 0
-        k = 0
+        t0, bound, inf = one, mag(one), math.inf
+        small = k = 0
         try:
-            while k != m:
-                if m is None and k + 1 >= max_terms:
-                    raise NoConvergence(f"no convergence within {max_terms} terms")
-                r = ratio(upper, lower, k)
-                rz, rw = r * w0, r * w1
-                # in place, from the top, so that t[i - 1] is still term k's
+            for k in range(1, max_terms if m is None else m + 1):
+                # the term ratio c_k/c_(k-1)
+                j = k - 1
+                num, den = one, lift(k)
+                for a in upper:
+                    num *= a + j
+                for b in lower:
+                    den *= b + j
+                if not den:
+                    raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
+                r = num / den
+                rz = r * w0
+                if down:
+                    rw = r * w[1]
+                # in place, from the top, so that t[i - 1] is still term k - 1's
                 for i in down:
-                    t[i] = t[i - 1] * rw + t[i] * rz
-                t[0] *= rz
-                terms.append(t[:])
-                running = list(map(_add, running, t))
-                k += 1
+                    ti = t[i] = t[i - 1] * rw + t[i] * rz
+                    running[i] += ti
+                    buckets[i].append(ti)
+                t0 = t[0] = t0 * rz
+                running[0] += t0
+                buckets[0].append(t0)
                 if m is None:
-                    tmax = max(map(mag, t))
-                    if tmax < rel_tol * max(map(mag, running)):
+                    tmax = max(map(mag, t)) if down else mag(t0)
+                    # bound >= max|running| (the triangle inequality), so the
+                    # test on max|running| runs only where this wider one
+                    # admits it; bound + bound overflows before a running
+                    # sum's modulus can, so near the largest double it always runs
+                    bound += tmax
+                    lazy = tmax < rel_tol * (bound + bound)
+                    if lazy and tmax < rel_tol * max(map(mag, running)):
                         small += 1
                         if small == 3:
                             break
                     else:
                         small = 0
-                        if not tmax < math.inf:
+                        if not tmax < inf:
                             raise NoConvergence(f"series term {k} overflowed: it is not finite")
+            else:
+                if m is None:
+                    raise NoConvergence(f"no convergence within {max_terms} terms")
             tail = max(map(mag, t))
             if self.total is None:
                 return running, None, k + 1, tail
-            cols = list(zip(*terms))
-            return list(map(self.total, cols)), [sum(map(mag, c)) for c in cols], k + 1, tail
+            sums = list(map(self.total, buckets))
+            return sums, [sum(map(mag, b)) for b in buckets], k + 1, tail
         except OverflowError as exc:
             raise NoConvergence(f"series term {k} overflowed: {exc}") from None
 
@@ -282,7 +305,9 @@ class _Complex(Field):
 
     @staticmethod
     def dot(xs, ys):
-        return csum(list(map(_mul, xs, ys)))
+        ps = list(map(_mul, xs, ys))
+        # one product, rounded as csum rounds it: math.fsum([-0.0]) is 0.0
+        return ps[0] + 0j if len(ps) == 1 else csum(ps)
 
     def power_mul(self, a, b):
         # through the module's ``jet_mul`` binding, so that a tracer wrapping

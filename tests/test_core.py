@@ -23,6 +23,7 @@ from hypderiv.core import (
     validate_spec,
     values_equal,
 )
+from hypderiv.jets import FRACTION, jet_pfq, jet_variable
 from hypderiv.errors import (
     DomainError,
     HypDerivError,
@@ -86,6 +87,15 @@ class TestParameter:
                 param(x)
         with pytest.raises(ValueError, match="beyond the double range"):
             HypSpec.of([10**400], [2])
+
+    def test_exact_sum_beyond_the_double_range_is_invalid(self):
+        # each operand is valid; the sum is checked as param() checks a value
+        for a, b in ((10**308, 10**308), (-(10**308), -(10**308))):
+            with pytest.raises(ValueError, match="beyond the double range"):
+                param(a) + param(b)
+            with pytest.raises(ValueError, match="beyond the double range"):
+                param(a) - param(-b)
+        assert (param(10**308) + param(-(10**308))).exact == 0
 
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
@@ -231,6 +241,50 @@ class TestCoefficient:
     def test_numeric_lower_pole(self):
         with pytest.raises(PoleCoefficient):
             coefficient(HypSpec.of([0.5], [-1.0]), 3)
+
+    @staticmethod
+    def _specs(rng, exact):
+        """Seeded convergent-at-0 specs, p <= q + 1: real or complex
+        doubles, or small rationals."""
+        for _ in range(50):
+            q = rng.randint(0, 2)
+            p = rng.randint(0, q + 1)
+            if exact:
+                d = rng.choice((3, 4, 8))
+                par = lambda: Fraction(rng.randint(-5 * d // 2, 5 * d // 2), d)  # noqa: E731
+            elif rng.random() < 0.5:
+                par = lambda: rng.uniform(-2.5, 2.5)  # noqa: E731
+            else:
+                par = lambda: complex(rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5))  # noqa: E731
+            yield HypSpec.of([par() for _ in range(p)], [par() + 3 for _ in range(q)])
+
+    def test_agrees_with_the_kernel(self):
+        # the definition against the kernel's product of term ratios: at w0 = 0
+        # coefficient k of the jet is c_k itself; exactly in the exact field
+        rng = random.Random("coefficient-vs-kernel")
+        for spec in self._specs(rng, exact=False):
+            cs = jet_pfq(spec, jet_variable(0, 6)).coeffs
+            for k, c in enumerate(cs):
+                assert rel(coefficient(spec, k), c) <= 1e-15, (spec, k)
+        for spec in self._specs(rng, exact=True):
+            w = [Fraction(0), Fraction(1)] + [Fraction(0)] * 5
+            cs = FRACTION.series(spec, w, Fraction(1, 10**20), 100)[0]
+            for k, c in enumerate(cs):
+                got = coefficient(spec, k)
+                assert type(got) is Fraction and got == c, (spec, k)
+
+    def test_matches_mpmath_rf(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random("coefficient-vs-mpmath")
+        with mpmath.workdps(30):
+            for spec in self._specs(rng, exact=False):
+                for k in range(7):
+                    want = mpmath.mpf(1) / mpmath.factorial(k)
+                    for a in spec.upper:
+                        want *= mpmath.rf(mpmath.mpc(a.value), k)
+                    for b in spec.lower:
+                        want /= mpmath.rf(mpmath.mpc(b.value), k)
+                    assert rel(coefficient(spec, k), complex(want)) <= 1e-15, (spec, k)
 
 
 class TestEvaluate:

@@ -6,14 +6,14 @@ import hashlib
 import math
 import random
 import struct
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hypderiv import jets
-from hypderiv.core import EvalControl, HypSpec, evaluate, termination_order
+from hypderiv.core import EvalControl, HypSpec, csum, evaluate, termination_order
 from hypderiv.errors import (
     BasePointAtBranchPoint,
     DivisionByZeroJet,
@@ -28,12 +28,15 @@ from hypderiv.expressions import (
     hyp,
     map_jet,
     nth_derivative,
+    pow1mz,
     powz,
     term,
 )
 from hypderiv.jets import (
+    COMPLEX,
     DC,
     DECIMAL,
+    FRACTION,
     Jet,
     derivative,
     jet_add,
@@ -74,6 +77,19 @@ class TestBasics:
         j = rand_jet(rng, 0.3, 4)
         z = jet_constant(0, 0.3, 4)
         assert jet_add(j, z).coeffs == j.coeffs
+
+    def test_complex_dot_is_csum_of_the_products(self):
+        # bit for bit, signed zeros too: a single product is returned as
+        # math.fsum would round it, and math.fsum([-0.0]) is 0.0
+        rng = random.Random(2)
+        signed = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        values = signed + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        for x in values:
+            for y in values:
+                for n in (1, 2, 3):
+                    xs, ys = [x] * n, [y] * n
+                    want = csum([a * b for a, b in zip(xs, ys)])
+                    assert repr(COMPLEX.dot(xs, ys)) == repr(want), (x, y, n)
 
     def test_div_self(self):
         rng = random.Random(1)
@@ -130,6 +146,13 @@ class TestPow:
     def test_branch_point(self):
         with pytest.raises(BasePointAtBranchPoint):
             jet_pow(jet_variable(0, 3), 0.5)
+
+    def test_base_value_underflowing_to_zero(self):
+        # the exact base value 1e-400 is not 0, but the double that the
+        # leading value is taken from is
+        e = expr(term(1, pow1mz(Fraction(1, 2))))
+        with pytest.raises(BasePointAtBranchPoint, match="underflows to 0"):
+            nth_derivative(e, 1, 1 - Fraction(1, 10**400))
 
     def test_composition(self):
         # (f^alpha)^beta = f^{alpha beta} on the positive real axis
@@ -512,3 +535,85 @@ def test_affine_map_jets_match_mpmath():
             assert err <= 1e-12 * max(map(abs, want)), (spec, amap, z0, order)
             n[amap] += 1
     assert n == {ArgMap.IDENTITY: 72, ArgMap.NEGATE: 84}
+
+
+# sha256 of the decimal kernel at 40 digits (the str of each part) and of the
+# exact kernel (reprs), each with the terms summed and the last term's size
+FIELD_SERIES_FINGERPRINT = {
+    "decimal": "802fb2b1ef4b3f63a3b21cab829ab90f55a97e1d52d47e8235922ea0bceede0b",
+    "fraction": "9e3e097cccb1bb1b4c6daaa16007cdd536368a197ece84982a455126be1be377",
+}
+
+
+def _field_series_cases(rng, field):
+    """Seeded (spec, w) inputs of ``field``'s kernel: 2F1, 1F1, 0F1 and a
+    terminating 2F1 on every argument map at orders 0-9, and order-0 series
+    of positive real terms, where the running sum is its terms' magnitude
+    sum and the stop test is met with the least slack.  Decimal inputs take
+    real or complex doubles; exact ones small rationals."""
+    if field is FRACTION:
+
+        def num(lo, hi, real=True):
+            d = rng.choice((3, 4, 8))
+            return Fraction(rng.randint(math.ceil(lo * d), math.floor(hi * d)), d)
+
+        def variable(z0, order):
+            return jet_variable(z0, order, FRACTION)
+
+    else:
+
+        def num(lo, hi, real=True):
+            x = rng.uniform(lo, hi)
+            return x if real else complex(x, rng.uniform(-1, 1))
+
+        def variable(z0, order):
+            return jets.d_variable(complex(z0), order)
+
+    for order in range(10):
+        for amap in ArgMap:
+            for real in (True, False) if field is DECIMAL else (True,):
+                p = lambda: num(-2.5, 2.5, real)  # noqa: E731
+                for spec, radius in (
+                    (HypSpec.of([p(), p()], [p() + 3]), 0.6),
+                    (HypSpec.of([p()], [p() + 3]), 4),
+                    (HypSpec.of([], [p() + 3]), 4),
+                    (HypSpec.of([-rng.randint(0, 5), p()], [p() + 3]), 2),
+                ):
+                    while True:
+                        z0 = num(-radius, radius)
+                        if not real:
+                            z0 = cmath.rect(abs(z0), rng.uniform(-math.pi, math.pi))
+                        if amap is not ArgMap.PFAFF or abs(z0 / (z0 - 1)) <= radius:
+                            break
+                    yield spec, map_jet(amap, variable(z0, order)).coeffs
+    for _ in range(12):
+        p = lambda: num(0.125, 3)  # noqa: E731
+        yield HypSpec.of([p(), p()], [p()]), variable(num(0.125, 0.6), 0).coeffs
+        yield HypSpec.of([p()], [p()]), variable(num(0.125, 4), 0).coeffs
+        yield HypSpec.of([], [p()]), variable(num(0.125, 4), 0).coeffs
+
+
+def _field_series_fingerprint(field):
+    rng = random.Random(f"field-series-fingerprint-{'fraction' if field is FRACTION else 'decimal'}")
+    h = hashlib.sha256()
+    n = 0
+    with localcontext() as cx:
+        cx.prec = 40
+        if field is FRACTION:
+            rel_tol, text = Fraction(1, 10**20), repr
+        else:
+            rel_tol, text = Decimal("1e-25"), lambda x: f"{x.re} {x.im}"
+        for spec, w in _field_series_cases(rng, field):
+            sums, _, terms, tail, _ = field.series(spec, w, rel_tol, 10000)
+            h.update(f"{' '.join(map(text, sums))} {terms} {tail}\n".encode())
+            n += 1
+    return h.hexdigest(), n
+
+
+@pytest.mark.parametrize("field", [DECIMAL, FRACTION], ids=["decimal", "fraction"])
+def test_field_series_fingerprint(field):
+    # the decimal and exact kernels bit for bit, as the jet_pfq fingerprint
+    # pins the complex one
+    got, n = _field_series_fingerprint(field)
+    assert n == (10 * 3 * (8 if field is DECIMAL else 4) + 36)
+    assert got == FIELD_SERIES_FINGERPRINT["decimal" if field is DECIMAL else "fraction"]
