@@ -13,7 +13,7 @@ run over three scalar fields:
 * ``COMPLEX`` -- complex doubles, the oracle's working field; products sum
   exactly rounded (``csum``);
 * ``DECIMAL`` -- complex numbers as a pair of ``Decimal`` (``DC``) at the
-  precision of the active decimal context, 40 digits when the oracle reruns
+  precision of the active decimal context, 38 digits when the oracle reruns
   an ill-conditioned series or term;
 * ``FRACTION`` -- exact real ``Fraction``, for exact rational inputs such
   as the reference table's.
@@ -22,11 +22,14 @@ A field supplies lift from complex and lower to complex, a fused sum of
 products (``dot``) and a magnitude for the stop rule.  The series kernel
 adds each term to its running sums and to its coefficient's bucket in the
 step that forms it; the complex field re-sums each bucket exactly rounded
-(``total``), where the other two return their running sums.  The leading
-values of exp and of a non-integer power are transcendental; they are
-taken in double precision and lifted, and since the recurrences are linear
-in that value its rounding scales the whole result instead of being
-amplified by cancellation.
+(``total``), where the other two return their running sums and fill no
+buckets.  The affine term step is a field primitive (``step``): the
+decimal field forms it on the parts of its ``DC``s, with the same products
+and sums as the generic step and no ``DC`` built for a partial result.
+The leading values of exp and of a non-integer power are transcendental;
+they are taken in double precision and lifted, and since the recurrences
+are linear in that value its rounding scales the whole result instead of
+being amplified by cancellation.
 
 The series kernel ``Field.pfq`` is the one place any pFq series is summed,
 and ``Field.series`` its one entry, which checks the input first:
@@ -82,6 +85,16 @@ _INSIDE = (ConvergenceClass.ENTIRE, ConvergenceClass.INSIDE_UNIT_DISK)
 _CONVERGES = _INSIDE + (ConvergenceClass.AT_PLUS_ONE, ConvergenceClass.AT_MINUS_ONE)
 
 
+def _lead(name: str, x: complex) -> complex:
+    """exp(x), the leading value of exp or of a power, in double precision; a
+    value past the largest double raises ``NoConvergence``, as the series
+    kernel reports its own overflow."""
+    try:
+        return cmath.exp(x)
+    except OverflowError:
+        raise NoConvergence(f"{name} leading value overflowed: it is beyond the double range") from None
+
+
 class Field:
     """The jet algebra over one scalar field, on coefficient sequences.
 
@@ -121,7 +134,7 @@ class Field:
         """exp(sign * f) via the recurrence g' = sign * f' * g."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        g = [self.lift(cmath.exp(sign * self.lower(a[0])))]
+        g = [self.lift(_lead("jet_exp", sign * self.lower(a[0])))]
         da = [j * a[j] for j in range(len(a))]
         for i in range(1, len(a)):
             g.append(sign * self.dot(da[1 : i + 1], g[::-1]) / i)
@@ -131,7 +144,12 @@ class Field:
         """f**alpha on the principal branch via alpha * f' * g = f * g'.
 
         The leading value is taken in double precision, so a base value whose
-        double is 0 (an exact one that underflows) is at the branch point too.
+        double is 0 (an exact one that underflows) is at the branch point too,
+        and one past the largest double raises ``NoConvergence``.  The decimal
+        rerun also lowers its base value c0 to a double first: where c0 is a
+        binary midpoint, such as 1 - 0.2 formed exactly from the double 0.2,
+        the decimal precision decides which neighbour it rounds to (0.8 at 40
+        digits, the double below at 38).
         """
         c0 = a[0]
         if not c0:
@@ -140,7 +158,7 @@ class Field:
         if not base:
             raise BasePointAtBranchPoint("jet_pow base value underflows to 0 in double precision")
         al1 = self.lift(alpha) + 1
-        g = [self.lift(cmath.exp(complex(alpha) * cmath.log(base)))]
+        g = [self.lift(_lead("jet_pow", complex(alpha) * cmath.log(base)))]
         for i in range(1, len(a)):
             acc = self.dot([(al1 * j - i) * a[j] for j in range(1, i + 1)], g[::-1])
             g.append(acc / (i * c0))
@@ -159,6 +177,27 @@ class Field:
     def power_mul(self, a, b):
         """The product that steps the powers of a composition: ``mul``."""
         return self.mul(a, b)
+
+    def step(self, t, rw, rz, running, buckets):
+        """One affine step of the series kernel at order >= 1, in place.
+
+        Term k's jet ``t`` becomes term k + 1's, t_i <- t_(i-1) rw + t_i rz,
+        from the top so that t_(i-1) is still term k's; each new t_i is
+        added to ``running[i]`` and, unless ``buckets`` is None (a field
+        without ``total``), appended to ``buckets[i]``.  Returns the largest
+        ``mag`` of the new coefficients, the first among equals, as ``max``
+        returns it.
+        """
+        for i in range(len(t) - 1, 0, -1):
+            ti = t[i] = t[i - 1] * rw + t[i] * rz
+            running[i] += ti
+            if buckets:
+                buckets[i].append(ti)
+        t0 = t[0] = t[0] * rz
+        running[0] += t0
+        if buckets:
+            buckets[0].append(t0)
+        return max(map(self.mag, t))
 
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
         """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
@@ -206,9 +245,11 @@ class Field:
         term ratio r_k = c_(k+1)/c_k folded into two products per
         coefficient, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0), so a
         term overflows only where it, not w^k, passes the largest double.
-        The ratio is formed in the loop, and r_k w1 only at order >= 1.  As
-        each t_(k+1),i is formed it is added to its running sum and appended
-        to coefficient i's bucket, which ``total`` re-sums at the end.  The
+        The ratio is formed in the loop, and r_k w1 only at order >= 1, where
+        the field's ``step`` advances the term jet; at order 0 the update is
+        inline.  As each t_(k+1),i is formed it is added to its running sum
+        and, for a field with a ``total``, appended to coefficient i's
+        bucket, which ``total`` re-sums at the end.  The
         largest running sum is taken only where a bound above it admits the
         stop test: 1 plus the largest term coefficient of every term so far,
         with a factor 2 to spare for rounding.  The test itself is unchanged,
@@ -240,8 +281,8 @@ class Field:
             return sums, abs_g, terms, tail
         w0 = w[0]
         t = [one] + [self.zero] * (len(w) - 1)
-        running, buckets = t[:], [[x] for x in t]
-        down = range(len(w) - 1, 0, -1)
+        running, buckets = t[:], [[x] for x in t] if self.total else None
+        step = self.step if len(w) > 1 else None
         t0, bound, inf = one, mag(one), math.inf
         small = k = 0
         try:
@@ -257,18 +298,15 @@ class Field:
                     raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
                 r = num / den
                 rz = r * w0
-                if down:
-                    rw = r * w[1]
-                # in place, from the top, so that t[i - 1] is still term k - 1's
-                for i in down:
-                    ti = t[i] = t[i - 1] * rw + t[i] * rz
-                    running[i] += ti
-                    buckets[i].append(ti)
-                t0 = t[0] = t0 * rz
-                running[0] += t0
-                buckets[0].append(t0)
+                if step:
+                    tmax = step(t, r * w[1], rz, running, buckets)
+                else:
+                    t0 = t[0] = t0 * rz
+                    running[0] += t0
+                    if buckets:
+                        buckets[0].append(t0)
+                    tmax = mag(t0)
                 if m is None:
-                    tmax = max(map(mag, t)) if down else mag(t0)
                     # bound >= max|running| (the triangle inequality), so the
                     # test on max|running| runs only where this wider one
                     # admits it; bound + bound overflows before a running
@@ -287,7 +325,7 @@ class Field:
                 if m is None:
                     raise NoConvergence(f"no convergence within {max_terms} terms")
             tail = max(map(mag, t))
-            if self.total is None:
+            if buckets is None:
                 return running, None, k + 1, tail
             sums = list(map(self.total, buckets))
             return sums, [sum(map(mag, b)) for b in buckets], k + 1, tail
@@ -389,6 +427,35 @@ class _Decimal(Field):
     @staticmethod
     def mag(x: DC) -> Decimal:
         return abs(x.re) + abs(x.im)
+
+    @staticmethod
+    def step(t, rw, rz, running, buckets):
+        # ``Field.step`` on the parts: the same DC products and sums in the
+        # same order, so the same digits, with one DC built per coefficient
+        # and per running sum.  ``buckets`` is None: the field has no total.
+        wr, wi, zr, zi = rw.re, rw.im, rz.re, rz.im
+        b = t[-1]
+        br, bi = b.re, b.im
+        tmax = -1
+        for i in range(len(t) - 1, 0, -1):
+            a = t[i - 1]
+            ar, ai = a.re, a.im
+            re = (ar * wr - ai * wi) + (br * zr - bi * zi)
+            im = (ar * wi + ai * wr) + (br * zi + bi * zr)
+            t[i] = DC(re, im)
+            s = running[i]
+            running[i] = DC(s.re + re, s.im + im)
+            # from the top down, so >= keeps the first of equal magnitudes
+            m = abs(re) + abs(im)
+            if m >= tmax:
+                tmax = m
+            br, bi = ar, ai
+        re, im = br * zr - bi * zi, br * zi + bi * zr
+        t[0] = DC(re, im)
+        s = running[0]
+        running[0] = DC(s.re + re, s.im + im)
+        m = abs(re) + abs(im)
+        return m if m >= tmax else tmax
 
 
 class _Fraction(Field):
@@ -505,10 +572,15 @@ def jet_ipow(a: Jet, m: int) -> Jet:
 # Taylor coefficients of a series at z0 can cancel heavily (peak term far
 # above the sum, e.g. lower parameters with negative real part at |z0| near
 # the disk boundary).  When the measured peak-to-sum ratio of any jet
-# coefficient exceeds this, the series is rerun in 40-digit decimal
-# arithmetic so the returned doubles stay accurate to ~1 ulp.
+# coefficient exceeds this, the series is rerun in 38-digit decimal
+# arithmetic so the returned doubles stay accurate to ~1 ulp.  libmpdec keeps
+# 19 digits in a 64-bit word, so 38 is the largest precision whose operands
+# fit two words; at 39-57 digits they take three, and a product costs about
+# twice as much (timeit, Python 3.11 on a 2-vCPU Xeon VM: 100-115 ns at 38
+# digits, 205-270 ns at 39-57).  At kappa = 1e16 a 38-digit sum keeps about
+# 22 correct digits, 6 more than a double holds.
 _KAPPA_LIMIT = 1e4
-_DEC_PREC = 40
+_DEC_PREC = 38
 
 
 def _cancelled(abs_sum, value) -> bool:
@@ -527,7 +599,7 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     otherwise the sum stops once the largest term coefficient stays below
     ``rel_tol`` times the largest coefficient of the running jet for three
     terms.  A coefficient that cancelled (``_cancelled``) reruns the series
-    in 40-digit decimal arithmetic through ``d_pfq``.
+    in 38-digit decimal arithmetic through ``d_pfq``.
     """
     ctrl = ctrl or DEFAULT_CONTROL
     vals, abs_sums, _, _, _ = COMPLEX.series(spec, arg.coeffs, ctrl.rel_tol, ctrl.max_terms)

@@ -1,5 +1,6 @@
 """Identity catalog, Kummer-type rewrites, and the verification driver."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -21,7 +22,7 @@ from hypderiv.catalog import (
     verify_entry,
 )
 from hypderiv.core import EvalControl, HypSpec, param
-from hypderiv.errors import NotApplicable, SingularLowerParameter
+from hypderiv.errors import NoConvergence, NotApplicable, SingularLowerParameter
 from hypderiv.expressions import (
     ArgMap,
     Hyp,
@@ -32,6 +33,7 @@ from hypderiv.expressions import (
     format_expr,
     hyp,
     nth_derivative,
+    powz,
     term,
 )
 
@@ -206,6 +208,16 @@ class TestVerifyDriver:
     def test_report_invariant(self):
         r = verify_entry(entry("Th1-3"), trials=10, seed=1)
         assert (not r.failures) == (r.max_rel_err <= r.tol)
+
+    def test_overflowing_power_fails_the_point(self):
+        # z0 ** -5000.5 passes the largest double at every point: each point
+        # fails with the error in place of the LHS derivative, and the run
+        # goes on
+        e = dataclasses.replace(entry("Co1-2"), lhs=lambda p: expr(term(1, powz(-5000.5))))
+        r = verify_entry(e, trials=2, seed=0)
+        assert not r.passed and r.max_rel_err == math.inf
+        assert len(r.failures) == 2 * len(e.z_points)
+        assert all(isinstance(f[2], NoConvergence) and f[3] is None for f in r.failures)
 
     def test_csv_shape(self):
         reports = [verify_entry(entry("Th1-2"), trials=5, seed=0)]

@@ -1,11 +1,13 @@
-"""Accuracy of the 40-digit decimal reruns against an independent reference.
+"""Accuracy of the 38-digit decimal reruns against an independent reference.
 
 The oracle reruns an ill-conditioned pFq series (series level, in
 ``jets.jet_pfq``) or an ill-conditioned product of factor jets (term level,
 in ``expressions._term_jet``) in decimal arithmetic.  Each case here is
 chosen so that the rerun happens, the test counts the entries into it, and
 the derivative is compared with mpmath at 50 digits.  The stated bound is a
-relative error of 1e-12; the reruns reach about 1e-14.
+relative error of 1e-12; the reruns reach about 1e-14.  A last case shows
+the margin of the 38 digits: a series that cancels by kappa ~ 1e16 still
+comes out within 1e-15.
 """
 
 import pytest
@@ -72,3 +74,17 @@ def test_rerun_matches_mpmath(monkeypatch, name, e, n, z0, ref, series_reruns, t
     with mpmath.workdps(50):
         want = complex(mpmath.diff(ref, mpmath.mpmathify(z0), n))
     assert abs(got - want) <= BOUND * abs(want), (got, want)
+
+
+def test_rerun_margin_at_kappa_1e16(monkeypatch):
+    # 1F1(1/2; 3/2; z) at z0 = -40: the magnitude sum of each coefficient's
+    # terms is 3e16-3e17 times the coefficient, so a double sum keeps no
+    # correct digit and a 38-digit one about 21
+    counts = {"d_pfq": 0, "d_variable": 0}
+    _counting(monkeypatch, jets, "d_pfq", counts)
+    _counting(monkeypatch, ex, "d_variable", counts)
+    got = ex.nth_derivative(ex.expr(ex.term(1, ex.hyp(S11))), 3, -40.0)
+    assert counts == {"d_pfq": 1, "d_variable": 0}
+    with mpmath.workdps(50):
+        want = complex(mpmath.diff(_mp_1f1, mpmath.mpf(-40), 3))
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)

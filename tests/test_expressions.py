@@ -88,7 +88,7 @@ class TestEvalExpr:
 
     def test_pfq_factor_is_guarded(self):
         # 1F1(1/2; 3/2; w) = sqrt(pi) erf(sqrt(-w)) / (2 sqrt(-w)) at w = -20
-        # and -15: the series cancels, so the factor reruns in 40 digits
+        # and -15: the series cancels, so the factor reruns in 38 digits
         mpmath = pytest.importorskip("mpmath")
         spec = HypSpec.of([Fraction(1, 2)], [Fraction(3, 2)])
         for m, z, w in ((ArgMap.IDENTITY, -20, -20), (ArgMap.NEGATE, 15, -15)):

@@ -154,6 +154,20 @@ class TestPow:
         with pytest.raises(BasePointAtBranchPoint, match="underflows to 0"):
             nth_derivative(e, 1, 1 - Fraction(1, 10**400))
 
+    def test_leading_value_beyond_the_double_range(self):
+        # 1e-300 ** -150.5 is about 1e45150, e^1000 about 1e434: reported as
+        # the series kernel reports its own overflow, not as a bare
+        # OverflowError
+        e = expr(term(1, powz(-150.5)))
+        for run in (
+            lambda: nth_derivative(e, 1, 1e-300),
+            lambda: eval_expr(e, 1e-300),
+            lambda: nth_derivative(expr(term(1, powz(Fraction(-301, 2)))), 0, Fraction(1, 10**300)),
+            lambda: jet_exp(jet_variable(1000, 2)),
+        ):
+            with pytest.raises(NoConvergence, match="leading value overflowed"):
+                run()
+
     def test_composition(self):
         # (f^alpha)^beta = f^{alpha beta} on the positive real axis
         rng = random.Random(3)
