@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``eval``    -- evaluate pFq(a; b; z) by direct summation
+* ``eval``    -- evaluate pFq(a; b; z) by its series, a cancelled sum rerun
+  exactly or in 38-digit decimal arithmetic
 * ``table1``  -- CSV of the reference derivative table (n=4, a=1/2, b=2/3, z=1/3)
 * ``figure1`` -- CSV sweep of the same quantities over real c
 * ``verify``  -- run the identity catalog against the jet oracle
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate pFq(a; b; z)")
+    p = sub.add_parser("eval", help="evaluate pFq(a; b; z) by its series, with the cancellation guard")
     p.add_argument("--upper", default="", help="comma-separated upper parameters")
     p.add_argument("--lower", default="", help="comma-separated lower parameters")
     p.add_argument("--z", required=True, help="argument (real or re+imi)")

@@ -290,16 +290,19 @@ def check_finite(spec: HypSpec, args: Iterable[complex]) -> None:
 
 
 def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> EvalResult:
-    """Evaluate pFq(a; b; z) by direct summation.
+    """Evaluate pFq(a; b; z) by summing its series.
 
     This is the series kernel of the jet algebra at order 0: the complex
-    field's ``Field.series`` at w = [z], with its input checks (z may sit on
-    a boundary point where the series converges), stepping each term by the
-    term ratio.  Terminating series are summed exactly (m+1 terms).
-    Otherwise terms are accumulated until three successive terms fall below
-    rel_tol * |partial sum|; the final value is an fsum of all terms and
-    ``tail_estimate`` the last term's modulus.  A term that overflows raises
-    ``NoConvergence`` at once.
+    field's ``series`` at w = [z], with its input checks (z may sit on a
+    boundary point where the series converges) and its cancellation guard,
+    stepping each term by the term ratio.  Terminating series are summed to
+    the end (m+1 terms).  Otherwise terms are accumulated until three
+    successive terms fall below rel_tol * |partial sum|; the value is an
+    fsum of all terms and ``tail_estimate`` the last term's modulus.  A sum
+    that cancelled is rerun, as ``jet_pfq`` reruns it: exactly for a real
+    terminating series, else in 38-digit decimal arithmetic; ``terms_used``
+    and ``tail_estimate`` stay those of the double sum.  A term that
+    overflows raises ``NoConvergence`` at once.
     """
     from .jets import COMPLEX  # jets imports this module
 

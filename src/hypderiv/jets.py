@@ -16,7 +16,8 @@ run over three scalar fields:
   precision of the active decimal context, 38 digits when the oracle reruns
   an ill-conditioned series or term;
 * ``FRACTION`` -- exact real ``Fraction``, for exact rational inputs such
-  as the reference table's.
+  as the reference table's, and for the exact rerun of an ill-conditioned
+  real terminating series.
 
 A field supplies lift from complex and lower to complex, a fused sum of
 products (``dot``) and a magnitude for the stop rule.  The series kernel
@@ -34,14 +35,18 @@ being amplified by cancellation.
 The series kernel ``Field.pfq`` is the one place any pFq series is summed,
 and ``Field.series`` its one entry, which checks the input first:
 ``core.evaluate`` runs it at order 0, ``jet_pfq`` on complex jets, the
-decimal reruns and the exact (Fraction) jets in their fields.  It takes its
-argument w as coefficients.  For an affine w = w0 + w1 h (a scalar, the
-identity and negate maps) it steps the term jet c_k w^k itself by the term
-ratio c_(k+1)/c_k, with two products per coefficient: O(K) work per term at
-order K, and no power of w that could overflow before the term does.  The
-stop test takes the largest running sum only where a cheaper bound above
-it, 1 plus the largest term coefficient of each term so far, admits the
-test, so a series stops on the same term as with the sum taken every term.
+decimal reruns and the exact (Fraction) jets in their fields.  The complex
+field's entry also holds the one cancellation guard: a sum that cancelled
+is rerun, a real terminating series exactly and any other in 38-digit
+decimal arithmetic, so a complex series is guarded wherever it is summed.
+The kernel takes its argument w as coefficients.  For an affine
+w = w0 + w1 h (a scalar, the identity and negate maps) it steps the term
+jet c_k w^k itself by the term ratio c_(k+1)/c_k, with two products per
+coefficient: O(K) work per term at order K, and no power of w that could
+overflow before the term does.  The stop test takes the largest running
+sum only where a cheaper bound above it, 1 plus the largest term
+coefficient of each term so far, admits the test, so a series stops on the
+same term as with the sum taken every term.
 Any other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
 the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
 products (in the complex field through the module's ``jet_mul``) however
@@ -231,13 +236,13 @@ class Field:
         last term.  Otherwise the sum stops once the largest term coefficient
         has stayed below ``rel_tol`` times the largest running sum (both by
         ``mag``) for three terms in a row, and raises ``NoConvergence`` at
-        ``max_terms`` terms, at the first term with a coefficient that is not
-        finite, and where a term or a sum overflows (``OverflowError``) with
-        finite parts.  Returns the sums; for a field with a ``total``, per
-        coefficient the sum of its terms' magnitudes, or a bound above it,
-        for the cancellation guard (None for the other fields); the number of
-        terms summed; and the largest magnitude among the last term's
-        coefficients.
+        ``max_terms`` terms.  Either sum raises ``NoConvergence`` at the first
+        term with a coefficient that is not finite, and where a term or a sum
+        overflows (``OverflowError``) with finite parts.  Returns the sums;
+        for a field with a ``total``, per coefficient the sum of its terms'
+        magnitudes, or a bound above it, for the cancellation guard (None for
+        the other fields); the number of terms summed; and the largest
+        magnitude among the last term's coefficients.
         At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums.
 
         An affine w = w0 + w1 h (w[2:] all zero: the identity and negate
@@ -317,10 +322,11 @@ class Field:
                         small += 1
                         if small == 3:
                             break
-                    else:
-                        small = 0
-                        if not tmax < inf:
-                            raise NoConvergence(f"series term {k} overflowed: it is not finite")
+                        continue
+                    small = 0
+                # a small term is finite, so only the others are tested
+                if not tmax < inf:
+                    raise NoConvergence(f"series term {k} overflowed: it is not finite")
             else:
                 if m is None:
                     raise NoConvergence(f"no convergence within {max_terms} terms")
@@ -331,6 +337,28 @@ class Field:
             return sums, [sum(map(mag, b)) for b in buckets], k + 1, tail
         except OverflowError as exc:
             raise NoConvergence(f"series term {k} overflowed: {exc}") from None
+
+
+# Taylor coefficients of a series at z0 can cancel heavily (peak term far
+# above the sum, e.g. lower parameters with negative real part at |z0| near
+# the disk boundary).  When the measured peak-to-sum ratio of any jet
+# coefficient exceeds this, the series is rerun (``_Complex.series``) so the
+# returned doubles stay accurate to ~1 ulp: a real terminating series
+# exactly, any other in 38-digit decimal arithmetic.  libmpdec keeps
+# 19 digits in a 64-bit word, so 38 is the largest precision whose operands
+# fit two words; at 39-57 digits they take three, and a product costs about
+# twice as much (timeit, Python 3.11 on a 2-vCPU Xeon VM: 100-115 ns at 38
+# digits, 205-270 ns at 39-57).  At kappa = 1e16 a 38-digit sum keeps about
+# 22 correct digits, 6 more than a double holds.
+_KAPPA_LIMIT = 1e4
+_DEC_PREC = 38
+
+
+def _cancelled(abs_sum, value) -> bool:
+    """Whether a sum cancelled past ``_KAPPA_LIMIT``: ``abs_sum``, the sum of
+    its terms' magnitudes (or a bound above it), against the sum ``value``.
+    A magnitude sum at or below 1e-250 counts as nothing to lose."""
+    return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
 
 
 class _Complex(Field):
@@ -351,6 +379,33 @@ class _Complex(Field):
         # through the module's ``jet_mul`` binding, so that a tracer wrapping
         # it sees the composition's products
         return jet_mul(Jet(0j, a), Jet(0j, b)).coeffs
+
+    def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
+        """``Field.series`` with the one cancellation guard.
+
+        A sum that cancelled (``_cancelled``) reruns the series, and only the
+        sums are replaced: a real terminating series (no parameter or
+        coefficient of w with an imaginary part), a finite sum of rationals,
+        exactly in ``FRACTION``, each sum rounded once; any other in 38-digit
+        decimal arithmetic at ``min(rel_tol, 1e-25)``, since the truncation
+        tail is bounded relative to the dominant coefficient, not to a
+        cancelled one.
+        """
+        out = Field.series(self, spec, w, rel_tol, max_terms)
+        sums, abs_sums, terms, tail, m = out
+        if not any(map(_cancelled, abs_sums, sums)):
+            return out
+        params = (*spec.upper, *spec.lower)
+        if m is not None and not any(x.imag for x in w) and not any(a.value.imag for a in params):
+            exact = FRACTION.series(spec, list(map(FRACTION.lift, w)), rel_tol, max_terms)[0]
+            sums = list(map(FRACTION.lower, exact))
+        else:
+            with localcontext() as cx:
+                cx.prec = _DEC_PREC
+                arg = d_pair_from_jet(Jet(w[0], tuple(w)))
+                ctrl = EvalControl(rel_tol, max_terms)
+                sums = d_pair_to_complexes(d_pfq(spec, arg, ctrl, min(rel_tol, 1e-25)))
+        return sums, abs_sums, terms, tail, m
 
 
 class DC:
@@ -569,50 +624,18 @@ def jet_ipow(a: Jet, m: int) -> Jet:
     return Jet(a.base_point, tuple(a.field.ipow(a.coeffs, m)), a.field)
 
 
-# Taylor coefficients of a series at z0 can cancel heavily (peak term far
-# above the sum, e.g. lower parameters with negative real part at |z0| near
-# the disk boundary).  When the measured peak-to-sum ratio of any jet
-# coefficient exceeds this, the series is rerun in 38-digit decimal
-# arithmetic so the returned doubles stay accurate to ~1 ulp.  libmpdec keeps
-# 19 digits in a 64-bit word, so 38 is the largest precision whose operands
-# fit two words; at 39-57 digits they take three, and a product costs about
-# twice as much (timeit, Python 3.11 on a 2-vCPU Xeon VM: 100-115 ns at 38
-# digits, 205-270 ns at 39-57).  At kappa = 1e16 a 38-digit sum keeps about
-# 22 correct digits, 6 more than a double holds.
-_KAPPA_LIMIT = 1e4
-_DEC_PREC = 38
-
-
-def _cancelled(abs_sum, value) -> bool:
-    """Whether a sum cancelled past ``_KAPPA_LIMIT``: ``abs_sum``, the sum of
-    its terms' magnitudes (or a bound above it), against the sum ``value``.
-    A magnitude sum at or below 1e-250 counts as nothing to lose."""
-    return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
-
-
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     """pFq(a; b; w) with w an analytic argument given as a complex jet.
 
-    The complex field's ``Field.series``, which ``evaluate`` runs at order 0,
-    with its input checks (at order >= 1 the base value must lie strictly
-    inside the convergence domain): terminating series are summed exactly;
-    otherwise the sum stops once the largest term coefficient stays below
-    ``rel_tol`` times the largest coefficient of the running jet for three
-    terms.  A coefficient that cancelled (``_cancelled``) reruns the series
-    in 38-digit decimal arithmetic through ``d_pfq``.
+    The complex field's ``series``, which ``evaluate`` runs at order 0, with
+    its input checks (at order >= 1 the base value must lie strictly inside
+    the convergence domain) and its cancellation guard: terminating series
+    are summed to the end; otherwise the sum stops once the largest term
+    coefficient stays below ``rel_tol`` times the largest coefficient of the
+    running jet for three terms.  A cancelled coefficient reruns the series.
     """
     ctrl = ctrl or DEFAULT_CONTROL
-    vals, abs_sums, _, _, _ = COMPLEX.series(spec, arg.coeffs, ctrl.rel_tol, ctrl.max_terms)
-    for v, abs_sum in zip(vals, abs_sums):
-        if _cancelled(abs_sum, v):
-            # the truncation tail is bounded relative to the dominant
-            # coefficient, so the rerun also has to cut much deeper for the
-            # cancelled coefficients to come out accurate
-            with localcontext() as cx:
-                cx.prec = _DEC_PREC
-                rel_tol = min(ctrl.rel_tol, 1e-25)
-                vals = d_pair_to_complexes(d_pfq(spec, d_pair_from_jet(arg), ctrl, rel_tol))
-            break
+    vals = COMPLEX.series(spec, arg.coeffs, ctrl.rel_tol, ctrl.max_terms)[0]
     return Jet(arg.base_point, tuple(vals))
 
 

@@ -51,6 +51,13 @@ class TestEval:
         assert code == 3
         assert err == "error: NoConvergence: series term 470 overflowed: it is not finite\n"
 
+    def test_terminating_overflow_exit_3(self, capsys):
+        # a polynomial's terms overflow too: term 266 of this degree-1000 one
+        code = main(["eval", "--upper=-1000,0.37", "--lower", "1.23", "--z", "1.7"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: NoConvergence: series term 266 overflowed: it is not finite\n"
+
     def test_modulus_overflow_exit_3(self, capsys):
         # a term with finite parts whose modulus passes the largest double
         code = main([

@@ -23,6 +23,7 @@ from hypderiv.core import (
     validate_spec,
     values_equal,
 )
+from hypderiv.expressions import eval_expr, expr, hyp, nth_derivative, term
 from hypderiv.jets import FRACTION, jet_pfq, jet_variable
 from hypderiv.errors import (
     DomainError,
@@ -326,6 +327,27 @@ class TestEvaluate:
             want = brute([Fraction(-3), Fraction(2)], [Fraction(1)], z)
             assert got.real == float(want) and got.imag == 0.0
 
+    def test_cancelled_terminating_series_is_exact(self):
+        # the double sums of these polynomials cancel by kappa ~ 3e26 and
+        # 2e36, so they are rerun exactly: the Fraction sum of the defining
+        # series, rounded once
+        for upper, lower, z in (([-60], [Fraction(1, 2)], 40), ([-80], [Fraction(3, 2)], 60)):
+            spec = HypSpec.of(upper, lower)
+            exact = sum(coefficient(spec, k) * Fraction(z) ** k for k in range(-upper[0] + 1))
+            assert evaluate(spec, z).value == complex(float(exact))
+
+    def test_terminating_overflow_fails_as_no_convergence(self):
+        # the terms of this degree-1000 polynomial pass the largest double at
+        # term 266, before its sum could be formed
+        spec = HypSpec.of([-1000, 0.37], [1.23])
+        e = expr(term(1, hyp(spec)))
+        with pytest.raises(NoConvergence, match="^series term 266 overflowed"):
+            evaluate(spec, 1.7)
+        with pytest.raises(NoConvergence, match="^series term 266 overflowed"):
+            eval_expr(e, 1.7)
+        with pytest.raises(NoConvergence, match="overflowed"):
+            nth_derivative(e, 2, 1.7)
+
     def test_permutation_invariance(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -432,7 +454,7 @@ class TestClassify:
 # terms used, terminated and the tail estimate, or the error's class and text.
 # Only library errors are caught, so a bare OverflowError (a modulus past the
 # largest double with both parts finite) fails the test.
-EVALUATE_FINGERPRINT = "63c0bd22e859b081a3879f5c91fe1a06ebd673351a2ed69c056170aa54c8c95f"
+EVALUATE_FINGERPRINT = "174b8617bd346493a2e9365cbe5acb02d9f8eb6f78e2eb1c95bc9e69c55a0fb2"
 
 
 def _evaluate_cases():

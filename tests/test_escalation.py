@@ -1,14 +1,17 @@
 """Accuracy of the 38-digit decimal reruns against an independent reference.
 
-The oracle reruns an ill-conditioned pFq series (series level, in
-``jets.jet_pfq``) or an ill-conditioned product of factor jets (term level,
-in ``expressions._term_jet``) in decimal arithmetic.  Each case here is
-chosen so that the rerun happens, the test counts the entries into it, and
-the derivative is compared with mpmath at 50 digits.  The stated bound is a
-relative error of 1e-12; the reruns reach about 1e-14.  A last case shows
-the margin of the 38 digits: a series that cancels by kappa ~ 1e16 still
-comes out within 1e-15.
+The oracle reruns an ill-conditioned pFq series (series level, in the
+complex field's ``series``) or an ill-conditioned product of factor jets
+(term level, in ``expressions._term_jet``) in decimal arithmetic.  Each case
+here is chosen so that the rerun happens, the test counts the entries into
+it, and the derivative is compared with mpmath at 50 digits.  The stated
+bound is a relative error of 1e-12; the reruns reach about 1e-14.  A last
+case shows the margin of the 38 digits: a series that cancels by kappa ~
+1e16 still comes out within 1e-15.  ``evaluate`` takes the same series
+guard: cancelling scalar sums come out within 1e-15 of mpmath.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +19,7 @@ mpmath = pytest.importorskip("mpmath")
 
 from hypderiv import expressions as ex  # noqa: E402
 from hypderiv import jets  # noqa: E402
-from hypderiv.core import HypSpec  # noqa: E402
+from hypderiv.core import HypSpec, evaluate  # noqa: E402
 
 BOUND = 1e-12
 
@@ -87,4 +90,30 @@ def test_rerun_margin_at_kappa_1e16(monkeypatch):
     assert counts == {"d_pfq": 1, "d_variable": 0}
     with mpmath.workdps(50):
         want = complex(mpmath.diff(_mp_1f1, mpmath.mpf(-40), 3))
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+# (upper, lower, z) of scalar sums that cancel by kappa ~ 5e6-6e14: a double
+# sum keeps 2-10 correct digits of these, the decimal rerun all of them
+SCALAR = [
+    ([Fraction(1, 2)], [Fraction(3, 2)], -30),
+    ([0.3], [1.7], -35.0),
+    ([-0.25 + 0.5j], [2.5], -25.0),
+    ([0.5], [1.5], -18 + 3j),
+    ([], [1.5], -200.0),
+    ([], [0.75 + 0.25j], -150 + 20j),
+    ([], [2.25], -300.0),
+]
+
+
+@pytest.mark.parametrize("upper,lower,z", SCALAR, ids=[f"{len(c[0])}F1 at {c[2]}" for c in SCALAR])
+def test_evaluate_matches_mpmath(monkeypatch, upper, lower, z):
+    counts = {"d_pfq": 0}
+    _counting(monkeypatch, jets, "d_pfq", counts)
+    got = evaluate(HypSpec.of(upper, lower), z).value
+    assert counts["d_pfq"] == 1
+    with mpmath.workdps(50):
+        a, b = ([mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+                 for x in v] for v in (upper, lower))
+        want = complex(mpmath.hyper(a, b, z))
     assert abs(got - want) <= 1e-15 * abs(want), (got, want)

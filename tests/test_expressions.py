@@ -1,16 +1,16 @@
 """Expression model: pointwise and jet evaluation, serialization."""
 
-import ast
+import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from hypderiv import expressions
+from hypderiv import jets
 from hypderiv.catalog import entry
-from hypderiv.core import EvalControl, HypSpec, param
+from hypderiv.core import EvalControl, HypSpec, evaluate, param, termination_order
 from hypderiv.errors import BranchPointEvaluation
 from hypderiv.expressions import (
     ArgMap,
@@ -96,18 +96,39 @@ class TestEvalExpr:
                 want = complex(mpmath.hyper([0.5], [1.5], w))
             assert rel(eval_expr(expr(term(1, hyp(spec, m))), z), want) <= 1e-14
 
-    def test_evaluate_is_called_only_by_the_cli_and_the_tables(self):
-        # every other value of a pFq comes from jet_pfq: eval_expr is the
-        # order-0 jet, with the series guard
-        calls = set()
-        for path in sorted(Path(expressions.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name == "evaluate":
-                        calls.add(path.stem)
-        assert sorted(calls) == ["cli", "tables"]
+    def test_evaluate_is_the_order_0_expression(self, monkeypatch):
+        # evaluate and eval_expr sum every series through the complex field's
+        # one guarded entry: the same value bit for bit, also where the double
+        # sum cancels and is rerun, exactly or in 38 digits
+        reruns = Counter()
+        for module, attr in ((jets, "d_pfq"), (jets.FRACTION, "series")):
+            original = getattr(module, attr)
+
+            def counting(*args, original=original, attr=attr):
+                reruns[attr] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, attr, counting)
+        rng = random.Random("evaluate-is-eval-expr")
+        for _ in range(300):
+            q = rng.randint(0, 2)
+            p = rng.randint(0, q + 1)
+            real = rng.random() < 0.5
+
+            def par():
+                x = rng.uniform(-2.5, 2.5)
+                return x if real else complex(x, rng.uniform(-1.5, 1.5))
+
+            upper, lower = [par() for _ in range(p)], [par() + 3 for _ in range(q)]
+            if p and rng.random() < 0.3:
+                upper[0] = -rng.randint(0, 40)
+            spec = HypSpec.of(upper, lower)
+            radius = 0.95 if p == q + 1 and termination_order(spec) is None else 40.0
+            z = rng.uniform(-radius, radius)
+            if not real:
+                z = cmath.rect(abs(z), rng.uniform(-math.pi, math.pi))
+            assert evaluate(spec, z).value == eval_expr(expr(term(1, hyp(spec))), z), (spec, z)
+        assert reruns["d_pfq"] >= 20 and reruns["series"] >= 4, reruns
 
 
 class TestEvalExprJet:
