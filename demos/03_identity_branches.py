@@ -2,8 +2,9 @@
 
 Generic r keeps every series term alive; exact r in 0..n kills the first
 n-r terms; exact negative r splits the series into a polynomial part and a
-shifted tail, giving a two-term right-hand side.  ``specialize`` applies
-the upper/lower cancellation and names the reduced identity.
+shifted tail, giving a two-term right-hand side.  Where the master form
+would cancel an upper/lower pair, ``specialize`` names the identity line
+the parameters land on and builds it with that line's own builder.
 """
 
 from hypderiv import (

@@ -8,15 +8,16 @@ random parameters and checks the RHS against the jet-oracle n-th derivative
 of the LHS.
 
 The entries are generated from ``_TABLE``, one row per identity family.  A
-row gives the family's parameters, its LHS, its literal RHS and, for a
-corollary, the theorem family and Kummer-type transform it comes from.  Its
-case lines are keyed by ``RBranch`` and take their applicability from
-``identities.branch_holds``.
+row gives the family's parameters, its LHS, the theorem family it is or
+derives from (whose term builders live in ``identities``) and, for a
+corollary, its literal terms and Kummer-type transform.  Each case line is
+keyed by ``RBranch``, assembled by ``identities.line_terms`` and takes its
+applicability from ``identities.branch_holds``.
 
 The Kummer-type rewrites (exponential, Euler, Pfaff) are provided both as
 expression transforms and as the composition machinery that rebuilds each
 corollary RHS mechanically from its theorem-line source.  No literal
-corollary RHS is built by the theorem-line builders the composition uses,
+corollary term is built by the theorem-line builders the composition uses,
 so comparing the two is a check of the corollary.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -35,7 +36,6 @@ from .core import (
     Parameter,
     param,
     pochhammer,
-    pochhammer_vec,
     validate_spec,
 )
 from .errors import HypDerivError, NotApplicable, SingularCoefficient
@@ -59,10 +59,14 @@ from .expressions import (
 )
 from .identities import (
     RBranch,
-    _branch_terms,
+    Vec,
     _shift_vec,
     branch_holds,
     line_terms,
+    theorem2_term,
+    theorem3_term,
+    theorem4_exceptional_term,
+    theorem4_regular_term,
     theorem_exceptional_term,
     theorem_general_term,
 )
@@ -152,88 +156,19 @@ def _draw_exponent(rng: random.Random, branch: RBranch, n: int, r_min: int = 0) 
 
 
 # ---------------------------------------------------------------------------
-# theorem-line RHS builders over explicit parameter vectors
+# literal corollary RHS builders
 #
-# These take raw upper/lower vectors so the corollary composition can reuse
-# them at substituted parameters.  Terms whose prefactor vanishes exactly are
-# dropped (degenerate cases where the line loses a term); a vanishing
-# Pochhammer denominator raises SingularCoefficient.
-
-Vec = tuple[Parameter, ...]
+# Written out at the corollary's own parameters, independently of the
+# theorem-line builders in ``identities``.  Every corollary has the single
+# lower parameter c.  Terms whose prefactor vanishes exactly are dropped (the
+# line loses a term); a vanishing Pochhammer denominator raises
+# SingularCoefficient.
 
 
 def _nonzero(den: complex, name: str) -> complex:
     if den == 0:
         raise SingularCoefficient(f"{name} vanishes")
     return den
-
-
-def _terms_th12(upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
-    den = _nonzero(pochhammer_vec(lower, n), "(b)_n")
-    coeff = pochhammer_vec(upper, n) / den
-    if coeff == 0:
-        return ()
-    hs = HypSpec(_shift_vec(upper, n), _shift_vec(lower, n))
-    validate_spec(hs)
-    return (term(coeff, hyp(hs)),)
-
-
-def _terms_th13(a1: Parameter, rest_upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
-    coeff = pochhammer(a1, n)
-    if coeff == 0:
-        return ()
-    hs = HypSpec((a1 + n,) + rest_upper, lower)
-    validate_spec(hs)
-    return (term(coeff, powz(a1 - 1), hyp(hs)),)
-
-
-def _terms_th14_regular(upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
-    # validate before the zero-coefficient drop: at exact b1 <= n the line is
-    # singular (a pole of the series), not zero
-    b1, rest = lower[0], lower[1:]
-    c0 = b1 - n
-    hs = HypSpec(upper, (c0,) + rest)
-    validate_spec(hs)
-    coeff = pochhammer(c0, n)
-    if coeff == 0:
-        return ()
-    return (term(coeff, powz(c0 - 1), hyp(hs)),)
-
-
-def _terms_th14_exceptional(upper: Vec, lower: Vec, n: int) -> tuple[Term, ...]:
-    # as above: at exact b1 >= n+2 the lower parameter n-b1+2 is a
-    # nonpositive integer and the line is singular
-    b1 = lower[0]
-    s = n - b1.exact + 1  # type: ignore[operator]
-    hs = HypSpec(_shift_vec(upper, s), (param(s + 1),) + _shift_vec(lower[1:], s))
-    validate_spec(hs)
-    den = _nonzero(pochhammer_vec(lower, s), "(b)_{n-b1+1}")
-    coeff = pochhammer(s + 1, b1.exact - 1) * pochhammer_vec(upper, s) / den  # type: ignore[operator]
-    if coeff == 0:
-        return ()
-    return (term(coeff, hyp(hs)),)
-
-
-def _terms_th15_main(rest_upper: Vec, lower: Vec, r_int: int, n: int) -> tuple[Term, ...]:
-    # the Th1-1 exceptional term at a1 = 1, which cancels its n-r+1 pair
-    t = theorem_exceptional_term((_ONE,) + rest_upper, lower, r_int, n)
-    return () if t is None else (t,)
-
-
-def _terms_th15_negative(rest_upper: Vec, lower: Vec, r_int: int, n: int) -> tuple[Term, ...]:
-    out = list(_terms_th15_main(rest_upper, lower, r_int, n))
-    g = theorem_general_term((_ONE,) + rest_upper, lower, param(r_int), n)
-    if g is not None:
-        out.append(g)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# literal corollary RHS builders
-#
-# Written out at the corollary's own parameters, independently of the
-# theorem-line builders above.  Every corollary has the single lower
-# parameter c.
 
 
 def _kummer_general(amap: ArgMap, upper: Vec, p: dict) -> Optional[Term]:
@@ -273,26 +208,6 @@ def _kummer_exceptional(amap: ArgMap, upper: Vec, p: dict) -> Optional[Term]:
     validate_spec(hs)
     pre = (pow1mz(-(n + 1)),) if amap is ArgMap.PFAFF else ()
     return term(coeff, *pre, hyp(hs, amap))
-
-
-def _kummer_terms(amap: ArgMap, upper: Vec, p: dict, branch: RBranch) -> tuple[Term, ...]:
-    """The Th1-1-shape case line of ``branch`` at the argument ``amap``."""
-    return line_terms(
-        branch,
-        lambda: _kummer_general(amap, upper, p),
-        lambda: _kummer_exceptional(amap, upper, p),
-    )
-
-
-def _th15_terms(
-    main: Callable[[dict], Term], amap: ArgMap, upper: Vec, p: dict, branch: RBranch
-) -> tuple[Term, ...]:
-    """A Th1-5-shape case line: the main term, plus on the negative line the
-    general term at ``amap``."""
-    terms = [main(p)]
-    if branch is RBranch.NEGATIVE_INTEGER:
-        terms.append(_kummer_general(amap, upper, p))
-    return tuple(t for t in terms if t is not None)
 
 
 def _co14_exceptional(p: dict) -> Term:
@@ -497,46 +412,40 @@ def _transform_k3(e: Expr, r: complex, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 # the family table
 #
-# A theorem family is a function of its (upper, lower) vectors: the terms of
-# its case lines, which branch on the exponent r, or on r = c-1 for the Th1-4
-# shape, whose lines are named regular (the general rule) and exceptional.
-# The builders are looked up when called, so they can be swapped in tests.
+# A theorem family is a pair of term builders over its (upper, lower)
+# vectors: the term of the general line (the regular line of the Th1-4
+# shape, whose lines branch on r = c-1, or the one line of a single-line
+# family) and the term of the exceptional line.  ``line_terms`` decides which
+# of the two a case line carries.  The builders look up the ``identities``
+# functions when called, so they can be swapped in tests.
+
+TermBuilder = Callable[..., Optional[Term]]
 
 
 @dataclass(frozen=True)
 class _Theorem:
     var: Optional[str]  # 'r', 'c' or None: the parameter the lines branch on
     branches: tuple[Optional[RBranch], ...]
-    terms: Callable[[Vec, Vec, dict, Optional[RBranch]], tuple[Term, ...]]
+    general: TermBuilder  # (upper, lower, params)
+    exceptional: Optional[TermBuilder] = None
 
 
 _ALL = tuple(RBranch)
 
 _TH11 = _Theorem(
     "r", _ALL,
-    lambda up, lo, p, b: _branch_terms(HypSpec(up, lo), p["r"], p["n"], b),
+    lambda up, lo, p: theorem_general_term(up, lo, p["r"], p["n"]),
+    lambda up, lo, p: theorem_exceptional_term(up, lo, p["r"].exact, p["n"]),
 )
-_TH12 = _Theorem(
-    None, (None,),
-    lambda up, lo, p, b: _terms_th12(up, lo, p["n"]),
-)
-_TH13 = _Theorem(
-    None, (None,),
-    lambda up, lo, p, b: _terms_th13(up[0], up[1:], lo, p["n"]),
-)
+_TH12 = _Theorem(None, (None,), lambda up, lo, p: theorem2_term(up, lo, p["n"]))
+_TH13 = _Theorem(None, (None,), lambda up, lo, p: theorem3_term(up, lo, p["n"]))
 _TH14 = _Theorem(
     "c", (RBranch.GENERAL, RBranch.EXCEPTIONAL),
-    lambda up, lo, p, b: (
-        _terms_th14_regular if b is RBranch.GENERAL else _terms_th14_exceptional
-    )(up, lo, p["n"]),
+    lambda up, lo, p: theorem4_regular_term(up, lo, p["n"]),
+    lambda up, lo, p: theorem4_exceptional_term(up, lo, p["n"]),
 )
-# upper vectors exclude the leading parameter 1
-_TH15 = _Theorem(
-    "r", (RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER),
-    lambda up, lo, p, b: (
-        _terms_th15_main if b is RBranch.EXCEPTIONAL else _terms_th15_negative
-    )(up, lo, p["r"].exact, p["n"]),
-)
+# the Th1-1 terms at upper vectors that lead with the parameter 1
+_TH15 = replace(_TH11, branches=(RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER))
 
 
 @dataclass(frozen=True)
@@ -564,8 +473,10 @@ class _Family:
     # the theorem's (upper, lower) vectors at the family's parameters
     vectors: Callable[[dict], tuple[Vec, Vec]]
     lhs: Callable[[dict], Expr]
-    # literal corollary RHS; a theorem line is its own theorem's terms
-    rhs: Optional[Callable[[dict, Optional[RBranch]], tuple[Term, ...]]] = None
+    # a corollary's literal terms of its general and exceptional lines, over
+    # the params; a theorem family's lines are its theorem's terms
+    general: Optional[TermBuilder] = None
+    exceptional: Optional[TermBuilder] = None
     kind: Optional[str] = None  # corollary transform: 'k1', 'k2' or 'k3'
     r_min: int = 0  # least exact r of the exceptional line
     pfaff: tuple[RBranch, ...] = ()  # lines with a Pfaff-argument series
@@ -595,11 +506,6 @@ def _spec2f1(p: dict) -> HypSpec:
     return HypSpec((p["a"], p["b"]), (p["c"],))
 
 
-def _by_c(regular: Callable[[dict], Term], exceptional: Callable[[dict], Term]):
-    """Literal RHS of a Th1-4-shape family: one term per line."""
-    return lambda p, b: ((regular if b is RBranch.GENERAL else exceptional)(p),)
-
-
 _TABLE = (
     # ---- theorem lines (pFq exercised as 2F1 shapes) ----
     _Family(
@@ -621,27 +527,26 @@ _TABLE = (
     ),
     _Family(
         "Th1-5", _TH15, _Params(("a2", "b1")),
-        lambda p: ((p["a2"],), (p["b1"],)),
+        lambda p: ((_ONE, p["a2"]), (p["b1"],)),
         lambda p: expr(term(1, powz(p["r"]), hyp(HypSpec((_ONE, p["a2"]), (p["b1"],))))),
     ),
     # ---- corollary lines for e^{-z} 1F1(a;c;z) ----
     _Family(
         "Co1-1", _TH11, _CO1, _k1_vectors,
         lambda p: expr(term(1, powz(p["r"]), expz(-1), hyp(_spec11(p)))),
-        lambda p, b: _kummer_terms(ArgMap.NEGATE, (p["c"] - p["a"],), p, b),
+        lambda p: _kummer_general(ArgMap.NEGATE, (p["c"] - p["a"],), p),
+        lambda p: _kummer_exceptional(ArgMap.NEGATE, (p["c"] - p["a"],), p),
         kind="k1",
     ),
     _Family(
         "Co1-2", _TH12, _CO1, _k1_vectors,
         lambda p: expr(term(1, expz(-1), hyp(_spec11(p)))),
-        lambda p, b: (
-            term(
-                (-1) ** (p["n"] % 2)
-                * pochhammer(p["c"] - p["a"], p["n"])
-                / pochhammer(p["c"], p["n"]),
-                expz(-1),
-                hyp(HypSpec((p["a"],), (p["c"] + p["n"],))),
-            ),
+        lambda p: term(
+            (-1) ** (p["n"] % 2)
+            * pochhammer(p["c"] - p["a"], p["n"])
+            / pochhammer(p["c"], p["n"]),
+            expz(-1),
+            hyp(HypSpec((p["a"],), (p["c"] + p["n"],))),
         ),
         kind="k1",
     ),
@@ -650,34 +555,31 @@ _TABLE = (
         lambda p: expr(
             term(1, powz((p["c"] - p["a"]) + (p["n"] - 1)), expz(-1), hyp(_spec11(p)))
         ),
-        lambda p, b: (
-            term(
-                pochhammer(p["c"] - p["a"], p["n"]),
-                powz((p["c"] - p["a"]) - 1),
-                expz(-1),
-                hyp(HypSpec((p["a"] - p["n"],), (p["c"],))),
-            ),
+        lambda p: term(
+            pochhammer(p["c"] - p["a"], p["n"]),
+            powz((p["c"] - p["a"]) - 1),
+            expz(-1),
+            hyp(HypSpec((p["a"] - p["n"],), (p["c"],))),
         ),
         kind="k1",
     ),
     _Family(
         "Co1-4", _TH14, _CO1, _k1_vectors,
         lambda p: expr(term(1, powz(p["c"] - 1), expz(-1), hyp(_spec11(p)))),
-        _by_c(
-            lambda p: term(
-                pochhammer(p["c"] - p["n"], p["n"]),
-                powz(p["c"] - (p["n"] + 1)),
-                expz(-1),
-                hyp(HypSpec((p["a"] - p["n"],), (p["c"] - p["n"],))),
-            ),
-            _co14_exceptional,
+        lambda p: term(
+            pochhammer(p["c"] - p["n"], p["n"]),
+            powz(p["c"] - (p["n"] + 1)),
+            expz(-1),
+            hyp(HypSpec((p["a"] - p["n"],), (p["c"] - p["n"],))),
         ),
+        _co14_exceptional,
         kind="k1",
     ),
     _Family(
-        "Co1-5", _TH15, _CO1, lambda p: ((), (p["c"],)),
+        "Co1-5", _TH15, _CO1, lambda p: ((_ONE,), (p["c"],)),
         lambda p: expr(term(1, powz(p["r"]), expz(-1), hyp(HypSpec((p["c"] - 1,), (p["c"],))))),
-        lambda p, b: _th15_terms(_co15_main, ArgMap.NEGATE, (_ONE,), p, b),
+        lambda p: _kummer_general(ArgMap.NEGATE, (_ONE,), p),
+        _co15_main,
         kind="k1", r_min=1,
     ),
     # ---- corollary lines for prefactored 2F1 ----
@@ -688,7 +590,8 @@ _TABLE = (
             lambda p: expr(
                 term(1, powz(p["r"]), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
             ),
-            lambda p, b: _kummer_terms(ArgMap.IDENTITY, (p["c"] - p["a"], p["c"] - p["b"]), p, b),
+            lambda p: _kummer_general(ArgMap.IDENTITY, (p["c"] - p["a"], p["c"] - p["b"]), p),
+            lambda p: _kummer_exceptional(ArgMap.IDENTITY, (p["c"] - p["a"], p["c"] - p["b"]), p),
             kind="k2",
         ),
         _Family(
@@ -696,7 +599,8 @@ _TABLE = (
             lambda p: expr(
                 term(1, powz(p["r"]), pow1mz((p["a"] - p["r"]) + (p["n"] - 1)), hyp(_spec2f1(p)))
             ),
-            lambda p, b: _kummer_terms(ArgMap.PFAFF, (p["a"], p["c"] - p["b"]), p, b),
+            lambda p: _kummer_general(ArgMap.PFAFF, (p["a"], p["c"] - p["b"]), p),
+            lambda p: _kummer_exceptional(ArgMap.PFAFF, (p["a"], p["c"] - p["b"]), p),
             kind="k3", pfaff=_ALL,
         ),
     ),
@@ -710,42 +614,36 @@ _TABLE = (
                 hyp(_spec2f1(p)),
             )
         ),
-        lambda p, b: (
-            term(
-                pochhammer(p["c"] - p["a"], p["n"]),
-                powz((p["c"] - p["a"]) - 1),
-                pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-                hyp(HypSpec((p["a"] - p["n"], p["b"]), (p["c"],))),
-            ),
+        lambda p: term(
+            pochhammer(p["c"] - p["a"], p["n"]),
+            powz((p["c"] - p["a"]) - 1),
+            pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
+            hyp(HypSpec((p["a"] - p["n"], p["b"]), (p["c"],))),
         ),
         kind="k2",
     ),
     _Family(
         "Co2-4", _TH12, _CO2, _k2_vectors,
         lambda p: expr(term(1, pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))),
-        lambda p, b: (
-            term(
-                pochhammer(p["c"] - p["a"], p["n"])
-                * pochhammer(p["c"] - p["b"], p["n"])
-                / pochhammer(p["c"], p["n"]),
-                pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-                hyp(HypSpec((p["a"], p["b"]), (p["c"] + p["n"],))),
-            ),
+        lambda p: term(
+            pochhammer(p["c"] - p["a"], p["n"])
+            * pochhammer(p["c"] - p["b"], p["n"])
+            / pochhammer(p["c"], p["n"]),
+            pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
+            hyp(HypSpec((p["a"], p["b"]), (p["c"] + p["n"],))),
         ),
         kind="k2",
     ),
     _Family(
         "Co2-5", _TH12, _CO2, _k3_vectors,
         lambda p: expr(term(1, pow1mz(p["a"] + (p["n"] - 1)), hyp(_spec2f1(p)))),
-        lambda p, b: (
-            term(
-                (-1) ** (p["n"] % 2)
-                * pochhammer(p["a"], p["n"])
-                * pochhammer(p["c"] - p["b"], p["n"])
-                / pochhammer(p["c"], p["n"]),
-                pow1mz(p["a"] - 1),
-                hyp(HypSpec((p["a"] + p["n"], p["b"]), (p["c"] + p["n"],))),
-            ),
+        lambda p: term(
+            (-1) ** (p["n"] % 2)
+            * pochhammer(p["a"], p["n"])
+            * pochhammer(p["c"] - p["b"], p["n"])
+            / pochhammer(p["c"], p["n"]),
+            pow1mz(p["a"] - 1),
+            hyp(HypSpec((p["a"] + p["n"], p["b"]), (p["c"] + p["n"],))),
         ),
         kind="k3",
     ),
@@ -754,15 +652,13 @@ _TABLE = (
         lambda p: expr(
             term(1, powz(p["c"] - 1), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
         ),
-        _by_c(
-            lambda p: term(
-                pochhammer(p["c"] - p["n"], p["n"]),
-                powz(p["c"] - (p["n"] + 1)),
-                pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-                hyp(HypSpec((p["a"] - p["n"], p["b"] - p["n"]), (p["c"] - p["n"],))),
-            ),
-            _co26_exceptional,
+        lambda p: term(
+            pochhammer(p["c"] - p["n"], p["n"]),
+            powz(p["c"] - (p["n"] + 1)),
+            pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
+            hyp(HypSpec((p["a"] - p["n"], p["b"] - p["n"]), (p["c"] - p["n"],))),
         ),
+        _co26_exceptional,
         kind="k2",
     ),
     _Family(
@@ -770,28 +666,27 @@ _TABLE = (
         lambda p: expr(
             term(1, powz(p["c"] - 1), pow1mz((p["a"] - p["c"]) + p["n"]), hyp(_spec2f1(p)))
         ),
-        _by_c(
-            lambda p: term(
-                pochhammer(p["c"] - p["n"], p["n"]),
-                powz(p["c"] - (p["n"] + 1)),
-                pow1mz(p["a"] - p["c"]),
-                hyp(HypSpec((p["a"], p["b"] - p["n"]), (p["c"] - p["n"],))),
-            ),
-            _co27_exceptional,
+        lambda p: term(
+            pochhammer(p["c"] - p["n"], p["n"]),
+            powz(p["c"] - (p["n"] + 1)),
+            pow1mz(p["a"] - p["c"]),
+            hyp(HypSpec((p["a"], p["b"] - p["n"]), (p["c"] - p["n"],))),
         ),
+        _co27_exceptional,
         kind="k3",
     ),
     # Co2-8..Co2-10: 2F1 with one parameter pinned (b = c-1 or a1 = 1)
     _Family(
-        "Co2-8", _TH15, _CO1, lambda p: ((p["c"] - p["a"],), (p["c"],)),
+        "Co2-8", _TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
         lambda p: expr(
             term(1, powz(p["r"]), pow1mz(p["a"] - 1), hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))))
         ),
-        lambda p, b: _th15_terms(_co28_main, ArgMap.IDENTITY, (_ONE, p["c"] - p["a"]), p, b),
+        lambda p: _kummer_general(ArgMap.IDENTITY, (_ONE, p["c"] - p["a"]), p),
+        _co28_main,
         kind="k2", r_min=1,
     ),
     _Family(
-        "Co2-9", _TH15, _CO1, lambda p: ((p["a"],), (p["c"],)),
+        "Co2-9", _TH15, _CO1, lambda p: ((_ONE, p["a"]), (p["c"],)),
         lambda p: expr(
             term(
                 1,
@@ -800,11 +695,12 @@ _TABLE = (
                 hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))),
             )
         ),
-        lambda p, b: _th15_terms(_co29_main, ArgMap.PFAFF, (_ONE, p["a"]), p, b),
+        lambda p: _kummer_general(ArgMap.PFAFF, (_ONE, p["a"]), p),
+        _co29_main,
         kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
     ),
     _Family(
-        "Co2-10", _TH15, _CO1, lambda p: ((p["c"] - p["a"],), (p["c"],)),
+        "Co2-10", _TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
         lambda p: expr(
             term(
                 1,
@@ -813,7 +709,8 @@ _TABLE = (
                 hyp(HypSpec((_ONE, p["a"]), (p["c"],))),
             )
         ),
-        lambda p, b: _th15_terms(_co210_main, ArgMap.PFAFF, (_ONE, p["c"] - p["a"]), p, b),
+        lambda p: _kummer_general(ArgMap.PFAFF, (_ONE, p["c"] - p["a"]), p),
+        _co210_main,
         kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
     ),
 )
@@ -868,10 +765,20 @@ def _draw(fam: _Family, branch: Optional[RBranch], rng: random.Random) -> dict:
     return p
 
 
+def _line(branch: Optional[RBranch], builders: _Theorem | _Family, *args) -> Expr:
+    """The case line of ``branch`` from the general and exceptional term
+    builders of ``builders``, called on ``args``; the one line of a
+    single-line family carries its general term."""
+    general, exceptional = builders.general, builders.exceptional
+    return Expr(
+        line_terms(branch or RBranch.GENERAL, lambda: general(*args), lambda: exceptional(*args))
+    )
+
+
 def _literal(fam: _Family, branch: Optional[RBranch], p: dict) -> Expr:
-    if fam.rhs is not None:
-        return Expr(fam.rhs(p, branch))
-    return Expr(fam.theorem.terms(*fam.vectors(p), p, branch))
+    if fam.general is None:
+        return _line(branch, fam.theorem, *fam.vectors(p), p)
+    return _line(branch, fam, p)
 
 
 def _entry(fam: _Family, branch: Optional[RBranch]) -> IdentityEntry:
@@ -918,8 +825,7 @@ def theorem_composition(entry_id: str, params: dict) -> Expr:
     if source is None:
         raise KeyError(f"no composition recorded for {entry_id}")
     fam, branch = source
-    up, lo = fam.vectors(params)
-    base = Expr(fam.theorem.terms(up, lo, params, branch))
+    base = _line(branch, fam.theorem, *fam.vectors(params), params)
     # the Euler substitution keeps the argument; the other two need the
     # z-power r of the row's LHS for the phase
     if fam.kind == "k2":

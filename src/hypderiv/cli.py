@@ -238,3 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

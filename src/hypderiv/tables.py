@@ -80,9 +80,8 @@ def _sweep_f_l(c: float) -> float:
     return nth_derivative(lhs, TABLE_N, _Z_F, _SWEEP_CTRL).real
 
 
-# f_R1 and f_R2 continue the catalog lines to real c (f_R2 by Gamma ratios).
-# At float integer c <= 4 the regular line would drop its term, whose (c-4)_4
-# vanishes, and return 0, where the sweep reports the pole of its series.
+# f_R1 and f_R2 continue the catalog lines to real c (f_R2 by Gamma ratios);
+# at float integer c <= 4 the sweep reports the pole of f_R1's series.
 
 
 def _sweep_f_r1(c: float) -> float:

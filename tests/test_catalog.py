@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,11 +23,18 @@ from hypderiv.catalog import (
     verify_entry,
 )
 from hypderiv.core import EvalControl, HypSpec, param
-from hypderiv.errors import NoConvergence, NotApplicable, SingularLowerParameter
+from hypderiv.errors import (
+    NoConvergence,
+    NotApplicable,
+    SingularCoefficient,
+    SingularLowerParameter,
+)
 from hypderiv.expressions import (
     ArgMap,
+    Expr,
     Hyp,
     PowOneMinusZ,
+    PowZ,
     Term,
     eval_expr,
     expr,
@@ -36,6 +44,7 @@ from hypderiv.expressions import (
     powz,
     term,
 )
+from hypderiv.identities import reduce_cancellation, specialize, theorem1_rhs
 
 CTRL = EvalControl(rel_tol=1e-16)
 A, B = param(0.5), param(2 / 3)
@@ -168,18 +177,33 @@ class TestEntryValues:
 
     def test_th15_lines_agree_at_r_zero(self):
         # the extra term of the negative line carries (1-n)_n = 0
-        from hypderiv.catalog import _terms_th15_main, _terms_th15_negative
         from hypderiv.core import pochhammer
-        from hypderiv.expressions import Expr
 
         rng = random.Random(15)
         for _ in range(10):
             p = entry("Th1-5-exceptional").draw(rng)
+            p["r"] = param(0)
             n = p["n"]
             assert pochhammer(1 - n, n) == 0
-            main = Expr(_terms_th15_main((p["a2"],), (p["b1"],), 0, n))
-            neg = Expr(_terms_th15_negative((p["a2"],), (p["b1"],), 0, n))
+            main = entry("Th1-5-exceptional").rhs(p)
+            neg = entry("Th1-5-negative").rhs(p)
             assert rel_err(eval_expr(main, 0.4), eval_expr(neg, 0.4)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "entry_id, p",
+        [
+            ("Th1-1-general", {"a1": A, "a2": B, "b1": param(1.5), "r": param(2.0), "n": 4}),
+            ("Th1-4-regular", {"a1": A, "a2": B, "c": param(2.0), "n": 4}),
+        ],
+    )
+    def test_vanishing_general_prefactor_raises(self, entry_id, p):
+        # at a numeric whole-number r (or c) the general prefactor vanishes
+        # where its series has a pole; the derivative is not 0
+        e = entry(entry_id)
+        assert e.applicable(p)
+        assert abs(nth_derivative(e.lhs(p), p["n"], 0.3)) > 1
+        with pytest.raises(SingularCoefficient):
+            e.rhs(p)
 
     def test_co2_5_closed_form(self):
         # d/dz[(1-z) 2F1(1,1;2;z)] = d/dz[-(1-z)log(1-z)/z] = 2 - 4 log 2 at z=1/2
@@ -274,7 +298,7 @@ class TestCorollaryComposition:
                     assert rel_err(eval_expr(co, z0), eval_expr(th, z0)) < 1e-10
 
 
-CATALOG_FINGERPRINT = "7d5442e6dba0144339ecc727086e19839543041ad57e72fc408942609e2ab981"
+CATALOG_FINGERPRINT = "dbc6f26d066f763ea35ce7e2165ea88b97d2f3bbceb5ccd0fc66564c4d392201"
 CO2_1_RHS_FINGERPRINT = "147b04606bbee9d64bf67833a0ebcc7a4b793fcd39bb594f07b52f4480ed324a"
 
 
@@ -312,7 +336,8 @@ class TestFingerprint:
     factors in a different order from the Th1-1 builder its composition
     uses, so its coefficients differ from that builder's in the last bits.
     Everything else hashes as it did when the catalog listed every case line
-    by hand.
+    by hand, but for term order: the five Th1-5-shape negative lines list the
+    general term first, as ``line_terms`` does.
     """
 
     def test_catalog_fingerprint(self):
@@ -343,9 +368,7 @@ def _scaled(builder):
         out = builder(*args, **kwargs)
         if out is None:
             return None
-        if isinstance(out, Term):
-            return Term(out.coeff * 1.5, out.factors)
-        return tuple(Term(t.coeff * 1.5, t.factors) for t in out)
+        return Term(out.coeff * 1.5, out.factors)
 
     return scaled
 
@@ -356,11 +379,10 @@ THEOREM_BUILDERS = (
     (identities, "theorem_exceptional_term"),
     (catalog, "theorem_general_term"),
     (catalog, "theorem_exceptional_term"),
-    (catalog, "_terms_th12"),
-    (catalog, "_terms_th13"),
-    (catalog, "_terms_th14_regular"),
-    (catalog, "_terms_th14_exceptional"),
-    (catalog, "_terms_th15_main"),
+    (catalog, "theorem2_term"),
+    (catalog, "theorem3_term"),
+    (catalog, "theorem4_regular_term"),
+    (catalog, "theorem4_exceptional_term"),
 )
 
 
@@ -376,3 +398,104 @@ class TestCompositionIsIndependent:
             monkeypatch.setattr(module, name, _scaled(getattr(module, name)))
         unaffected = [cid for cid in ids if _composition_error(cid) <= 1e-10]
         assert unaffected == []
+
+
+def _reduced_th11(spec: HypSpec, r, n: int) -> str:
+    """The Th1-1 line at r with every series reduced, as text."""
+    terms = theorem1_rhs(spec, r, n).rhs.terms
+    return format_expr(
+        Expr(
+            tuple(
+                Term(
+                    t.coeff,
+                    tuple(
+                        Hyp(reduce_cancellation(f.spec), f.map) if isinstance(f, Hyp) else f
+                        for f in t.factors
+                    ),
+                )
+                for t in terms
+            )
+        )
+    )
+
+
+def _theorem_line_mismatches() -> set[str]:
+    """Ids of the literal theorem lines that differ from Th1-1 reduced at
+    their r, at exact parameters and n = 1..5.  The Th1-4 lines skip
+    c = n+1, the r = n overlap where Th1-1 gives the general line."""
+    a1, a2 = param(Fraction(1, 3)), param(Fraction(-5, 7))
+    b, c = param(Fraction(2, 5)), param(Fraction(11, 3))
+    cases = []
+    for n in range(1, 6):
+        th = {"a1": a1, "a2": a2, "b1": b, "n": n}
+        cases += [("Th1-2", th, (b,), param(0)), ("Th1-3", th, (b,), a1 + (n - 1))]
+        cases.append(("Th1-4-regular", {"a1": a1, "a2": a2, "c": c, "n": n}, (c,), c - 1))
+        for ci in range(1, n + 1):
+            p = {"a1": a1, "a2": a2, "c": param(ci), "n": n}
+            cases.append(("Th1-4-exceptional", p, (param(ci),), param(ci - 1)))
+    return {
+        eid
+        for eid, p, lower, r in cases
+        if format_expr(entry(eid).rhs(p)) != _reduced_th11(HypSpec((a1, a2), lower), r, p["n"])
+    }
+
+
+_LINE_BUILDERS = {
+    "theorem2_term": "Th1-2",
+    "theorem3_term": "Th1-3",
+    "theorem4_regular_term": "Th1-4-regular",
+    "theorem4_exceptional_term": "Th1-4-exceptional",
+}
+
+
+class TestTheoremLinesAgainstTh11:
+    """Each literal theorem line is Th1-1 at its r with the equal
+    upper/lower pairs cancelled, exactly."""
+
+    def test_lines_equal_reduced_th11(self):
+        assert _theorem_line_mismatches() == set()
+
+    @pytest.mark.parametrize("builder", sorted(_LINE_BUILDERS))
+    def test_a_scaled_builder_fails(self, monkeypatch, builder):
+        monkeypatch.setattr(catalog, builder, _scaled(getattr(catalog, builder)))
+        assert _theorem_line_mismatches() == {_LINE_BUILDERS[builder]}
+
+
+# where specialize names another line than the entry's, the parameters sit
+# on an overlap of two lines: (entry id, specialize's line) -> the overlap
+_OVERLAPS = {
+    ("Th1-1-exceptional", "Th1-1-general"): lambda r, n: r.exact == n,
+    ("Th1-1-exceptional", "Th1-2"): lambda r, n: r.exact == 0,
+    ("Th1-4-exceptional", "Th1-4-regular"): lambda r, n: r.exact == n,  # c = n+1
+    ("Th1-5-exceptional", "Th1-2"): lambda r, n: r.exact == 0,
+    ("Th1-5-exceptional", "Th1-3"): lambda r, n: r.exact == n,  # upper 1 = r-n+1
+}
+
+
+class TestSpecializeAgainstCatalog:
+    """``specialize`` at the spec and r of each theorem-line LHS builds the
+    entry's own RHS wherever it names the entry's line."""
+
+    def test_named_lines_match_the_catalog(self):
+        matched = 0
+        for e in catalog_entries()[:9]:
+            assert e.id.startswith("Th1-")
+            rng = random.Random(f"0:{e.id}")
+            for _ in range(200):
+                p = e.draw(rng)
+                n = p["n"]
+                factors = e.lhs(p).terms[0].factors
+                spec = next(f.spec for f in factors if isinstance(f, Hyp))
+                r = next((f.alpha for f in factors if isinstance(f, PowZ)), param(0))
+                form = specialize(spec, r, n)
+                line = f"Th1-1-{form.branch.value}" if form.name == "Th1-1" else form.name
+                line = line.replace("negative-integer", "negative")
+                if line == e.id:
+                    matched += 1
+                    assert format_expr(form.rhs) == format_expr(e.rhs(p)), (e.id, p)
+                    continue
+                assert _OVERLAPS[(e.id, line)](r, n), (e.id, line, p)
+                for z0 in e.z_points:
+                    got, want = eval_expr(form.rhs, z0), eval_expr(e.rhs(p), z0)
+                    assert rel_err(got, want) < 1e-10, (e.id, line, p, z0)
+        assert matched > 1400

@@ -1,5 +1,10 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hypderiv import cli
@@ -188,6 +193,28 @@ class TestFigure1:
         main(["figure1", "--c-min", "1", "--c-max", "2", "--step", "0.25", "--out", "-"])
         b = capsys.readouterr().out
         assert a == b
+
+
+class TestModuleRun:
+    """``python -m hypderiv.cli`` runs the command, exit code included."""
+
+    @staticmethod
+    def _run(*args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run(
+            [sys.executable, "-m", "hypderiv.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_verify_runs(self):
+        done = self._run("verify", "--identity", "Th1-2", "--trials", "2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "all passed (1 entries)"
+
+    def test_unknown_identity_exit_2(self):
+        assert self._run("verify", "--identity", "nope").returncode == 2
 
 
 class TestVerify:

@@ -15,7 +15,7 @@ from hypderiv.core import (
     pochhammer_vec,
     validate_spec,
 )
-from hypderiv.errors import SingularLowerParameter
+from hypderiv.errors import SingularCoefficient, SingularLowerParameter
 from hypderiv.expressions import (
     Hyp,
     eval_expr,
@@ -317,8 +317,8 @@ class TestSpecialize:
         assert rel(lv, eval_expr(f.rhs, 0.4)) < 1e-12
 
     def test_th13_numeric_source_cancels(self):
-        # float shift arithmetic does not round-trip for a1 = 2/3; the
-        # source-aliased slot still cancels
+        # float shift arithmetic does not round-trip for a1 = 2/3; the line
+        # is built from a1 itself, so no shifted pair is left to cancel
         a1 = param(2 / 3)
         spec = HypSpec((a1, param(0.25)), (param(1.6),))
         r = a1 + 3
@@ -357,6 +357,26 @@ class TestSpecialize:
             sp = specialize(spec, r, n)
             for z0 in (0.2, 0.7):
                 assert rel(eval_expr(th.rhs, z0), eval_expr(sp.rhs, z0)) < 1e-12
+
+
+class TestVanishingGeneralPrefactor:
+    """At a numeric whole-number r the general prefactor (r-n+1)_n, or
+    (c-n)_n at r = c-1, vanishes where its series has a pole: the line
+    raises instead of dropping its one term, which read as a derivative 0."""
+
+    def test_theorem1_rhs(self):
+        spec = HypSpec.of([0.5], [2.5])
+        lhs = expr(term(1, powz(2.0), hyp(spec)))
+        assert abs(nth_derivative(lhs, 4, 0.3)) > 1
+        with pytest.raises(SingularCoefficient):
+            theorem1_rhs(spec, 2.0, 4)
+
+    def test_specialize_th14_regular(self):
+        spec = HypSpec.of([0.5, 0.7], [2.0])
+        lhs = expr(term(1, powz(1.0), hyp(spec)))
+        assert abs(nth_derivative(lhs, 4, 0.3)) > 1
+        with pytest.raises(SingularCoefficient):
+            specialize(spec, 1.0, 4)
 
 
 class TestSingularRegularBranch:
