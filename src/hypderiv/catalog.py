@@ -862,14 +862,13 @@ def verify_entry(
     for _ in range(trials):
         p = e.draw(rng)
         lhs_e = e.lhs(p)
-        rhs_e = e.rhs(p)
         for z0 in e.z_points:
             try:
                 lv = nth_derivative(lhs_e, p["n"], z0, ctrl)
-                rv = eval_expr(rhs_e, z0, ctrl)
+                rv = eval_expr(e.rhs(p), z0, ctrl)
                 err = rel_err(lv, rv)
             except HypDerivError as exc:
-                # a point either side cannot evaluate fails, with the error
+                # a point either side cannot build or evaluate fails, with the error
                 # in place of the two values
                 lv, rv, err = exc, None, math.inf
             # a point fails unless its error is known to be within tol: a

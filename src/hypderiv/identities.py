@@ -262,7 +262,7 @@ def specialize(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
     exact upper parameter 1 (Th1-5, exceptional or negative).  With none,
     the line is Th1-1's for the branch of r.  The matched parameter moves
     to the front and the line is built by the same builders the catalog
-    uses for it, so no upper/lower pair is left to cancel.
+    uses for it.  An upper/lower pair already equal in ``spec`` is kept.
     """
     r = param(r)
     validate_spec(spec)
@@ -280,6 +280,8 @@ def specialize(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
     if b_idx is not None and branch is not RBranch.NEGATIVE_INTEGER:
         name = "Th1-4-regular" if branch is RBranch.GENERAL else "Th1-4-exceptional"
         lower = _to_front(lower, b_idx)
+        if branch is RBranch.EXCEPTIONAL:  # a numeric b = r+1 becomes the exact c
+            lower = (param(r.integer + 1),) + lower[1:]  # type: ignore[operator]
         general = lambda: theorem4_regular_term(upper, lower, n)
         exceptional = lambda: theorem4_exceptional_term(upper, lower, n)
     elif branch is RBranch.EXCEPTIONAL and r.exact == 0:

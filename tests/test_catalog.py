@@ -243,6 +243,19 @@ class TestVerifyDriver:
         assert len(r.failures) == 2 * len(e.z_points)
         assert all(isinstance(f[2], NoConvergence) and f[3] is None for f in r.failures)
 
+    def test_unbuildable_rhs_fails_the_draw(self):
+        # at a numeric whole-number r the general line raises
+        # SingularCoefficient: every point of the draw fails, and the run
+        # goes on
+        def draw(rng):
+            return {"n": 4, "a1": param(0.5), "a2": param(0.7), "b1": param(1.3), "r": param(2.0)}
+
+        e = dataclasses.replace(entry("Th1-1-general"), draw=draw)
+        r = verify_entry(e, trials=2, seed=0)
+        assert not r.passed and r.max_rel_err == math.inf
+        assert len(r.failures) == 2 * len(e.z_points)
+        assert all(isinstance(f[2], SingularCoefficient) and f[3] is None for f in r.failures)
+
     def test_csv_shape(self):
         reports = [verify_entry(entry("Th1-2"), trials=5, seed=0)]
         text = reports_to_csv(reports)

@@ -336,6 +336,23 @@ class TestSpecialize:
         h = next(x for x in f.rhs.terms[0].factors if isinstance(x, Hyp))
         assert h.spec.p == 2 and h.spec.q == 1
 
+    def test_th14_exceptional_numeric_lower(self):
+        # a numeric lower 3.0 at the exact r = 2 reads as the exact c = 3
+        spec = HypSpec.of([0.3, 0.8], [3.0])
+        f = specialize(spec, param(2), 4)
+        assert f.name == "Th1-4-exceptional"
+        lhs = expr(term(1, powz(param(2)), hyp(spec)))
+        for z0 in (0.2, 0.7):
+            assert rel(nth_derivative(lhs, 4, z0, CTRL), eval_expr(f.rhs, z0, CTRL)) < 1e-12
+
+    def test_pair_in_spec_is_kept(self):
+        spec = HypSpec.of([0.3, 0.8], [0.8])
+        f = specialize(spec, param(0.45), 3)
+        h = next(x for x in f.rhs.terms[0].factors if isinstance(x, Hyp))
+        assert h.spec.p == 3 and h.spec.q == 2
+        reduced = reduce_cancellation(h.spec)
+        assert reduced.p == 2 and reduced.q == 1
+
     def test_th15_names(self):
         f = specialize(HypSpec.of([1, 0.8], [1.9]), param(2), 3)
         assert f.name == "Th1-5-exceptional"
