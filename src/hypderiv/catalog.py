@@ -161,8 +161,9 @@ def _draw_exponent(rng: random.Random, branch: RBranch, n: int, r_min: int = 0) 
 # Written out at the corollary's own parameters, independently of the
 # theorem-line builders in ``identities``.  Every corollary has the single
 # lower parameter c.  Terms whose prefactor vanishes exactly are dropped (the
-# line loses a term); a vanishing Pochhammer denominator raises
-# SingularCoefficient.
+# line loses a term), but where it vanishes on a pole of its own series (at a
+# numeric whole-number r or c) it raises SingularCoefficient, as a vanishing
+# Pochhammer denominator does.
 
 
 def _nonzero(den: complex, name: str) -> complex:
@@ -180,6 +181,8 @@ def _kummer_general(amap: ArgMap, upper: Vec, p: dict) -> Optional[Term]:
     low0 = r + (1 - n)
     coeff = pochhammer(low0, n)
     if coeff == 0:
+        if r.exact is None:
+            raise SingularCoefficient("(r-n+1)_n vanishes at a pole of the general series")
         return None
     hs = HypSpec((r + 1,) + upper, (low0, c))
     validate_spec(hs)
@@ -208,6 +211,17 @@ def _kummer_exceptional(amap: ArgMap, upper: Vec, p: dict) -> Optional[Term]:
     validate_spec(hs)
     pre = (pow1mz(-(n + 1)),) if amap is ArgMap.PFAFF else ()
     return term(coeff, *pre, hyp(hs, amap))
+
+
+def _regular(p: dict, upper: Vec, *pre: Factor) -> Term:
+    """(c-n)_n z^{c-n-1} (pre) F(upper; c-n; z): the regular line of a
+    Th1-4-shape corollary.  The spec is checked first; a prefactor that
+    vanishes sits on a pole of the series."""
+    n, c = p["n"], p["c"]
+    hs = HypSpec(upper, (c - n,))
+    validate_spec(hs)
+    coeff = _nonzero(pochhammer(c - n, n), "(c-n)_n")
+    return term(coeff, powz(c - (n + 1)), *pre, hyp(hs))
 
 
 def _co14_exceptional(p: dict) -> Term:
@@ -544,7 +558,7 @@ _TABLE = (
         lambda p: term(
             (-1) ** (p["n"] % 2)
             * pochhammer(p["c"] - p["a"], p["n"])
-            / pochhammer(p["c"], p["n"]),
+            / _nonzero(pochhammer(p["c"], p["n"]), "(c)_n"),
             expz(-1),
             hyp(HypSpec((p["a"],), (p["c"] + p["n"],))),
         ),
@@ -566,12 +580,7 @@ _TABLE = (
     _Family(
         "Co1-4", _TH14, _CO1, _k1_vectors,
         lambda p: expr(term(1, powz(p["c"] - 1), expz(-1), hyp(_spec11(p)))),
-        lambda p: term(
-            pochhammer(p["c"] - p["n"], p["n"]),
-            powz(p["c"] - (p["n"] + 1)),
-            expz(-1),
-            hyp(HypSpec((p["a"] - p["n"],), (p["c"] - p["n"],))),
-        ),
+        lambda p: _regular(p, (p["a"] - p["n"],), expz(-1)),
         _co14_exceptional,
         kind="k1",
     ),
@@ -628,7 +637,7 @@ _TABLE = (
         lambda p: term(
             pochhammer(p["c"] - p["a"], p["n"])
             * pochhammer(p["c"] - p["b"], p["n"])
-            / pochhammer(p["c"], p["n"]),
+            / _nonzero(pochhammer(p["c"], p["n"]), "(c)_n"),
             pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
             hyp(HypSpec((p["a"], p["b"]), (p["c"] + p["n"],))),
         ),
@@ -641,7 +650,7 @@ _TABLE = (
             (-1) ** (p["n"] % 2)
             * pochhammer(p["a"], p["n"])
             * pochhammer(p["c"] - p["b"], p["n"])
-            / pochhammer(p["c"], p["n"]),
+            / _nonzero(pochhammer(p["c"], p["n"]), "(c)_n"),
             pow1mz(p["a"] - 1),
             hyp(HypSpec((p["a"] + p["n"], p["b"]), (p["c"] + p["n"],))),
         ),
@@ -652,11 +661,8 @@ _TABLE = (
         lambda p: expr(
             term(1, powz(p["c"] - 1), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
         ),
-        lambda p: term(
-            pochhammer(p["c"] - p["n"], p["n"]),
-            powz(p["c"] - (p["n"] + 1)),
-            pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"]),
-            hyp(HypSpec((p["a"] - p["n"], p["b"] - p["n"]), (p["c"] - p["n"],))),
+        lambda p: _regular(
+            p, (p["a"] - p["n"], p["b"] - p["n"]), pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"])
         ),
         _co26_exceptional,
         kind="k2",
@@ -666,12 +672,7 @@ _TABLE = (
         lambda p: expr(
             term(1, powz(p["c"] - 1), pow1mz((p["a"] - p["c"]) + p["n"]), hyp(_spec2f1(p)))
         ),
-        lambda p: term(
-            pochhammer(p["c"] - p["n"], p["n"]),
-            powz(p["c"] - (p["n"] + 1)),
-            pow1mz(p["a"] - p["c"]),
-            hyp(HypSpec((p["a"], p["b"] - p["n"]), (p["c"] - p["n"],))),
-        ),
+        lambda p: _regular(p, (p["a"], p["b"] - p["n"]), pow1mz(p["a"] - p["c"])),
         _co27_exceptional,
         kind="k3",
     ),

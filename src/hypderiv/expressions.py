@@ -4,7 +4,11 @@ An Expr is a sum of terms; each term is a scalar coefficient times factors
 drawn from z^alpha, (1-z)^alpha, e^{+-z} and a single pFq whose argument is
 z, -z or z/(z-1).  This covers every side of the differentiation identities
 handled by this package.  Expressions evaluate as Taylor jets, which is how
-n-th derivatives are obtained; the value at a point is the order-0 jet.
+n-th derivatives are obtained.  There is one term path: ``_term_jet`` forms a
+term's product jet in the field of the variable jet (complex, exact Fraction,
+or the 38-digit decimal of its own rerun), and ``_expr_jet`` sums the terms
+with each coefficient rounded once.  The value at a point, ``eval_expr``, is
+the order-0 coefficient of that sum.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .core import (
     HypSpec,
     ParamLike,
     Parameter,
-    csum,
     evaluate,  # not called here; kept for bench/tracing.HOOKS, which wraps this binding
     param,
 )
@@ -31,6 +34,7 @@ from .errors import BranchPointEvaluation
 from .jets import (
     _DEC_PREC,
     _cancelled,
+    COMPLEX,
     DECIMAL,
     FRACTION,
     Jet,
@@ -142,7 +146,7 @@ def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
         raise BranchPointEvaluation(f"power {alpha} at its branch point, a base value of 0")
     if k is not None:
         return jet_ipow(base, k)
-    return jet_pow(base, alpha.value)
+    return jet_pow(base, alpha.value if alpha.exact is None else alpha.exact)
 
 
 # For the extended-precision rerun of a poorly conditioned term the series
@@ -174,51 +178,50 @@ def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
     return jet_pfq(f.spec, arg, ctrl)
 
 
-def _term_product(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
-    """Unguarded product jet of one term over the field of ``var``: the
-    exact path, the decimal rerun and, at order 0, ``eval_expr``."""
-    acc = jet_constant(t.coeff, var.base_point, var.order, var.field)
+def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
+    """Product jet of one term over the field of ``var``, the variable jet.
+
+    In the complex field at order >= 1 a nonnegative magnitude convolution
+    is carried alongside the product; if its bound dwarfs a coefficient of
+    the result, the Leibniz sums cancelled heavily and the term is rerun
+    over the decimal variable jet at 38 digits.  A product of scalars (order
+    0) cannot cancel, and the other fields are the reruns and exact jets.
+    """
+    order = var.order
+    guard = order and var.field is COMPLEX
+    acc = jet_constant(t.coeff, var.base_point, order, var.field)
+    mags = [abs(complex(t.coeff))] + [0.0] * order if guard else None
     for f in t.factors:
-        acc = jet_mul(acc, _factor_jet(f, var, ctrl))
+        fj = _factor_jet(f, var, ctrl)
+        acc = jet_mul(acc, fj)
+        if guard:
+            fm = [abs(x) for x in fj.coeffs]
+            mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
+    if guard and any(map(_cancelled, mags, acc.coeffs)):
+        with localcontext() as cx:
+            cx.prec = _DEC_PREC
+            rerun = _term_jet(t, d_variable(var.base_point, order), ctrl)
+            return Jet(var.base_point, tuple(d_pair_to_complexes(rerun)))
     return acc
 
 
-def _term_jet_decimal(t: Term, z0: complex, order: int, ctrl: EvalControl) -> Jet:
-    with localcontext() as cx:
-        cx.prec = _DEC_PREC
-        return Jet(z0, tuple(d_pair_to_complexes(_term_product(t, d_variable(z0, order), ctrl))))
+def _expr_jet(e: Expr, var: Jet, ctrl: EvalControl) -> Jet:
+    """Sum of the term jets over the field of ``var``, each coefficient
+    rounded once (``csum`` in ``COMPLEX``, exact in ``FRACTION``).  A term
+    with coefficient 0 is skipped unevaluated; no term gives the zero jet."""
+    field = var.field
+    total = field.total or (lambda col: sum(col, field.zero))
+    jets = [_term_jet(t, var, ctrl).coeffs for t in e.terms if t.coeff != 0]
+    cols = zip(*jets) if jets else [()] * (var.order + 1)
+    return Jet(var.base_point, tuple(map(total, cols)), field)
 
 
-def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
-    """Product jet for one term, with a cancellation guard.
-
-    Alongside the product a nonnegative magnitude convolution is carried;
-    if its bound dwarfs a coefficient of the result, the Leibniz sums
-    cancelled heavily and the term is recomputed in extended precision.
+def eval_expr(e: Expr, z: Point, ctrl: Optional[EvalControl] = None) -> complex:
+    """Numeric value of the expression at z: the order-0 coefficient of its
+    complex jet, as ``eval_expr_jet`` sums it, so a complex also at a
+    ``Fraction`` z (one beyond the double range raises ``ValueError``).
     """
-    order = var.order
-    j = jet_constant(t.coeff, var.base_point, order)
-    mags = [abs(complex(t.coeff))] + [0.0] * order
-    for f in t.factors:
-        fj = _factor_jet(f, var, ctrl)
-        j = jet_mul(j, fj)
-        fm = [abs(x) for x in fj.coeffs]
-        mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
-    for i in range(order + 1):
-        if _cancelled(mags[i], j.coeffs[i]):
-            return _term_jet_decimal(t, var.base_point, order, ctrl)
-    return j
-
-
-def eval_expr(e: Expr, z: complex, ctrl: Optional[EvalControl] = None) -> complex:
-    """Numeric value of the expression at z: its order-0 jet, so each factor
-    is computed as ``eval_expr_jet`` computes it (a pFq through ``jet_pfq``,
-    with its cancellation guard and rerun).  A product of scalars cannot
-    cancel, so a term takes no product guard.  An empty expression gives 0.
-    """
-    ctrl = ctrl or DEFAULT_CONTROL
-    var = jet_variable(z, 0)
-    return csum([_term_product(t, var, ctrl).coeffs[0] for t in e.terms if t.coeff != 0])
+    return _expr_jet(e, jet_variable(z, 0), ctrl or DEFAULT_CONTROL).coeffs[0]
 
 
 def eval_expr_jet(e: Expr, z0: Point, order: int, ctrl: Optional[EvalControl] = None) -> Jet:
@@ -228,29 +231,14 @@ def eval_expr_jet(e: Expr, z0: Point, order: int, ctrl: Optional[EvalControl] = 
     series truncated 1e-34 below their sums, and non-integer powers, whose
     leading value is a double.
     """
-    ctrl = ctrl or DEFAULT_CONTROL
-    if isinstance(z0, Fraction):
-        var, term_jet = jet_variable(z0, order, FRACTION), _term_product
-    else:
-        var, term_jet = jet_variable(complex(z0), order), _term_jet
-    acc = jet_constant(0, var.base_point, order, var.field)
-    for t in e.terms:
-        if t.coeff == 0:
-            continue
-        acc = jet_add(acc, term_jet(t, var, ctrl))
-    return acc
+    var = jet_variable(z0, order, FRACTION if isinstance(z0, Fraction) else COMPLEX)
+    return _expr_jet(e, var, ctrl or DEFAULT_CONTROL)
 
 
 def nth_derivative(e: Expr, n: int, z0: Point, ctrl: Optional[EvalControl] = None) -> Point:
     """d^n/dz^n of the expression at z0, computed through jet arithmetic
     (a ``Fraction`` at a ``Fraction`` z0)."""
     return derivative(eval_expr_jet(e, z0, n, ctrl), n)
-
-
-def _fmt_complex(x: complex) -> str:
-    if x.imag == 0:
-        return repr(x.real)
-    return repr(x).strip("()")
 
 
 def format_expr(e: Expr) -> str:
@@ -269,7 +257,7 @@ def format_expr(e: Expr) -> str:
     """
     lines = []
     for t in e.terms:
-        toks = [_fmt_complex(complex(t.coeff))]
+        toks = [str(param(complex(t.coeff)))]
         for f in t.factors:
             if isinstance(f, PowZ):
                 toks += ["powz", str(f.alpha)]

@@ -211,7 +211,11 @@ class Field:
         is not finite (``ValueError``).  A nonterminating series raises
         ``DomainError`` unless w0 lies strictly inside its domain, or for a
         scalar w = [z] (an order-0 jet too) on a boundary point where it
-        converges.  Parameters enter through ``param``, exactly in
+        converges.  A numeric lower parameter at a whole number -K <= 0 then
+        raises ``PoleCoefficient`` (at the least such K), unless an exact
+        upper -m with m <= K ends the series first: the rule ``validate_spec``
+        applies to an exact lower, so the pole is reported wherever the stop
+        rule would land.  Parameters enter through ``param``, exactly in
         ``FRACTION``.  Returns ``pfq``'s result and the termination order.
         """
         m = validate_spec(spec)
@@ -223,6 +227,10 @@ class Field:
             if len(w) > 1 and cls not in _INSIDE:
                 msg = f"jet base value {w[0]} not strictly inside the convergence domain"
                 raise DomainError(msg)
+        lows = [b.value for b in spec.lower if b.exact is None]
+        poles = [-x.real for x in lows if not x.imag and x.real <= 0 and x.real.is_integer()]
+        if poles and (m is None or min(poles) < m):
+            raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={int(min(poles)) + 1}")
         param = self.param
         upper, lower = list(map(param, spec.upper)), list(map(param, spec.lower))
         return (*self.pfq(upper, lower, m, w, rel_tol, max_terms), m)
@@ -614,8 +622,9 @@ def jet_exp(a: Jet, sign: int = 1) -> Jet:
     return Jet(a.base_point, tuple(a.field.exp(a.coeffs, sign)), a.field)
 
 
-def jet_pow(a: Jet, alpha: complex) -> Jet:
-    """f**alpha on the principal branch via alpha * f' * g = f * g'."""
+def jet_pow(a: Jet, alpha: complex | Fraction) -> Jet:
+    """f**alpha on the principal branch via alpha * f' * g = f * g'; a
+    ``Fraction`` alpha enters ``FRACTION``'s recurrence exactly."""
     return Jet(a.base_point, tuple(a.field.pow(a.coeffs, alpha)), a.field)
 
 

@@ -24,6 +24,7 @@ from hypderiv.catalog import (
 )
 from hypderiv.core import EvalControl, HypSpec, param
 from hypderiv.errors import (
+    HypDerivError,
     NoConvergence,
     NotApplicable,
     SingularCoefficient,
@@ -204,6 +205,63 @@ class TestEntryValues:
         assert abs(nth_derivative(e.lhs(p), p["n"], 0.3)) > 1
         with pytest.raises(SingularCoefficient):
             e.rhs(p)
+
+    @pytest.mark.parametrize(
+        "entry_id, p, want",
+        [
+            ("Co1-1-general", {"c": 1.5, "r": 2.0}, 4.1419),
+            ("Co2-1-general", {"b": 0.3, "c": 1.7, "r": 2.0}, 133.10),
+            ("Co2-2-general", {"b": 0.3, "c": 1.7, "r": 2.0}, 10.234),
+            ("Co1-4-regular", {"c": 2.0}, -1.5588),
+            ("Co2-6-regular", {"b": 0.3, "c": 2.0}, 243.65),
+            ("Co2-7-regular", {"b": 0.3, "c": 2.0}, -7.3197),
+        ],
+    )
+    def test_vanishing_corollary_prefactor_raises(self, entry_id, p, want):
+        # the literal corollary lines drop no term at a numeric whole-number
+        # r or c: the prefactor vanishes on a pole of its series
+        p = {"a": param(0.5), "n": 4, **{k: param(v) for k, v in p.items()}}
+        e = entry(entry_id)
+        assert e.applicable(p)
+        assert rel_err(nth_derivative(e.lhs(p), 4, 0.3), want) < 1e-4
+        with pytest.raises(SingularCoefficient):
+            e.rhs(p)
+
+    @pytest.mark.parametrize("entry_id, c", [("Co1-2", -1.0), ("Co2-4", -2.0), ("Co2-5", -1.0)])
+    def test_vanishing_corollary_denominator_raises(self, entry_id, c):
+        p = {"a": param(0.5), "b": param(0.3), "c": param(c), "n": 3}
+        assert entry(entry_id).applicable(p)
+        with pytest.raises(SingularCoefficient, match=r"\(c\)_n vanishes"):
+            entry(entry_id).rhs(p)
+
+    def test_numeric_whole_number_sweep(self):
+        # r (or c) at every whole number -3..n+2, as a double: an applicable
+        # line whose LHS derivative evaluates gives the same value or raises
+        # a HypDerivError, never a wrong value or a bare Python error
+        wrong, compared = {}, 0
+        for e in catalog_entries():
+            rng = random.Random(f"sweep:{e.id}")
+            for _ in range(3):
+                p = e.draw(rng)
+                key = "r" if "r" in p else "c"
+                for v in range(-3, p["n"] + 3):
+                    q = {**p, key: param(float(v))}
+                    if not e.applicable(q):
+                        continue
+                    for z0 in e.z_points:
+                        try:
+                            want = nth_derivative(e.lhs(q), q["n"], z0)
+                        except HypDerivError:
+                            continue
+                        try:
+                            got = eval_expr(e.rhs(q), z0)
+                        except HypDerivError:
+                            continue
+                        compared += 1
+                        if rel_err(got, want) > 1e-8:
+                            wrong.setdefault(e.id, (key, v, z0, want, got))
+        assert wrong == {}
+        assert compared >= 500
 
     def test_co2_5_closed_form(self):
         # d/dz[(1-z) 2F1(1,1;2;z)] = d/dz[-(1-z)log(1-z)/z] = 2 - 4 log 2 at z=1/2

@@ -161,6 +161,46 @@ class TestEvalExprJet:
         assert all(abs(c) < 1e-13 for c in j.coeffs[1:])
 
 
+class TestOneTermPath:
+    """``eval_expr`` and ``eval_expr_jet`` build each term and sum the terms
+    one way: every coefficient is the exactly rounded sum of the terms'."""
+
+    def test_value_is_the_order_0_jet_bit_for_bit(self):
+        rng = random.Random("one-term-path")
+        for _ in range(200):
+            terms = [
+                term(
+                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-8, 16),
+                    *rng.sample(
+                        [powz(rng.uniform(-1.5, 1.5)), pow1mz(rng.uniform(-1.5, 1.5)), expz(-1),
+                         hyp(HypSpec.of([rng.uniform(-2, 2), 1.2], [rng.uniform(0.5, 2.5)]))],
+                        rng.randint(0, 3),
+                    ),
+                )
+                for _ in range(rng.randint(0, 5))
+            ]
+            e = Expr(tuple(terms))
+            z = rng.choice([0.2, 1 / 3, 0.7, Fraction(1, 3)])
+            assert eval_expr(e, z) == eval_expr_jet(e, complex(z), 0).coeffs[0], (e, z)
+
+    def test_terms_sum_exactly_rounded(self):
+        # the jet_add chain 1e16 z + z - 1e16 z lost the middle term: the
+        # derivative came out 0
+        e = expr(term(1e16, powz(1)), term(1, powz(1)), term(-1e16, powz(1)))
+        assert eval_expr(e, 0.5) == 0.5
+        assert eval_expr_jet(e, 0.5, 0).coeffs[0] == 0.5
+        assert nth_derivative(e, 1, 0.5) == 1
+        assert nth_derivative(e, 1, Fraction(1, 2)) == 1
+
+    def test_exact_exponent_in_the_fraction_field(self):
+        # (1-z)^(2/5) at z = 1/3: c_i/c_0 = (-1)^i binom(2/5, i) (3/2)^i,
+        # exact with the exponent 2/5 itself, not its double
+        j = eval_expr_jet(expr(term(1, pow1mz(Fraction(2, 5)))), Fraction(1, 3), 4)
+        ratios = [c / j.coeffs[0] for c in j.coeffs]
+        want = [1, Fraction(-3, 5), Fraction(-27, 100), Fraction(-27, 125), Fraction(-1053, 5000)]
+        assert ratios == want
+
+
 class TestNthDerivative:
     def test_linear(self):
         assert rel(nth_derivative(expr(term(1, powz(1))), 1, 0.37), 1) < 1e-15

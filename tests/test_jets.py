@@ -20,6 +20,7 @@ from hypderiv.errors import (
     DomainError,
     NoConvergence,
     OrderTooLow,
+    PoleCoefficient,
 )
 from hypderiv.expressions import (
     ArgMap,
@@ -322,6 +323,42 @@ class TestPfqJet:
                     nth_derivative(e, 2, z0)
                 with pytest.raises(ValueError, match="beyond the double range"):
                     eval_expr(e, z0)
+
+    def test_numeric_whole_number_lower_is_a_pole_in_every_field(self):
+        # the pole is reported whatever term the stop rule lands on: here the
+        # sum would stop long before it (the first three after three zero
+        # terms of the numeric upper 0.0), the rule an exact lower follows
+        cases = (
+            (([1.0], [-50.0]), 0.01, 51),
+            (([1.0], [-5.0]), 0.5, 6),
+            (([0.0, 0.5, 0.7], [-3.0, 1.3]), 0.3, 4),
+            (([0.5], [-0.0]), 0.25, 1),
+            (([0.5], [2.0, -7.0, -2.0]), 0.25, 3),
+            # an exact upper -m ends the series at term m, before the pole at K+1
+            (([-4, 0.5], [-2.0]), 0.3, 3),
+        )
+        for (upper, lower), z0, k in cases:
+            spec = HypSpec.of(upper, lower)
+            msg = f"at k={k}$"
+            with pytest.raises(PoleCoefficient, match=msg):
+                evaluate(spec, z0)
+            for field in (COMPLEX, DECIMAL, FRACTION):
+                with pytest.raises(PoleCoefficient, match=msg):
+                    field.series(spec, [field.lift(z0), field.one], 1e-14, 10000)
+        # K >= m: the series ends first and is summed, as at an exact lower
+        for lower in (-2.0, -3.0, -2, -3):
+            spec = HypSpec.of([-2, 0.5], [lower])
+            want = 1 + (-2 * 0.5 / lower) * 0.3 + (-2 * -1 * 0.5 * 1.5) / (lower * (lower + 1) * 2) * 0.09
+            assert rel(evaluate(spec, 0.3).value, want) < 1e-15
+        # a numeric lower off the whole numbers, or complex, is no pole
+        for lower in (-2.5, complex(-2.0, 1e-9)):
+            evaluate(HypSpec.of([0.5], [lower]), 0.3)
+        # the domain checks come first
+        with pytest.raises(DomainError):
+            evaluate(HypSpec.of([0.5, 1.5], [-2.0]), 1.5)
+        # a denominator product that underflows to 0 is still caught per term
+        with pytest.raises(PoleCoefficient, match="at k=1$"):
+            evaluate(HypSpec.of([1.0], [1e-200, 1e-200]), 0.5)
 
     def test_series_is_the_one_entry_of_the_kernel(self):
         # in the package, only Field.series and the kernel's own Pfaff step
