@@ -6,15 +6,16 @@ z, -z or z/(z-1).  This covers every side of the differentiation identities
 handled by this package.  Expressions evaluate as Taylor jets, which is how
 n-th derivatives are obtained.  There is one term path: ``_term_jet`` forms a
 term's product jet in the field of the variable jet (complex, exact Fraction,
-or the 38-digit decimal of its own rerun), and ``_expr_jet`` sums the terms
+or the 38-digit decimal of its own rerun, which ``jets.rerun`` runs), each
+pFq factor by ``jet_pfq`` in that field, and ``_expr_jet`` sums the terms
 with each coefficient rounded once.  The value at a point, ``eval_expr``, is
 the order-0 coefficient of that sum.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from decimal import localcontext
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -30,16 +31,12 @@ from .core import (
     evaluate,  # not called here; kept for bench/tracing.HOOKS, which wraps this binding
     param,
 )
-from .errors import BranchPointEvaluation
+from .errors import BranchPointEvaluation, NoConvergence
 from .jets import (
-    _DEC_PREC,
     _cancelled,
     COMPLEX,
-    DECIMAL,
     FRACTION,
     Jet,
-    d_pair_to_complexes,
-    d_pfq,
     d_variable,
     derivative,
     jet_add,
@@ -52,6 +49,7 @@ from .jets import (
     jet_pow,
     jet_scale,
     jet_variable,
+    rerun,
 )
 
 
@@ -149,17 +147,6 @@ def _jet_cpow(base: Jet, alpha: Parameter) -> Jet:
     return jet_pow(base, alpha.value if alpha.exact is None else alpha.exact)
 
 
-# For the extended-precision rerun of a poorly conditioned term the series
-# truncation error is amplified by the same cancellation, so the stop rule
-# runs much deeper than the double-precision default.
-_DEC_REL_TOL = 1e-30
-
-# An exact series stops once three terms in a row fall this far below the
-# running sum, so that the tail is far below half an ulp of the double it is
-# rounded to.
-_EXACT_REL_TOL = Fraction(1, 10**34)
-
-
 def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
     """Jet of one factor over the field of ``var``, the variable jet."""
     if isinstance(f, PowZ):
@@ -169,13 +156,7 @@ def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
         return _jet_cpow(jet_add(one, jet_scale(var, -1)), f.alpha)
     if isinstance(f, ExpZ):
         return jet_exp(var, f.sign)
-    arg = map_jet(f.map, var)
-    if var.field is DECIMAL:
-        return d_pfq(f.spec, arg, ctrl, _DEC_REL_TOL)
-    if var.field is FRACTION:
-        vals = FRACTION.series(f.spec, arg.coeffs, _EXACT_REL_TOL, ctrl.max_terms)[0]
-        return Jet(arg.base_point, tuple(vals), FRACTION)
-    return jet_pfq(f.spec, arg, ctrl)
+    return jet_pfq(f.spec, map_jet(f.map, var), ctrl)
 
 
 def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
@@ -184,8 +165,9 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
     In the complex field at order >= 1 a nonnegative magnitude convolution
     is carried alongside the product; if its bound dwarfs a coefficient of
     the result, the Leibniz sums cancelled heavily and the term is rerun
-    over the decimal variable jet at 38 digits.  A product of scalars (order
-    0) cannot cancel, and the other fields are the reruns and exact jets.
+    over the decimal variable jet by ``rerun``, at 38 digits.  A product of
+    scalars (order 0) cannot cancel, and the other fields are the reruns and
+    exact jets.
     """
     order = var.order
     guard = order and var.field is COMPLEX
@@ -198,22 +180,31 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
             fm = [abs(x) for x in fj.coeffs]
             mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
     if guard and any(map(_cancelled, mags, acc.coeffs)):
-        with localcontext() as cx:
-            cx.prec = _DEC_PREC
-            rerun = _term_jet(t, d_variable(var.base_point, order), ctrl)
-            return Jet(var.base_point, tuple(d_pair_to_complexes(rerun)))
+        vals = rerun(lambda: _term_jet(t, d_variable(var.base_point, order), ctrl))
+        return Jet(var.base_point, tuple(vals))
     return acc
 
 
 def _expr_jet(e: Expr, var: Jet, ctrl: EvalControl) -> Jet:
     """Sum of the term jets over the field of ``var``, each coefficient
     rounded once (``csum`` in ``COMPLEX``, exact in ``FRACTION``).  A term
-    with coefficient 0 is skipped unevaluated; no term gives the zero jet."""
+    with coefficient 0 is skipped unevaluated; no term gives the zero jet.
+
+    A product or sum that overflows, or in ``COMPLEX`` a summed coefficient
+    that is not finite, raises ``NoConvergence``: the oracle returns a
+    finite value or none.
+    """
     field = var.field
     total = field.total or (lambda col: sum(col, field.zero))
-    jets = [_term_jet(t, var, ctrl).coeffs for t in e.terms if t.coeff != 0]
-    cols = zip(*jets) if jets else [()] * (var.order + 1)
-    return Jet(var.base_point, tuple(map(total, cols)), field)
+    try:
+        jets = [_term_jet(t, var, ctrl).coeffs for t in e.terms if t.coeff != 0]
+        cols = zip(*jets) if jets else [()] * (var.order + 1)
+        sums = tuple(map(total, cols))
+    except OverflowError as exc:
+        raise NoConvergence(f"expression overflowed: {exc}") from None
+    if field is COMPLEX and not all(map(cmath.isfinite, sums)):
+        raise NoConvergence("expression coefficient overflowed: it is not finite")
+    return Jet(var.base_point, sums, field)
 
 
 def eval_expr(e: Expr, z: Point, ctrl: Optional[EvalControl] = None) -> complex:
@@ -237,8 +228,16 @@ def eval_expr_jet(e: Expr, z0: Point, order: int, ctrl: Optional[EvalControl] = 
 
 def nth_derivative(e: Expr, n: int, z0: Point, ctrl: Optional[EvalControl] = None) -> Point:
     """d^n/dz^n of the expression at z0, computed through jet arithmetic
-    (a ``Fraction`` at a ``Fraction`` z0)."""
-    return derivative(eval_expr_jet(e, z0, n, ctrl), n)
+    (a ``Fraction`` at a ``Fraction`` z0, exact).  A complex n! c_n past the
+    double range raises ``NoConvergence``, as a coefficient past it does."""
+    jet = eval_expr_jet(e, z0, n, ctrl)
+    try:
+        d = derivative(jet, n)
+        if jet.field is FRACTION or cmath.isfinite(d):
+            return d
+    except OverflowError:
+        pass
+    raise NoConvergence(f"derivative {n} overflowed: it is beyond the double range")
 
 
 def format_expr(e: Expr) -> str:

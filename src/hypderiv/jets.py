@@ -14,7 +14,8 @@ run over three scalar fields:
   exactly rounded (``csum``);
 * ``DECIMAL`` -- complex numbers as a pair of ``Decimal`` (``DC``) at the
   precision of the active decimal context, 38 digits when the oracle reruns
-  an ill-conditioned series or term;
+  an ill-conditioned series or term; ``rerun`` is the one place that sets
+  it, for both reruns;
 * ``FRACTION`` -- exact real ``Fraction``, for exact rational inputs such
   as the reference table's, and for the exact rerun of an ill-conditioned
   real terminating series.
@@ -34,11 +35,13 @@ being amplified by cancellation.
 
 The series kernel ``Field.pfq`` is the one place any pFq series is summed,
 and ``Field.series`` its one entry, which checks the input first:
-``core.evaluate`` runs it at order 0, ``jet_pfq`` on complex jets, the
-decimal reruns and the exact (Fraction) jets in their fields.  The complex
-field's entry also holds the one cancellation guard: a sum that cancelled
-is rerun, a real terminating series exactly and any other in 38-digit
-decimal arithmetic, so a complex series is guarded wherever it is summed.
+``core.evaluate`` runs it at order 0, and ``jet_pfq`` on a jet of any field,
+in that field and at that field's ``series_tol`` (the caller's rel_tol in
+``COMPLEX``, at most 1e-25 in ``DECIMAL``, 1e-34 in ``FRACTION``).  The
+complex field's entry also holds the one cancellation guard: a sum that
+cancelled is rerun, a real terminating series exactly and any other in
+38-digit decimal arithmetic, so a complex series is guarded wherever it is
+summed.
 The kernel takes its argument w as coefficients.  For an affine
 w = w0 + w1 h (a scalar, the identity and negate maps) it steps the term
 jet c_k w^k itself by the term ratio c_(k+1)/c_k, with two products per
@@ -104,10 +107,11 @@ class Field:
     """The jet algebra over one scalar field, on coefficient sequences.
 
     Subclasses supply ``zero``, ``one``, ``lift``, ``lower``, ``dot`` (the
-    fused sum of products x_0 y_0 + x_1 y_1 + ..., in that order) and
-    ``mag``.  The operations take and return lists of coefficients, and
-    each keeps the operand order of its sums, so that the complex field
-    reproduces the oracle's doubles bit for bit.
+    fused sum of products x_0 y_0 + x_1 y_1 + ..., in that order), ``mag``
+    and ``series_tol``, the stop tolerance ``jet_pfq`` sums at for a
+    caller's ``rel_tol``.  The operations take and return lists of
+    coefficients, and each keeps the operand order of its sums, so that the
+    complex field reproduces the oracle's doubles bit for bit.
     """
 
     # The series kernel returns its running sums, unless the field re-sums
@@ -378,6 +382,10 @@ class _Complex(Field):
     total = staticmethod(csum)
 
     @staticmethod
+    def series_tol(rel_tol: float) -> float:
+        return rel_tol
+
+    @staticmethod
     def dot(xs, ys):
         ps = list(map(_mul, xs, ys))
         # one product, rounded as csum rounds it: math.fsum([-0.0]) is 0.0
@@ -394,10 +402,9 @@ class _Complex(Field):
         A sum that cancelled (``_cancelled``) reruns the series, and only the
         sums are replaced: a real terminating series (no parameter or
         coefficient of w with an imaginary part), a finite sum of rationals,
-        exactly in ``FRACTION``, each sum rounded once; any other in 38-digit
-        decimal arithmetic at ``min(rel_tol, 1e-25)``, since the truncation
-        tail is bounded relative to the dominant coefficient, not to a
-        cancelled one.
+        exactly in ``FRACTION``, each sum rounded once; any other through
+        ``rerun``, as ``d_pfq`` (``jet_pfq``) on the lifted w, so at the
+        decimal field's ``series_tol``, ``min(rel_tol, 1e-25)``.
         """
         out = Field.series(self, spec, w, rel_tol, max_terms)
         sums, abs_sums, terms, tail, m = out
@@ -408,11 +415,8 @@ class _Complex(Field):
             exact = FRACTION.series(spec, list(map(FRACTION.lift, w)), rel_tol, max_terms)[0]
             sums = list(map(FRACTION.lower, exact))
         else:
-            with localcontext() as cx:
-                cx.prec = _DEC_PREC
-                arg = d_pair_from_jet(Jet(w[0], tuple(w)))
-                ctrl = EvalControl(rel_tol, max_terms)
-                sums = d_pair_to_complexes(d_pfq(spec, arg, ctrl, min(rel_tol, 1e-25)))
+            ctrl = EvalControl(rel_tol, max_terms)
+            sums = rerun(lambda: d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w))), ctrl))
         return sums, abs_sums, terms, tail, m
 
 
@@ -480,6 +484,12 @@ class _Decimal(Field):
     lower = staticmethod(complex)
 
     @staticmethod
+    def series_tol(rel_tol: float) -> Decimal:
+        # a rerun's truncation tail is bounded relative to the dominant
+        # coefficient, not to a cancelled one, so it runs at least 1e-25 deep
+        return Decimal(min(rel_tol, 1e-25))
+
+    @staticmethod
     def dot(xs, ys) -> DC:
         re = im = _D0
         for x, y in zip(xs, ys):
@@ -540,6 +550,12 @@ class _Fraction(Field):
     @staticmethod
     def lower(x: Fraction) -> complex:
         return complex(float(x))
+
+    @staticmethod
+    def series_tol(rel_tol: float) -> Fraction:
+        # three terms this far below the running sum leave a tail far below
+        # half an ulp of the double the sum is rounded to
+        return Fraction(1, 10**34)
 
     @staticmethod
     def dot(xs, ys) -> Fraction:
@@ -634,23 +650,33 @@ def jet_ipow(a: Jet, m: int) -> Jet:
 
 
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
-    """pFq(a; b; w) with w an analytic argument given as a complex jet.
+    """pFq(a; b; w) with w an analytic argument given as a jet, in its field.
 
-    The complex field's ``series``, which ``evaluate`` runs at order 0, with
-    its input checks (at order >= 1 the base value must lie strictly inside
-    the convergence domain) and its cancellation guard: terminating series
-    are summed to the end; otherwise the sum stops once the largest term
-    coefficient stays below ``rel_tol`` times the largest coefficient of the
-    running jet for three terms.  A cancelled coefficient reruns the series.
+    The field's ``series`` (``evaluate`` runs the complex one at order 0),
+    with its input checks (at order >= 1 the base value must lie strictly
+    inside the convergence domain): terminating series are summed to the
+    end; otherwise the sum stops once the largest term coefficient stays
+    below the field's ``series_tol`` of ``rel_tol`` times the largest
+    coefficient of the running jet for three terms.  In the complex field
+    a cancelled coefficient reruns the series.
     """
     ctrl = ctrl or DEFAULT_CONTROL
-    vals = COMPLEX.series(spec, arg.coeffs, ctrl.rel_tol, ctrl.max_terms)[0]
-    return Jet(arg.base_point, tuple(vals))
+    field = arg.field
+    vals = field.series(spec, arg.coeffs, field.series_tol(ctrl.rel_tol), ctrl.max_terms)[0]
+    return Jet(arg.base_point, tuple(vals), field)
 
 
 # ---------------------------------------------------------------------------
-# entry and exit of the decimal reruns; callers hold a decimal localcontext
-# with enough precision
+# the decimal reruns: ``rerun`` holds their one decimal context
+
+
+def rerun(compute) -> list[complex]:
+    """``compute()``, a decimal jet, at ``_DEC_PREC`` digits, each
+    coefficient rounded to a complex double: the one extended-precision
+    entry, for the series rerun and the term rerun alike."""
+    with localcontext() as cx:
+        cx.prec = _DEC_PREC
+        return d_pair_to_complexes(compute())
 
 
 def d_pair_from_jet(j: Jet) -> Jet:
@@ -668,14 +694,8 @@ def d_variable(z0: complex, order: int) -> Jet:
     return jet_variable(z0, order, DECIMAL)
 
 
-def d_pfq(spec: HypSpec, arg: Jet, ctrl: EvalControl, rel_tol: float) -> Jet:
-    """pFq series over a decimal jet, stopping at ``rel_tol`` (no escalation).
-
-    The decimal field's ``Field.series``, with the same input checks as
-    ``jet_pfq``: a coefficient that is not finite raises ``ValueError``.
-    """
-    vals = DECIMAL.series(spec, arg.coeffs, Decimal(rel_tol), ctrl.max_terms)[0]
-    return Jet(arg.base_point, tuple(vals), DECIMAL)
+# the series rerun's binding, which a tracer wraps to count the reruns
+d_pfq = jet_pfq
 
 
 def derivative(a: Jet, n: int) -> complex:

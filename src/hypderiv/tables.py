@@ -25,7 +25,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalog import entry
-from .core import EvalControl, HypSpec, evaluate, param, pochhammer
+from .core import (
+    EvalControl,
+    HypSpec,
+    evaluate,  # not called here; kept for bench/tracing.HOOKS, which wraps this binding
+    param,
+    pochhammer,
+)
 from .errors import HypDerivError
 from .expressions import eval_expr, expr, hyp, nth_derivative, powz, term
 
@@ -105,10 +111,8 @@ def _sweep_f_r2(c: float) -> float:
         * _poch_gamma(_B_F, s)
         / _poch_gamma(c, s)
     )
-    f = evaluate(
-        HypSpec.of([_A_F + s, _B_F + s], [n - c + 2]), _Z_F, _SWEEP_CTRL
-    ).value.real
-    return pref * f
+    e = expr(term(1, hyp(HypSpec.of([_A_F + s, _B_F + s], [n - c + 2]))))
+    return pref * eval_expr(e, _Z_F, _SWEEP_CTRL).real
 
 
 def figure1_rows(

@@ -11,7 +11,7 @@ import pytest
 from hypderiv import jets
 from hypderiv.catalog import entry
 from hypderiv.core import EvalControl, HypSpec, evaluate, param, termination_order
-from hypderiv.errors import BranchPointEvaluation
+from hypderiv.errors import BranchPointEvaluation, NoConvergence
 from hypderiv.expressions import (
     ArgMap,
     Expr,
@@ -199,6 +199,36 @@ class TestOneTermPath:
         ratios = [c / j.coeffs[0] for c in j.coeffs]
         want = [1, Fraction(-3, 5), Fraction(-27, 100), Fraction(-27, 125), Fraction(-1053, 5000)]
         assert ratios == want
+
+
+class TestFiniteOrNoConvergence:
+    """The oracle returns a finite value or raises ``NoConvergence``."""
+
+    def test_overflow_raises_no_convergence(self):
+        twice = expr(term(1e308, powz(1)), term(1e308, powz(1)))
+        cases = (
+            lambda: eval_expr(twice, 1.0),  # the column sum: OverflowError
+            lambda: nth_derivative(twice, 1, 1.0),
+            # a term's product z * z at 1e308: OverflowError in its dot
+            lambda: nth_derivative(expr(term(1, powz(1), powz(1))), 1, 1e308),
+            lambda: nth_derivative(expr(term(1e308, powz(2))), 1, 1.5),  # inf+nanj
+            lambda: nth_derivative(expr(term(1e96, powz(-0.578))), 1, 1e-242),  # nan+nanj
+            # the coefficient 1e300 is finite, 20! times it is not: inf+0j
+            lambda: nth_derivative(expr(term(1e300, powz(20))), 20, 1.0),
+            # an exact coefficient past the double range, in the complex field
+            lambda: nth_derivative(expr(term(10**400, powz(1))), 1, 1.0),
+        )
+        for case in cases:
+            with pytest.raises(NoConvergence):
+                case()
+
+    def test_values_just_inside_the_range_are_returned(self):
+        # the same shapes, scaled into the double range, are finite values
+        assert eval_expr(expr(term(1e307, powz(1)), term(1e307, powz(1))), 1.0) == 2e307
+        assert nth_derivative(expr(term(1, powz(1), powz(1))), 1, 1e154) == 2e154
+        assert nth_derivative(expr(term(1e280, powz(20))), 20, 1.0) == math.factorial(20) * 1e280
+        # a Fraction result is exact, and exempt: no double can overflow
+        assert nth_derivative(expr(term(10**400, powz(1))), 1, Fraction(1)) == 10**400
 
 
 class TestNthDerivative:

@@ -56,6 +56,34 @@ def rel(x, y):
     return abs(x - y) / max(abs(x), abs(y), 1e-300)
 
 
+def _scopes_where(match) -> list[str]:
+    """The scope (module.Class.function) of each AST node in the package
+    that satisfies ``match``, sorted."""
+    found = []
+
+    def walk(node, scope):
+        if match(node):
+            found.append(".".join(scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + [node.name]
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    for path in sorted(Path(jets.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), [path.stem])
+    return sorted(found)
+
+
+def _calls(name):
+    """A match for a call of ``name``, bare or as an attribute."""
+
+    def match(node):
+        f = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return getattr(f, "id", None) == name or getattr(f, "attr", None) == name
+
+    return match
+
+
 def rand_jet(rng, z0, order):
     return Jet(
         complex(z0),
@@ -307,11 +335,11 @@ class TestPfqJet:
         d_nan, d_half = DC(Decimal("NaN"), Decimal(0)), DECIMAL.lift(0.5)
         for coeffs in ((d_nan, DECIMAL.one), (d_half, d_nan)):
             with pytest.raises(ValueError, match="^non-finite"):
-                jets.d_pfq(HypSpec.of([1], [2]), Jet(0.5, coeffs, DECIMAL), tight, 1e-30)
+                jets.d_pfq(HypSpec.of([1], [2]), Jet(0.5, coeffs, DECIMAL), tight)
         for upper, lower in (([nan], [2]), ([1], [complex(2, inf)])):
             spec = HypSpec.of(upper, lower)
             with pytest.raises(ValueError, match="^non-finite"):
-                jets.d_pfq(spec, jets.d_variable(0.5, 2), tight, 1e-30)
+                jets.d_pfq(spec, jets.d_variable(0.5, 2), tight)
             with pytest.raises(ValueError, match="^non-finite"):
                 nth_derivative(expr(term(1, hyp(spec))), 2, Fraction(1, 2))
         # an exact base point beyond the double range is rejected as invalid
@@ -363,28 +391,52 @@ class TestPfqJet:
     def test_series_is_the_one_entry_of_the_kernel(self):
         # in the package, only Field.series and the kernel's own Pfaff step
         # name Field.pfq: every series goes through one set of input checks
-        class Refs(ast.NodeVisitor):
-            def __init__(self, module):
-                self.scope, self.found = [module], []
+        found = _scopes_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "pfq")
+        assert found == ["jets.Field.pfq", "jets.Field.series"]
 
-            def visit_scope(self, node):
-                self.scope.append(node.name)
-                self.generic_visit(node)
-                self.scope.pop()
+    def test_rerun_is_the_one_extended_precision_entry(self):
+        # jets.rerun holds the package's one decimal context, for the series
+        # and the term rerun alike; expressions imports nothing from decimal
+        assert _scopes_where(_calls("localcontext")) == ["jets.rerun"]
+        tree = ast.parse(Path(jets.__file__).with_name("expressions.py").read_text())
+        imported = [
+            node.module if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert imported and "decimal" not in imported
+        # the series rerun's binding is jet_pfq itself
+        assert jets.d_pfq is jet_pfq
 
-            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+    def test_only_the_eval_command_calls_the_scalar_entry(self):
+        # every other value, figure1's f_R2 included, is an expression's
+        assert _scopes_where(_calls("evaluate")) == ["cli._cmd_eval"]
 
-            def visit_Attribute(self, node):
-                if node.attr == "pfq":
-                    self.found.append(".".join(self.scope))
-                self.generic_visit(node)
-
-        found = []
-        for path in sorted(Path(jets.__file__).parent.glob("*.py")):
-            refs = Refs(path.stem)
-            refs.visit(ast.parse(path.read_text()))
-            found += refs.found
-        assert sorted(found) == ["jets.Field.pfq", "jets.Field.series"]
+    def test_runs_over_its_jets_field(self):
+        # a decimal or exact argument jet is summed in its own field, at the
+        # field's series_tol, as that field's series entry sums it, and
+        # agrees with the complex jet
+        ctrl = EvalControl(rel_tol=1e-14, max_terms=5000)
+        spec = HypSpec.of([0.5, Fraction(2, 3)], [Fraction(7, 4)])
+        digits = {DECIMAL: lambda x: (x.re, x.im), FRACTION: lambda x: x}
+        assert COMPLEX.series_tol(1e-14) == 1e-14
+        assert DECIMAL.series_tol(1e-14) == Decimal(1e-25)
+        assert DECIMAL.series_tol(1e-30) == Decimal(1e-30)
+        assert FRACTION.series_tol(1e-14) == Fraction(1, 10**34)
+        with localcontext() as cx:
+            cx.prec = jets._DEC_PREC
+            for field, z0 in ((DECIMAL, 0.3 + 0.2j), (DECIMAL, -0.4), (FRACTION, Fraction(1, 3))):
+                for amap in ArgMap:
+                    arg = map_jet(amap, jet_variable(z0, 4, field))
+                    got = jet_pfq(spec, arg, ctrl)
+                    assert got.field is field and got.base_point == arg.base_point
+                    tol = field.series_tol(ctrl.rel_tol)
+                    want = field.series(spec, arg.coeffs, tol, ctrl.max_terms)[0]
+                    assert list(map(digits[field], got.coeffs)) == list(map(digits[field], want))
+                    ref = jet_pfq(spec, map_jet(amap, jet_variable(complex(z0), 4)), ctrl)
+                    for x, y in zip(got.coeffs, ref.coeffs):
+                        assert rel(field.lower(x), y) < 1e-12, (field, z0, amap)
 
     def test_powers_of_affine_arguments_skip_the_product(self, monkeypatch):
         # the identity and negate maps step their term jets with two products per
