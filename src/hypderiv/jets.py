@@ -21,13 +21,10 @@ run over three scalar fields:
   real terminating series.
 
 A field supplies lift from complex and lower to complex, a fused sum of
-products (``dot``) and a magnitude for the stop rule.  The series kernel
-adds each term to its running sums and to its coefficient's bucket in the
-step that forms it; the complex field re-sums each bucket exactly rounded
-(``total``), where the other two return their running sums and fill no
-buckets.  The affine term step is a field primitive (``step``): the
-decimal field forms it on the parts of its ``DC``s, with the same products
-and sums as the generic step and no ``DC`` built for a partial result.
+products (``dot``) and a magnitude for the stop rule; the complex field
+also re-sums each coefficient's bucket of terms exactly rounded
+(``total``).  The decimal field's entry checks its own sums: a coefficient
+that cancelled past what its digits resolve raises ``NoConvergence``.
 The leading values of exp and of a non-integer power are transcendental;
 they are taken in double precision and lifted, and since the recurrences
 are linear in that value its rounding scales the whole result instead of
@@ -43,13 +40,18 @@ cancelled is rerun, a real terminating series exactly and any other in
 38-digit decimal arithmetic, so a complex series is guarded wherever it is
 summed.
 The kernel takes its argument w as coefficients.  For an affine
-w = w0 + w1 h (a scalar, the identity and negate maps) it steps the term
-jet c_k w^k itself by the term ratio c_(k+1)/c_k, with two products per
-coefficient: O(K) work per term at order K, and no power of w that could
-overflow before the term does.  The stop test takes the largest running
-sum only where a cheaper bound above it, 1 plus the largest term
-coefficient of each term so far, admits the test, so a series stops on the
-same term as with the sum taken every term.
+w = w0 + w1 h (a scalar, the identity and negate maps) the complex field
+steps the term jet c_k w^k itself (``step``) by the term ratio
+c_(k+1)/c_k, with two products per coefficient: O(K) interpreted work per
+term at order K, and no power of w that could overflow before the term
+does.  The other fields keep the scalar terms u_k = c_k w0^k and take
+coefficient i as (w1/w0)^i sum_k C(k, i) u_k, the series differentiated
+term by term: one binomial-weighted sum per coefficient (``fold``), a
+C-level ``sum`` over the parts in the decimal field, so a decimal jet
+builds O(terms) ``DC``s at any order.  The stop test takes
+the largest running sum only where a cheaper bound above it, 1 plus the
+largest term coefficient of each term so far, admits the test, so a series
+stops on the same term as with the sum taken every term.
 Any other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
 the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
 products (in the complex field through the module's ``jet_mul``) however
@@ -61,8 +63,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter
 from operator import mul as _mul
 from typing import Optional
@@ -112,11 +115,20 @@ class Field:
     caller's ``rel_tol``.  The operations take and return lists of
     coefficients, and each keeps the operand order of its sums, so that the
     complex field reproduces the oracle's doubles bit for bit.
+
+    The series kernel ``pfq`` has one affine shape per kind of field: a
+    field with a ``total`` steps the term jet (``step``), one without forms
+    each coefficient from the scalar terms with one binomial-weighted sum
+    (``fold``), in ``DECIMAL`` a C-level ``sum`` over each part and in
+    ``FRACTION`` an exact ``sum``.
     """
 
     # The series kernel returns its running sums, unless the field re-sums
     # each coefficient's bucket of terms with ``total`` to round it once.
     total = None
+    # An exact field has no rounding to measure: its kernel returns no
+    # magnitude sums.
+    exact = False
 
     def param(self, x):
         """A ``Parameter`` in this field: its double, lifted."""
@@ -188,25 +200,31 @@ class Field:
         return self.mul(a, b)
 
     def step(self, t, rw, rz, running, buckets):
-        """One affine step of the series kernel at order >= 1, in place.
+        """One affine step of the series kernel at order >= 1, in place, in a
+        field with a ``total``.
 
         Term k's jet ``t`` becomes term k + 1's, t_i <- t_(i-1) rw + t_i rz,
         from the top so that t_(i-1) is still term k's; each new t_i is
-        added to ``running[i]`` and, unless ``buckets`` is None (a field
-        without ``total``), appended to ``buckets[i]``.  Returns the largest
-        ``mag`` of the new coefficients, the first among equals, as ``max``
-        returns it.
+        added to ``running[i]`` and appended to ``buckets[i]``.  Returns the
+        largest ``mag`` of the new coefficients.
         """
         for i in range(len(t) - 1, 0, -1):
             ti = t[i] = t[i - 1] * rw + t[i] * rz
             running[i] += ti
-            if buckets:
-                buckets[i].append(ti)
+            buckets[i].append(ti)
         t0 = t[0] = t[0] * rz
         running[0] += t0
-        if buckets:
-            buckets[0].append(t0)
+        buckets[0].append(t0)
         return max(map(self.mag, t))
+
+    def fold(self, sums, us, lo):
+        """Adds the binomial-weighted terms ``us[lo:]`` to ``sums``, in place:
+        ``sums[i]`` gains C(k, i) u_k for each k >= lo, in order of k, with
+        the weights from ``math.comb``."""
+        n = len(us)
+        for i, s in enumerate(sums):
+            j = max(lo, i)
+            sums[i] = sum(map(_mul, us[j:], map(math.comb, range(j, n), repeat(i))), s)
 
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
         """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
@@ -251,27 +269,43 @@ class Field:
         ``max_terms`` terms.  Either sum raises ``NoConvergence`` at the first
         term with a coefficient that is not finite, and where a term or a sum
         overflows (``OverflowError``) with finite parts.  Returns the sums;
-        for a field with a ``total``, per coefficient the sum of its terms'
-        magnitudes, or a bound above it, for the cancellation guard (None for
-        the other fields); the number of terms summed; and the largest
-        magnitude among the last term's coefficients.
-        At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums.
+        per coefficient the sum of its terms' magnitudes, or a bound above
+        it, for the complex field's cancellation guard and the decimal
+        field's self-check (None in the exact field); the number of terms
+        summed; and the largest magnitude among the last term's coefficients.
+        At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums,
+        with the term ratio r_k = c_(k+1)/c_k formed in the loop and each
+        term added to the running sum as it is formed.
 
         An affine w = w0 + w1 h (w[2:] all zero: the identity and negate
-        maps, and a scalar) steps the term jet t_k = c_k w^k itself with the
-        term ratio r_k = c_(k+1)/c_k folded into two products per
-        coefficient, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0), so a
-        term overflows only where it, not w^k, passes the largest double.
-        The ratio is formed in the loop, and r_k w1 only at order >= 1, where
-        the field's ``step`` advances the term jet; at order 0 the update is
-        inline.  As each t_(k+1),i is formed it is added to its running sum
-        and, for a field with a ``total``, appended to coefficient i's
-        bucket, which ``total`` re-sums at the end.  The
-        largest running sum is taken only where a bound above it admits the
-        stop test: 1 plus the largest term coefficient of every term so far,
-        with a factor 2 to spare for rounding.  The test itself is unchanged,
-        so every series stops on the same term as with the largest running
-        sum taken at every term.
+        maps) has coefficient i = sum_k c_k C(k, i) w0^(k-i) w1^i, formed in
+        one of two shapes:
+
+        * a field with a ``total`` (``COMPLEX``) steps the term jet
+          t_k = c_k w^k itself, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0)
+          in the field's ``step``, two products per coefficient, so a term
+          overflows only where it, not w^k, passes the largest double; each
+          t_(k+1),i goes to its running sum and to coefficient i's bucket,
+          which ``total`` re-sums at the end;
+        * the other fields run the scalar pass of order 0 on z = w0 and keep
+          its terms u_k = c_k w0^k.  Coefficient i is then
+          (w1/w0)^i sum_k C(k, i) u_k: the series differentiated term by
+          term, one binomial-weighted sum per coefficient (``fold``), with
+          the weights from ``math.comb``.  Term k's largest coefficient,
+          max_i C(k, i) |w1/w0|^i mag(u_k), takes the i past which the
+          weights fall, and the running sums are folded in only where the
+          stop test needs them.  At w0 = 0 coefficient i is c_i w1^i, the
+          scalar pass on z = w1 to term K, exactly.
+
+        Both shapes take the largest running sum only where a bound above it
+        admits the stop test: 1 plus the largest term coefficient of every
+        term so far, with a factor 2 to spare for rounding; the binomial
+        shape narrows it to the sums last folded, give or take the term
+        coefficients since.  So every series stops on the same term as with
+        the largest running sum taken at every term, up to the norm: the
+        binomial shape measures coefficient i as |w1/w0|^i mag(x), which is
+        ``mag`` of the coefficient for a real w1/w0 and within a factor
+        sqrt(2) of it otherwise.
         Any other w (the Pfaff map) is composed once: the series summed at
         the affine jet w0 + h gives g_j = F^(j)(w0)/j!, and with d = w - w0
         coefficient i of the result is sum_(j<=i) g_j (d^j)_i, from the K-1
@@ -296,41 +330,88 @@ class Field:
             if abs_g is not None:
                 abs_g = [sum(map(_mul, abs_g, map(mag, col))) for col in cols]
             return sums, abs_g, terms, tail
-        w0 = w[0]
-        t = [one] + [self.zero] * (len(w) - 1)
-        running, buckets = t[:], [[x] for x in t] if self.total else None
-        step = self.step if len(w) > 1 else None
-        t0, bound, inf = one, mag(one), math.inf
+        w0, top = w[0], len(w) - 1
+        t = [one] + [self.zero] * top
+        running = t[:]
+        buckets = [[x] for x in t] if self.total else None
+        step = self.step if top and buckets else None
+        # a field without a total keeps the scalar terms u_k = c_k z^k of an
+        # order >= 1 jet and forms its coefficients from them at the end
+        us = [one] if top and not buckets else None
+        z, stop, end = w0, m is None, max_terms if m is None else m + 1
+        t0, tmax = one, mag(one)
+        bound = tmax
+        if us is not None:
+            mags = [tmax]
+            if w0:
+                rho = w[1] / w0
+                a = abs(rho)
+                apow = [1]
+                for _ in range(top):
+                    apow.append(apow[-1] * a)
+                # running holds the sums over the terms up to ``folded``, whose
+                # largest weighted magnitude was ``peak`` with ``bound`` at ``at``
+                folded, peak, at, i_max = 1, tmax, bound, 0
+            else:
+                # F(w1 h): coefficient i is c_i w1^i, from term i alone
+                z, stop = w[1], False
+                if m is None:
+                    end = top + 1
         small = k = 0
+        inf = math.inf
         try:
-            for k in range(1, max_terms if m is None else m + 1):
+            for k in range(1, end):
                 # the term ratio c_k/c_(k-1)
                 j = k - 1
                 num, den = one, lift(k)
-                for a in upper:
-                    num *= a + j
-                for b in lower:
-                    den *= b + j
+                for x in upper:
+                    num *= x + j
+                for x in lower:
+                    den *= x + j
                 if not den:
                     raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
                 r = num / den
-                rz = r * w0
+                rz = r * z
                 if step:
                     tmax = step(t, r * w[1], rz, running, buckets)
                 else:
-                    t0 = t[0] = t0 * rz
-                    running[0] += t0
-                    if buckets:
-                        buckets[0].append(t0)
+                    t0 = t0 * rz
                     tmax = mag(t0)
-                if m is None:
-                    # bound >= max|running| (the triangle inequality), so the
-                    # test on max|running| runs only where this wider one
-                    # admits it; bound + bound overflows before a running
-                    # sum's modulus can, so near the largest double it always runs
-                    bound += tmax
-                    lazy = tmax < rel_tol * (bound + bound)
-                    if lazy and tmax < rel_tol * max(map(mag, running)):
+                    if us is None:
+                        running[0] += t0
+                        if buckets:
+                            buckets[0].append(t0)
+                    else:
+                        us.append(t0)
+                        mags.append(tmax)
+                        if w0:
+                            # term k's largest coefficient, C(k, i) u_k rho^i,
+                            # at the i past which the binomial weights fall
+                            while i_max < top and a * (k - i_max) > i_max + 1:
+                                i_max += 1
+                            tmax *= math.comb(k, i_max) * apow[i_max]
+                bound += tmax
+                if stop:
+                    if us is None:
+                        # bound >= max|running| (the triangle inequality), so
+                        # the test on max|running| runs only where this wider
+                        # one admits it; bound + bound overflows before a
+                        # running sum's modulus can, so near the largest
+                        # double it always runs
+                        lazy = tmax < rel_tol * (bound + bound)
+                        met = lazy and tmax < rel_tol * max(map(mag, running))
+                    else:
+                        # the terms since the last fold moved each running sum
+                        # by at most bound - at, so the test is decided
+                        # without folding unless peak -+ that straddles it
+                        drift = bound - at
+                        met = tmax < rel_tol * (peak - drift)
+                        if not met and tmax < rel_tol * (peak + drift):
+                            self.fold(running, us, folded)
+                            folded, at = len(us), bound
+                            peak = max(map(_mul, apow, map(mag, running)))
+                            met = tmax < rel_tol * peak
+                    if met:
                         small += 1
                         if small == 3:
                             break
@@ -340,15 +421,33 @@ class Field:
                 if not tmax < inf:
                     raise NoConvergence(f"series term {k} overflowed: it is not finite")
             else:
-                if m is None:
+                if stop:
                     raise NoConvergence(f"no convergence within {max_terms} terms")
-            tail = max(map(mag, t))
-            if buckets is None:
-                return running, None, k + 1, tail
-            sums = list(map(self.total, buckets))
-            return sums, [sum(map(mag, b)) for b in buckets], k + 1, tail
         except OverflowError as exc:
             raise NoConvergence(f"series term {k} overflowed: {exc}") from None
+        if buckets:
+            sums = list(map(self.total, buckets))
+            return sums, [sum(map(mag, b)) for b in buckets], k + 1, tmax
+        if us is None:
+            return running, None if self.exact else [bound], k + 1, tmax
+        if not w0:
+            # a term past the order adds nothing to the jet
+            pad = [self.zero] * (top + 1 - len(us))
+            sums, abs_sums = us[: top + 1] + pad, mags[: top + 1] + list(map(mag, pad))
+            tail = tmax if k <= top else mag(self.zero)
+            return sums, None if self.exact else abs_sums, k + 1, tail
+        self.fold(running, us, folded)
+        # added to zero, as a running sum is, so that no part is -0
+        sums, p = [], one
+        for s in running:
+            sums.append(self.zero + s * p)
+            p *= rho
+        if self.exact:
+            return sums, None, k + 1, tmax
+        # the magnitude sums are the same binomial sums over mag(u_k)
+        abs_sums = [0] * (top + 1)
+        Field.fold(self, abs_sums, mags, 0)
+        return sums, list(map(_mul, apow, abs_sums)), k + 1, tmax
 
 
 # Taylor coefficients of a series at z0 can cancel heavily (peak term far
@@ -460,6 +559,9 @@ class DC:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
+    def __abs__(self) -> Decimal:
+        return (self.re * self.re + self.im * self.im).sqrt()
+
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -468,6 +570,7 @@ class DC:
 
 
 _D0 = Decimal(0)
+_re, _im = attrgetter("re"), attrgetter("im")
 
 
 class _Decimal(Field):
@@ -502,39 +605,40 @@ class _Decimal(Field):
         return abs(x.re) + abs(x.im)
 
     @staticmethod
-    def step(t, rw, rz, running, buckets):
-        # ``Field.step`` on the parts: the same DC products and sums in the
-        # same order, so the same digits, with one DC built per coefficient
-        # and per running sum.  ``buckets`` is None: the field has no total.
-        wr, wi, zr, zi = rw.re, rw.im, rz.re, rz.im
-        b = t[-1]
-        br, bi = b.re, b.im
-        tmax = -1
-        for i in range(len(t) - 1, 0, -1):
-            a = t[i - 1]
-            ar, ai = a.re, a.im
-            re = (ar * wr - ai * wi) + (br * zr - bi * zi)
-            im = (ar * wi + ai * wr) + (br * zi + bi * zr)
-            t[i] = DC(re, im)
-            s = running[i]
-            running[i] = DC(s.re + re, s.im + im)
-            # from the top down, so >= keeps the first of equal magnitudes
-            m = abs(re) + abs(im)
-            if m >= tmax:
-                tmax = m
-            br, bi = ar, ai
-        re, im = br * zr - bi * zi, br * zi + bi * zr
-        t[0] = DC(re, im)
-        s = running[0]
-        running[0] = DC(s.re + re, s.im + im)
-        m = abs(re) + abs(im)
-        return m if m >= tmax else tmax
+    def fold(sums, us, lo):
+        # ``Field.fold`` on the parts: the same products and sums in the same
+        # order, with one DC built per coefficient
+        n = len(us)
+        re, im = list(map(_re, us[lo:])), list(map(_im, us[lo:]))
+        for i, s in enumerate(sums):
+            j = max(lo, i)
+            row = list(map(math.comb, range(j, n), repeat(i)))
+            re_i = sum(map(_mul, re[j - lo :], row), s.re)
+            sums[i] = DC(re_i, sum(map(_mul, im[j - lo :], row), s.im))
+
+    def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
+        """``Field.series`` with the decimal field's self-check.
+
+        A coefficient whose terms' magnitude sum exceeds 10^(prec - 17) times
+        its own magnitude, at the active context's precision (1e21 at the
+        rerun's 38 digits), keeps fewer than 17 correct digits, too few to
+        round to a double, and raises ``NoConvergence``.
+        """
+        out = Field.series(self, spec, w, rel_tol, max_terms)
+        prec = getcontext().prec
+        limit = Decimal(10) ** (prec - 17)
+        for i, (s, a) in enumerate(zip(out[0], out[1])):
+            if a > limit * self.mag(s):
+                msg = f"series coefficient {i} cancelled past the 1e{prec - 17} that {prec} digits resolve"
+                raise NoConvergence(msg)
+        return out
 
 
 class _Fraction(Field):
     zero = Fraction(0)
     one = Fraction(1)
     mag = staticmethod(abs)
+    exact = True
 
     @staticmethod
     def lift(x) -> Fraction:

@@ -75,6 +75,14 @@ class TestEval:
         assert code == 3
         assert err == "error: NoConvergence: series term 409 overflowed: absolute value too large\n"
 
+    def test_rerun_cancelled_past_its_digits_exit_3(self, capsys):
+        # e^z as 0F0: the 38-digit rerun cancels past what it resolves
+        for z in ("-383", "-37.9"):
+            assert main(["eval", "--upper=", "--lower=", f"--z={z}"]) == 3
+            err = capsys.readouterr().err
+            want = "series coefficient 0 cancelled past the 1e21 that 38 digits resolve"
+            assert err == f"error: NoConvergence: {want}\n"
+
     def test_complex_input(self, capsys):
         code = main(["eval", "--upper", "0.5+0.5i", "--lower", "2", "--z", "0.3"])
         assert code == 0

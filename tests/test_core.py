@@ -336,6 +336,18 @@ class TestEvaluate:
             exact = sum(coefficient(spec, k) * Fraction(z) ** k for k in range(-upper[0] + 1))
             assert evaluate(spec, z).value == complex(float(exact))
 
+    def test_rerun_cancelled_past_its_digits_raises(self):
+        # e^z as 0F0 at z = -383 and -37.9: the 38-digit rerun's terms add up
+        # to ~e^|z| for a sum of e^z, a cancellation past the 1e21 that 38
+        # digits resolve, and their sums are off by 3.8e293 and 1.9e-6
+        # relative; at z = -20 (kappa 2e17) the rerun is exact to the double
+        for z in (-383.0, -37.9):
+            with pytest.raises(NoConvergence, match="^series coefficient 0 cancelled past the 1e21"):
+                evaluate(HypSpec.of([], []), z)
+            with pytest.raises(NoConvergence, match="cancelled past"):
+                eval_expr(expr(term(1, hyp(HypSpec.of([], [])))), z)
+        assert evaluate(HypSpec.of([], []), -20.0).value == cmath.exp(-20.0)
+
     def test_terminating_overflow_fails_as_no_convergence(self):
         # the terms of this degree-1000 polynomial pass the largest double at
         # term 266, before its sum could be formed
@@ -454,7 +466,7 @@ class TestClassify:
 # terms used, terminated and the tail estimate, or the error's class and text.
 # Only library errors are caught, so a bare OverflowError (a modulus past the
 # largest double with both parts finite) fails the test.
-EVALUATE_FINGERPRINT = "174b8617bd346493a2e9365cbe5acb02d9f8eb6f78e2eb1c95bc9e69c55a0fb2"
+EVALUATE_FINGERPRINT = "d1c75172def4f0b85dba437db22d2d7a211cfb7d8ae876d37e72194d682a4340"
 
 
 def _evaluate_cases():

@@ -99,7 +99,16 @@ class TestEvalExpr:
     def test_evaluate_is_the_order_0_expression(self, monkeypatch):
         # evaluate and eval_expr sum every series through the complex field's
         # one guarded entry: the same value bit for bit, also where the double
-        # sum cancels and is rerun, exactly or in 38 digits
+        # sum cancels and is rerun, exactly or in 38 digits, and the same
+        # NoConvergence where the rerun cancels past what 38 digits resolve
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except NoConvergence as exc:
+                raised.append(1)
+                return str(exc)
+
+        raised = []
         reruns = Counter()
         for module, attr in ((jets, "d_pfq"), (jets.FRACTION, "series")):
             original = getattr(module, attr)
@@ -127,8 +136,11 @@ class TestEvalExpr:
             z = rng.uniform(-radius, radius)
             if not real:
                 z = cmath.rect(abs(z), rng.uniform(-math.pi, math.pi))
-            assert evaluate(spec, z).value == eval_expr(expr(term(1, hyp(spec))), z), (spec, z)
+            got = outcome(lambda: evaluate(spec, z).value)
+            assert got == outcome(eval_expr, expr(term(1, hyp(spec))), z), (spec, z)
         assert reruns["d_pfq"] >= 20 and reruns["series"] >= 4, reruns
+        # each raising input counts twice: 13 of the 300 raise at this seed
+        assert len(raised) <= 40, len(raised)
 
 
 class TestEvalExprJet:

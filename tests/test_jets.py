@@ -641,10 +641,14 @@ def test_affine_map_jets_match_mpmath():
 
 
 # sha256 of the decimal kernel at 40 digits (the str of each part) and of the
-# exact kernel (reprs), each with the terms summed and the last term's size
+# exact kernel (reprs), each with the terms summed and the last term's size.
+# What the pins hold is bounded below: each decimal sum against a 60-digit
+# mpmath value (test_field_series_decimal_sums_match_mpmath), each exact sum
+# as the exact sum of its first ``terms`` terms
+# (test_field_series_exact_sums_are_partial_sums)
 FIELD_SERIES_FINGERPRINT = {
-    "decimal": "802fb2b1ef4b3f63a3b21cab829ab90f55a97e1d52d47e8235922ea0bceede0b",
-    "fraction": "9e3e097cccb1bb1b4c6daaa16007cdd536368a197ece84982a455126be1be377",
+    "decimal": "938eceeb0084ec80035125b4c60f1d02ed68625cd74e9a082e88db9c37d653fd",
+    "fraction": "9ecd25d3312cae38729a3c30d11e7a5eed47ad66ca5f9e38ef81e322a2e35a61",
 }
 
 
@@ -696,27 +700,175 @@ def _field_series_cases(rng, field):
         yield HypSpec.of([], [p()]), variable(num(0.125, 4), 0).coeffs
 
 
-def _field_series_fingerprint(field):
+def _field_series_runs(field):
+    """(spec, w, ``field.series`` output) over ``_field_series_cases``, at 40
+    digits and rel_tol 1e-25 in ``DECIMAL``, 1e-20 in ``FRACTION``."""
     rng = random.Random(f"field-series-fingerprint-{'fraction' if field is FRACTION else 'decimal'}")
-    h = hashlib.sha256()
-    n = 0
+    rel_tol = Fraction(1, 10**20) if field is FRACTION else Decimal("1e-25")
     with localcontext() as cx:
         cx.prec = 40
-        if field is FRACTION:
-            rel_tol, text = Fraction(1, 10**20), repr
-        else:
-            rel_tol, text = Decimal("1e-25"), lambda x: f"{x.re} {x.im}"
-        for spec, w in _field_series_cases(rng, field):
-            sums, _, terms, tail, _ = field.series(spec, w, rel_tol, 10000)
-            h.update(f"{' '.join(map(text, sums))} {terms} {tail}\n".encode())
-            n += 1
-    return h.hexdigest(), n
+        cases = list(_field_series_cases(rng, field))
+        return [(spec, w, field.series(spec, w, rel_tol, 10000)) for spec, w in cases]
+
+
+def _field_series_fingerprint(field):
+    text = repr if field is FRACTION else lambda x: f"{x.re} {x.im}"
+    h = hashlib.sha256()
+    runs = _field_series_runs(field)
+    for _, _, (sums, _, terms, tail, _) in runs:
+        h.update(f"{' '.join(map(text, sums))} {terms} {tail}\n".encode())
+    return h.hexdigest(), len(runs)
 
 
 @pytest.mark.parametrize("field", [DECIMAL, FRACTION], ids=["decimal", "fraction"])
 def test_field_series_fingerprint(field):
     # the decimal and exact kernels bit for bit, as the jet_pfq fingerprint
-    # pins the complex one
+    # pins the complex one; the two tests below bound what the pins hold
     got, n = _field_series_fingerprint(field)
     assert n == (10 * 3 * (8 if field is DECIMAL else 4) + 36)
     assert got == FIELD_SERIES_FINGERPRINT["decimal" if field is DECIMAL else "fraction"]
+
+
+def _mp_jet(mpmath, spec, w):
+    """Coefficients of pFq(a; b; w) for a jet w of mpmath numbers: at w0,
+    coefficient j of pFq(a; b; w0 + h) is (a)_j/((b)_j j!) pFq(a + j; b + j; w0)
+    (DLMF 16.3.1), composed with the powers of w - w0."""
+    up = [mpmath.mpc(a.value) for a in spec.upper]
+    lo = [mpmath.mpc(b.value) for b in spec.lower]
+    top = len(w) - 1
+    d = [0] + list(w[1:])
+    power = [mpmath.mpc(1)] + [mpmath.mpc(0)] * top
+    out = [mpmath.mpc(0)] * (top + 1)
+    for j in range(top + 1):
+        c = mpmath.mpf(1) / mpmath.factorial(j)
+        for a in up:
+            c *= mpmath.rf(a, j)
+        for b in lo:
+            c /= mpmath.rf(b, j)
+        if c:
+            g = c * mpmath.hyper([a + j for a in up], [b + j for b in lo], w[0])
+            out = [x + g * y for x, y in zip(out, power)]
+        power = [mpmath.fsum(power[i] * d[n - i] for i in range(n + 1)) for n in range(top + 1)]
+    return out
+
+
+def _mp_dc(mpmath, x):
+    return mpmath.mpc(mpmath.mpf(str(x.re)), mpmath.mpf(str(x.im)))
+
+
+def _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, rounding):
+    """Each sum within ``rounding`` times its own magnitude sum, plus 1e-24
+    times the jet's largest magnitude sum, of the 60-digit value: rounding
+    grows with a coefficient's own terms, while the stop rule bounds the
+    tail against the largest running sum, not against each coefficient."""
+    with mpmath.workdps(60):
+        ref = _mp_jet(mpmath, spec, [_mp_dc(mpmath, x) for x in w])
+        largest = mpmath.mpf(str(max(abs_sums)))
+        for i, (s, a, r) in enumerate(zip(sums, abs_sums, ref)):
+            err = abs(_mp_dc(mpmath, s) - r)
+            assert err <= rounding * mpmath.mpf(str(a)) + mpmath.mpf("1e-24") * largest, (spec, w[0], i)
+
+
+def test_field_series_decimal_sums_match_mpmath():
+    # the decimal fingerprint's sums at 40 digits: a sum that needs no stop
+    # rule (a terminating one) is within 1e-39 of its magnitude sum
+    mpmath = pytest.importorskip("mpmath")
+    runs = _field_series_runs(DECIMAL)
+    for spec, w, (sums, abs_sums, _, _, m) in runs:
+        _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, mpmath.mpf("1e-37"))
+    assert sum(m is not None for *_, (*_, m) in runs) >= 60
+
+
+def test_field_series_exact_sums_are_partial_sums():
+    # each exact sum of the fraction fingerprint's inputs is the sum of the
+    # series' first ``terms`` terms, sum_(k < terms) c_k (w^k)_i, with the
+    # powers of w from ``FRACTION.mul``: no term is lost or changed, and a
+    # different pin can only be a different count of terms
+    F = FRACTION
+    for spec, w, (sums, _, terms, _, _) in _field_series_runs(F):
+        upper, lower = [F.param(a) for a in spec.upper], [F.param(b) for b in spec.lower]
+        want, power, c = [F.zero] * len(w), [F.one] + [F.zero] * (len(w) - 1), F.one
+        for k in range(terms):
+            want = [x + c * y for x, y in zip(want, power)]
+            c *= math.prod(a + k for a in upper) / (math.prod(b + k for b in lower) * (k + 1))
+            power = F.mul(power, w)
+        assert sums == want, (spec, w)
+
+
+class TestBinomialKernel:
+    """The kernel of the fields without a total: one scalar pass records
+    u_k = c_k w0^k, and coefficient i of an affine jet is
+    (w1/w0)^i sum_k C(k, i) u_k."""
+
+    def test_decimal_jet_builds_o_terms_dcs(self, monkeypatch):
+        # an order-12 jet builds about as many DCs per term as the scalar
+        # series (order 0), not a DC per coefficient per term
+        built = [0]
+        init = DC.__init__
+
+        def counting(self, re, im):
+            built[0] += 1
+            init(self, re, im)
+
+        monkeypatch.setattr(DC, "__init__", counting)
+        per_term = {}
+        for order in (0, 12):
+            with localcontext() as cx:
+                cx.prec = jets._DEC_PREC
+                w = jets.d_variable(0.8, order).coeffs
+                built[0] = 0
+                terms = DECIMAL.series(HypSpec.of([0.5, 1.25], [2.75]), w, Decimal("1e-25"), 10000)[2]
+            assert terms >= 200
+            per_term[order] = built[0] / terms
+        assert per_term[12] <= per_term[0] + 1, per_term
+
+    def test_exact_jet_is_the_polynomial_expansion(self):
+        # a terminating series in FRACTION at orders 1-9, also at w0 = 0,
+        # equals sum_k c_k (w0 + w1 h)^k from ``ipow`` and ``mul``, exactly
+        F = FRACTION
+        rng = random.Random("binomial-kernel-exact")
+        fraction = lambda lo, hi: Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 7)))  # noqa: E731
+        for order in range(1, 10):
+            for w0 in (fraction(-9, 9) or Fraction(1, 5), Fraction(0)):
+                m = rng.randint(0, 12)
+                spec = HypSpec.of([-m, fraction(-9, 9) + Fraction(1, 11)], [fraction(1, 20)])
+                w = [w0, fraction(-5, 5) or F.one] + [F.zero] * (order - 1)
+                got, abs_sums, terms, _, _ = F.series(spec, w, F.series_tol(1e-14), 100)
+                upper, lower = [F.param(a) for a in spec.upper], [F.param(b) for b in spec.lower]
+                want, c = [F.zero] * (order + 1), F.one
+                for k in range(m + 1):
+                    want = [x + y for x, y in zip(want, F.mul([c] + [F.zero] * order, F.ipow(w, k)))]
+                    c *= math.prod(a + k for a in upper) / (math.prod(b + k for b in lower) * (k + 1))
+                assert got == want and terms == m + 1 and abs_sums is None, (spec, w)
+
+    def test_decimal_jets_match_mpmath(self):
+        # 38-digit jets at orders 8-12 on every argument map, within 1e-33 of
+        # each coefficient's magnitude sum (plus the stop rule's 1e-24 of the
+        # largest) of 60-digit mpmath values; the 1F1 with Re c < 0 cancel
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random("binomial-kernel-decimal")
+        kappa = 0
+        for order in range(8, 13):
+            for amap in ArgMap:
+                for real in (True, False):
+
+                    def num(lo, hi):
+                        return complex(rng.uniform(lo, hi), 0 if real else rng.uniform(-1, 1))
+
+                    def base(radius):
+                        # |w0| <= radius on the Pfaff map too: |z0/(z0 - 1)| <= r/(1 - r)
+                        r = rng.uniform(0.2, radius / (1 + radius) if amap is ArgMap.PFAFF else radius)
+                        return cmath.rect(r, rng.choice((0, math.pi)) if real else rng.uniform(-math.pi, math.pi))
+
+                    cases = (
+                        (HypSpec.of([num(-2, 2)], [num(-3.5, -0.2)]), base(4)),
+                        (HypSpec.of([num(-2, 2), num(-2, 2)], [num(1, 3)]), base(0.8)),
+                    )
+                    for spec, z0 in cases:
+                        with localcontext() as cx:
+                            cx.prec = jets._DEC_PREC
+                            w = map_jet(amap, jets.d_variable(z0, order)).coeffs
+                            sums, abs_sums, *_ = DECIMAL.series(spec, w, DECIMAL.series_tol(1e-14), 10000)
+                        _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, mpmath.mpf("1e-33"))
+                        kappa = max([kappa] + [a / DECIMAL.mag(s) for s, a in zip(sums, abs_sums)])
+        assert kappa >= 1e6, kappa
