@@ -853,9 +853,14 @@ def verify_entry(
     tol: float = 1e-8,
     ctrl: Optional[EvalControl] = None,
 ) -> VerifyReport:
-    """Compare the RHS against the jet-oracle derivative on seeded draws."""
+    """Compare the RHS against the jet-oracle derivative on seeded draws.
+
+    ``tol`` lies in (0, 1): a relative error of 1 is a side compared with 0.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     ctrl = ctrl or DEFAULT_CONTROL
     rng = random.Random(f"{seed}:{e.id}")
     max_err = 0.0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -162,8 +161,8 @@ def _cmd_verify(args) -> int:
             return _invalid(f"unknown identity {args.identity!r}")
     if args.trials < 1:
         return _invalid("--trials must be >= 1")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        return _invalid("--tol must be finite and positive")
+    if not 0 < args.tol < 1:
+        return _invalid("--tol must lie in (0, 1)")
     reason = _unwritable(args.csv) if args.csv else None
     if reason:
         return _invalid(reason)

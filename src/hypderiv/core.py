@@ -131,15 +131,17 @@ class EvalControl:
 
     A nonterminating series stops once three terms in a row fall below
     ``rel_tol`` times the partial sum, and raises ``NoConvergence`` at
-    ``max_terms`` terms.
+    ``max_terms`` terms.  ``rel_tol`` lies in (0, 1) and ``max_terms`` is at
+    least 1; other values raise ``ValueError``.
     """
 
     rel_tol: float = 1e-14
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError("rel_tol must be finite and positive")
+        # at 1 or more, terms as large as the sum itself would stop it
+        if not 0 < self.rel_tol < 1:
+            raise ValueError("rel_tol must lie in (0, 1)")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 

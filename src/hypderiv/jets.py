@@ -40,18 +40,18 @@ cancelled is rerun, a real terminating series exactly and any other in
 38-digit decimal arithmetic, so a complex series is guarded wherever it is
 summed.
 The kernel takes its argument w as coefficients.  For an affine
-w = w0 + w1 h (a scalar, the identity and negate maps) the complex field
-steps the term jet c_k w^k itself (``step``) by the term ratio
-c_(k+1)/c_k, with two products per coefficient: O(K) interpreted work per
-term at order K, and no power of w that could overflow before the term
-does.  The other fields keep the scalar terms u_k = c_k w0^k and take
-coefficient i as (w1/w0)^i sum_k C(k, i) u_k, the series differentiated
-term by term: one binomial-weighted sum per coefficient (``fold``), a
-C-level ``sum`` over the parts in the decimal field, so a decimal jet
-builds O(terms) ``DC``s at any order.  The stop test takes
-the largest running sum only where a cheaper bound above it, 1 plus the
-largest term coefficient of each term so far, admits the test, so a series
-stops on the same term as with the sum taken every term.
+w = w0 + w1 h (a scalar, the identity and negate maps) each kind of field
+has one loop, which runs at every order, order 0 included.  The complex
+field steps the term jet c_k w^k itself by the term ratio c_(k+1)/c_k, with
+two products per coefficient: O(K) interpreted work per term at order K,
+and no power of w that could overflow before the term does.  The other
+fields keep the scalar terms u_k = c_k w0^k and take coefficient i as
+(w1/w0)^i sum_k C(k, i) u_k, the series differentiated term by term: one
+binomial-weighted sum per coefficient (``fold``), a C-level ``sum`` over
+the parts in the decimal field, so a decimal jet builds O(terms) ``DC``s at
+any order.  Both loops share one stop test.  It forms the running sums
+(``fold``) only where their largest at the last fold, give or take the
+term coefficients since, does not decide it.
 Any other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
 the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
 products (in the complex field through the module's ``jet_mul``) however
@@ -116,11 +116,13 @@ class Field:
     coefficients, and each keeps the operand order of its sums, so that the
     complex field reproduces the oracle's doubles bit for bit.
 
-    The series kernel ``pfq`` has one affine shape per kind of field: a
-    field with a ``total`` steps the term jet (``step``), one without forms
-    each coefficient from the scalar terms with one binomial-weighted sum
-    (``fold``), in ``DECIMAL`` a C-level ``sum`` over each part and in
-    ``FRACTION`` an exact ``sum``.
+    The series kernel ``pfq`` has one affine loop per kind of field, run at
+    every order: a field with a ``total`` steps the term jet and keeps each
+    coefficient's terms in a bucket; one without keeps the scalar terms and
+    forms each coefficient with one binomial-weighted sum.  ``fold`` adds
+    the terms since the last fold to the running sums that the one stop
+    test reads: in ``COMPLEX`` a ``sum`` over each bucket, in ``DECIMAL`` a
+    C-level ``sum`` over each part and in ``FRACTION`` an exact ``sum``.
     """
 
     # The series kernel returns its running sums, unless the field re-sums
@@ -199,32 +201,16 @@ class Field:
         """The product that steps the powers of a composition: ``mul``."""
         return self.mul(a, b)
 
-    def step(self, t, rw, rz, running, buckets):
-        """One affine step of the series kernel at order >= 1, in place, in a
-        field with a ``total``.
-
-        Term k's jet ``t`` becomes term k + 1's, t_i <- t_(i-1) rw + t_i rz,
-        from the top so that t_(i-1) is still term k's; each new t_i is
-        added to ``running[i]`` and appended to ``buckets[i]``.  Returns the
-        largest ``mag`` of the new coefficients.
-        """
-        for i in range(len(t) - 1, 0, -1):
-            ti = t[i] = t[i - 1] * rw + t[i] * rz
-            running[i] += ti
-            buckets[i].append(ti)
-        t0 = t[0] = t[0] * rz
-        running[0] += t0
-        buckets[0].append(t0)
-        return max(map(self.mag, t))
-
     def fold(self, sums, us, lo):
         """Adds the binomial-weighted terms ``us[lo:]`` to ``sums``, in place:
         ``sums[i]`` gains C(k, i) u_k for each k >= lo, in order of k, with
-        the weights from ``math.comb``."""
+        the weights from ``math.comb``; row C(k, 0) = 1 is summed without
+        multiplying."""
         n = len(us)
-        for i, s in enumerate(sums):
+        sums[0] = sum(us[lo:], sums[0])
+        for i in range(1, len(sums)):
             j = max(lo, i)
-            sums[i] = sum(map(_mul, us[j:], map(math.comb, range(j, n), repeat(i))), s)
+            sums[i] = sum(map(_mul, us[j:], map(math.comb, range(j, n), repeat(i))), sums[i])
 
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
         """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
@@ -273,39 +259,41 @@ class Field:
         it, for the complex field's cancellation guard and the decimal
         field's self-check (None in the exact field); the number of terms
         summed; and the largest magnitude among the last term's coefficients.
-        At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums,
-        with the term ratio r_k = c_(k+1)/c_k formed in the loop and each
-        term added to the running sum as it is formed.
+        At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums:
+        the K = 0 case of each field's loop below.
 
-        An affine w = w0 + w1 h (w[2:] all zero: the identity and negate
-        maps) has coefficient i = sum_k c_k C(k, i) w0^(k-i) w1^i, formed in
-        one of two shapes:
+        An affine w = w0 + w1 h (w[2:] all zero: a scalar, the identity and
+        negate maps) has coefficient i = sum_k c_k C(k, i) w0^(k-i) w1^i,
+        formed by one loop per kind of field at every order K >= 0, with the
+        term ratio r_k = c_(k+1)/c_k formed in the loop:
 
         * a field with a ``total`` (``COMPLEX``) steps the term jet
-          t_k = c_k w^k itself, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0)
-          in the field's ``step``, two products per coefficient, so a term
-          overflows only where it, not w^k, passes the largest double; each
-          t_(k+1),i goes to its running sum and to coefficient i's bucket,
-          which ``total`` re-sums at the end;
-        * the other fields run the scalar pass of order 0 on z = w0 and keep
-          its terms u_k = c_k w0^k.  Coefficient i is then
+          t_k = c_k w^k itself, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0),
+          two products per coefficient, so a term overflows only where it,
+          not w^k, passes the largest double; t_(k+1),i goes to coefficient
+          i's bucket, which ``total`` re-sums at the end;
+        * the other fields run the scalar pass on z = w0 and keep its terms
+          u_k = c_k w0^k.  Coefficient i is then
           (w1/w0)^i sum_k C(k, i) u_k: the series differentiated term by
           term, one binomial-weighted sum per coefficient (``fold``), with
           the weights from ``math.comb``.  Term k's largest coefficient,
           max_i C(k, i) |w1/w0|^i mag(u_k), takes the i past which the
-          weights fall, and the running sums are folded in only where the
-          stop test needs them.  At w0 = 0 coefficient i is c_i w1^i, the
-          scalar pass on z = w1 to term K, exactly.
+          weights fall.  At w0 = 0 and K >= 1 coefficient i is c_i w1^i,
+          the scalar pass on z = w1 to term K, exactly.
 
-        Both shapes take the largest running sum only where a bound above it
-        admits the stop test: 1 plus the largest term coefficient of every
-        term so far, with a factor 2 to spare for rounding; the binomial
-        shape narrows it to the sums last folded, give or take the term
-        coefficients since.  So every series stops on the same term as with
-        the largest running sum taken at every term, up to the norm: the
-        binomial shape measures coefficient i as |w1/w0|^i mag(x), which is
-        ``mag`` of the coefficient for a real w1/w0 and within a factor
-        sqrt(2) of it otherwise.
+        Both loops share one stop test.  The running sums are formed only in
+        ``fold``, which adds the terms since the last fold left to right, as
+        adding each term as it is formed would.  ``peak`` is their largest
+        at the last fold, by ``mag`` in ``COMPLEX`` and as |w1/w0|^i mag(x)
+        in the binomial shape (``mag`` of the coefficient for a real w1/w0,
+        within a factor sqrt(2) of it otherwise), and ``drift`` sums the
+        largest term coefficients since, so each running sum lies within
+        peak -+ drift.  A term below rel_tol (peak - drift) meets the test and
+        one not below rel_tol (peak + drift) fails it, without a fold; only
+        a term between the two folds the sums in and is tested against their
+        largest.  So every series stops on the same term as with the largest
+        running sum taken at every term, save where a term lies within the
+        rounding of peak -+ drift.
         Any other w (the Pfaff map) is composed once: the series summed at
         the affine jet w0 + h gives g_j = F^(j)(w0)/j!, and with d = w - w0
         coefficient i of the result is sum_(j<=i) g_j (d^j)_i, from the K-1
@@ -333,31 +321,35 @@ class Field:
         w0, top = w[0], len(w) - 1
         t = [one] + [self.zero] * top
         running = t[:]
-        buckets = [[x] for x in t] if self.total else None
-        step = self.step if top and buckets else None
-        # a field without a total keeps the scalar terms u_k = c_k z^k of an
-        # order >= 1 jet and forms its coefficients from them at the end
-        us = [one] if top and not buckets else None
         z, stop, end = w0, m is None, max_terms if m is None else m + 1
         t0, tmax = one, mag(one)
-        bound = tmax
-        if us is not None:
-            mags = [tmax]
-            if w0:
+        peak = tmax
+        # the stop test weighs running sum i by |w1/w0|^i in the binomial shape
+        apow = [1] * (top + 1)
+        if self.total:
+            # each coefficient's terms, which ``total`` re-sums at the end
+            buckets = kept = [[x] for x in t]
+            w1, append0 = w[1] if top else None, buckets[0].append
+        else:
+            # the scalar terms u_k = c_k z^k, their magnitudes and (w1/w0)^i
+            buckets, mags, ps, a, i_max = None, [tmax], [one], 0, 0
+            us = kept = [one]
+            if top and w0:
                 rho = w[1] / w0
                 a = abs(rho)
-                apow = [1]
-                for _ in range(top):
-                    apow.append(apow[-1] * a)
-                # running holds the sums over the terms up to ``folded``, whose
-                # largest weighted magnitude was ``peak`` with ``bound`` at ``at``
-                folded, peak, at, i_max = 1, tmax, bound, 0
-            else:
+                for i in range(top):
+                    apow[i + 1] = apow[i] * a
+                    ps.append(ps[i] * rho)
+            elif top:
                 # F(w1 h): coefficient i is c_i w1^i, from term i alone
                 z, stop = w[1], False
                 if m is None:
                     end = top + 1
-        small = k = 0
+        # running holds the sums over the terms before ``folded``, the largest
+        # of them (weighed) is ``peak``, and the terms since moved each sum by
+        # at most ``drift``
+        small = k = drift = 0
+        folded = 1
         inf = math.inf
         try:
             for k in range(1, end):
@@ -372,45 +364,37 @@ class Field:
                     raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
                 r = num / den
                 rz = r * z
-                if step:
-                    tmax = step(t, r * w[1], rz, running, buckets)
+                if buckets:
+                    # from the top, so that t_(i-1) is still term k - 1's
+                    if top:
+                        rw = r * w1
+                        for i in range(top, 0, -1):
+                            ti = t[i] = t[i - 1] * rw + t[i] * rz
+                            buckets[i].append(ti)
+                    t0 = t[0] = t0 * rz
+                    append0(t0)
+                    tmax = max(map(mag, t)) if top else mag(t0)
                 else:
                     t0 = t0 * rz
+                    us.append(t0)
                     tmax = mag(t0)
-                    if us is None:
-                        running[0] += t0
-                        if buckets:
-                            buckets[0].append(t0)
-                    else:
-                        us.append(t0)
-                        mags.append(tmax)
-                        if w0:
-                            # term k's largest coefficient, C(k, i) u_k rho^i,
-                            # at the i past which the binomial weights fall
-                            while i_max < top and a * (k - i_max) > i_max + 1:
-                                i_max += 1
-                            tmax *= math.comb(k, i_max) * apow[i_max]
-                bound += tmax
+                    mags.append(tmax)
+                    if a:
+                        # term k's largest coefficient, C(k, i) u_k rho^i, at
+                        # the i past which the binomial weights fall
+                        while i_max < top and a * (k - i_max) > i_max + 1:
+                            i_max += 1
+                        tmax *= math.comb(k, i_max) * apow[i_max]
                 if stop:
-                    if us is None:
-                        # bound >= max|running| (the triangle inequality), so
-                        # the test on max|running| runs only where this wider
-                        # one admits it; bound + bound overflows before a
-                        # running sum's modulus can, so near the largest
-                        # double it always runs
-                        lazy = tmax < rel_tol * (bound + bound)
-                        met = lazy and tmax < rel_tol * max(map(mag, running))
-                    else:
-                        # the terms since the last fold moved each running sum
-                        # by at most bound - at, so the test is decided
-                        # without folding unless peak -+ that straddles it
-                        drift = bound - at
-                        met = tmax < rel_tol * (peak - drift)
-                        if not met and tmax < rel_tol * (peak + drift):
-                            self.fold(running, us, folded)
-                            folded, at = len(us), bound
-                            peak = max(map(_mul, apow, map(mag, running)))
-                            met = tmax < rel_tol * peak
+                    # the sums lie within peak -+ drift, which decides the test
+                    # unless it straddles it: then they are folded in
+                    drift += tmax
+                    met = tmax < rel_tol * (peak + drift)
+                    if met and not tmax < rel_tol * (peak - drift):
+                        self.fold(running, kept, folded)
+                        folded, drift = k + 1, 0
+                        peak = max(map(_mul, apow, map(mag, running)))
+                        met = tmax < rel_tol * peak
                     if met:
                         small += 1
                         if small == 3:
@@ -428,20 +412,16 @@ class Field:
         if buckets:
             sums = list(map(self.total, buckets))
             return sums, [sum(map(mag, b)) for b in buckets], k + 1, tmax
-        if us is None:
-            return running, None if self.exact else [bound], k + 1, tmax
-        if not w0:
+        if top and not w0:
             # a term past the order adds nothing to the jet
             pad = [self.zero] * (top + 1 - len(us))
             sums, abs_sums = us[: top + 1] + pad, mags[: top + 1] + list(map(mag, pad))
             tail = tmax if k <= top else mag(self.zero)
             return sums, None if self.exact else abs_sums, k + 1, tail
         self.fold(running, us, folded)
-        # added to zero, as a running sum is, so that no part is -0
-        sums, p = [], one
-        for s in running:
-            sums.append(self.zero + s * p)
-            p *= rho
+        # a jet's sums times (w1/w0)^i, added to zero as a running sum is, so
+        # that no part is -0
+        sums = [self.zero + s * p for s, p in zip(running, ps)] if top else running
         if self.exact:
             return sums, None, k + 1, tmax
         # the magnitude sums are the same binomial sums over mag(u_k)
@@ -489,6 +469,13 @@ class _Complex(Field):
         ps = list(map(_mul, xs, ys))
         # one product, rounded as csum rounds it: math.fsum([-0.0]) is 0.0
         return ps[0] + 0j if len(ps) == 1 else csum(ps)
+
+    @staticmethod
+    def fold(sums, buckets, lo):
+        # each coefficient's terms from ``lo`` on, added left to right as
+        # ``sums[i] += t`` would add them
+        for i, b in enumerate(buckets):
+            sums[i] = sum(b[lo:], sums[i])
 
     def power_mul(self, a, b):
         # through the module's ``jet_mul`` binding, so that a tracer wrapping
@@ -610,8 +597,10 @@ class _Decimal(Field):
         # order, with one DC built per coefficient
         n = len(us)
         re, im = list(map(_re, us[lo:])), list(map(_im, us[lo:]))
-        for i, s in enumerate(sums):
-            j = max(lo, i)
+        s = sums[0]
+        sums[0] = DC(sum(re, s.re), sum(im, s.im))
+        for i in range(1, len(sums)):
+            s, j = sums[i], max(lo, i)
             row = list(map(math.comb, range(j, n), repeat(i)))
             re_i = sum(map(_mul, re[j - lo :], row), s.re)
             sums[i] = DC(re_i, sum(map(_mul, im[j - lo :], row), s.im))

@@ -277,6 +277,12 @@ class TestVerifyDriver:
         with pytest.raises(ValueError):
             verify_entry(entry("Th1-2"), trials=0)
 
+    def test_tol_of_one_raises(self):
+        # a relative error of 1 is a side compared against 0: a tolerance of
+        # 1 would pass it
+        with pytest.raises(ValueError):
+            verify_entry(entry("Th1-2"), trials=1, tol=1.0)
+
     def test_deterministic(self):
         r1 = verify_entry(entry("Co1-2"), trials=10, seed=3)
         r2 = verify_entry(entry("Co1-2"), trials=10, seed=3)

@@ -107,6 +107,8 @@ class TestEval:
         argv = ["eval", "--upper", "0.5,0.6", "--lower", "1.5", "--z", "0.9"]
         assert main(argv + ["--rel-tol", "inf"]) == 2
         assert main(argv + ["--rel-tol", "nan"]) == 2
+        assert main(argv + ["--rel-tol", "1"]) == 2
+        assert main(argv + ["--rel-tol", "10"]) == 2
         assert main(argv) == 0
 
 
@@ -315,6 +317,6 @@ class TestVerify:
 
     def test_degenerate_tol_exit_2(self, capsys):
         # err > nan is always false, so a nan tolerance would pass everything
-        for bad in ("nan", "inf", "-1", "0"):
+        for bad in ("nan", "inf", "-1", "0", "1", "2"):
             assert main(["verify", "--identity", "Th1-2", "--trials", "1", "--tol", bad]) == 2
         assert capsys.readouterr().out == ""

@@ -409,7 +409,7 @@ class TestEvaluate:
         assert rel(r.value, -cmath.log(1 - z) / z) < 1e-13
 
     def test_control_validation(self):
-        for bad in (0.0, -1e-14, math.inf, math.nan):
+        for bad in (0.0, -1e-14, math.inf, math.nan, 1.0, 10.0):
             with pytest.raises(ValueError):
                 EvalControl(rel_tol=bad)
         with pytest.raises(ValueError):

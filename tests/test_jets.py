@@ -795,6 +795,52 @@ def test_field_series_exact_sums_are_partial_sums():
         assert sums == want, (spec, w)
 
 
+def _k0_cases(rng, field):
+    """Seeded (spec, w0) inputs: 2F1, 1F1 and 0F1, terminating (an upper -m)
+    and not, at a nonzero w0 strictly inside the domain; complex values
+    where the field has them, small rationals in ``FRACTION``."""
+    if field is FRACTION:
+
+        def num(lo, hi):
+            d = rng.choice((2, 3, 4, 8))
+            return Fraction(rng.randint(math.ceil(lo * d), math.floor(hi * d)), d)
+
+        lift = FRACTION.lift
+    else:
+
+        def num(lo, hi):
+            return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+        lift = field.lift
+    for _ in range(4):
+        m = -rng.randint(0, 8)
+        for upper, radius in (([num(-2, 2), num(-2, 2)], 0.5), ([num(-2, 2)], 2), ([], 2)):
+            lower = [num(-1, 1) + 3]
+            yield HypSpec.of(upper, lower), lift(num(-radius, radius) or Fraction(1, 3))
+            if upper:
+                yield HypSpec.of([m] + upper[1:], lower), lift(num(-radius, radius) or Fraction(1, 3))
+
+
+@pytest.mark.parametrize("field", [COMPLEX, DECIMAL, FRACTION], ids=["complex", "decimal", "fraction"])
+def test_order_0_is_the_k0_case_of_each_loop(field):
+    # a jet w0 + 0 h + ... of any order K sums the order-0 series: the same
+    # coefficient 0, term count and tail, and zero in every higher coefficient
+    rng = random.Random(f"order-0-is-k0-{field.__class__.__name__}")
+    rel_tol = Fraction(1, 10**12) if field is FRACTION else field.series_tol(1e-14)
+
+    def key(x):
+        return (x.re, x.im) if field is DECIMAL else x
+
+    with localcontext() as cx:
+        cx.prec = jets._DEC_PREC
+        for spec, w0 in _k0_cases(rng, field):
+            sums, _, terms, tail, _ = field.series(spec, [w0], rel_tol, 10000)
+            for k in range(1, 7):
+                got, _, got_terms, got_tail, _ = field.series(spec, [w0] + [field.zero] * k, rel_tol, 10000)
+                assert key(got[0]) == key(sums[0]) and (got_terms, got_tail) == (terms, tail), (spec, w0, k)
+                assert not any(got[1:]), (spec, w0, k)
+
+
 class TestBinomialKernel:
     """The kernel of the fields without a total: one scalar pass records
     u_k = c_k w0^k, and coefficient i of an affine jet is
