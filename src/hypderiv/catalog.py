@@ -3,22 +3,26 @@
 Each displayed case line of the identity family (Th1-1..Th1-5 for general
 pFq, Co1-1..Co1-5 for 1F1 with an e^{-z} prefactor, Co2-1..Co2-10 for 2F1
 with power prefactors) is one catalog entry: an applicability predicate plus
-literal LHS/RHS expression builders.  ``verify_entry`` draws admissible
-random parameters and checks the RHS against the jet-oracle n-th derivative
-of the LHS.
+LHS/RHS expression builders.  ``verify_entry`` draws admissible random
+parameters and checks the RHS against the jet-oracle n-th derivative of the
+LHS.
 
 The entries are generated from ``_TABLE``, one row per identity family.  A
-row gives the family's parameters, its LHS, the theorem family it is or
-derives from (whose term builders live in ``identities``) and, for a
-corollary, its literal terms and Kummer-type transform.  Each case line is
-keyed by ``RBranch``, assembled by ``identities.line_terms`` and takes its
-applicability from ``identities.branch_holds``.
+row names the theorem record it is or derives from (``identities.TH11`` ..
+``TH15``), which owns the lines' term builders, the branches that have a
+line, each line's id and the LHS power of z; it also gives the family's
+parameters and the theorem's vectors at them.  A corollary row adds only its
+LHS prefactor and series, its Kummer-type transform and its literal terms.
+Each LHS is z^(the theorem's power at the row's vectors), the prefactor and
+the series; each case line is keyed by ``RBranch``, assembled by
+``identities.line_terms`` and takes its applicability from
+``identities.branch_holds``.
 
 The Kummer-type rewrites (exponential, Euler, Pfaff) are provided both as
 expression transforms and as the composition machinery that rebuilds each
 corollary RHS mechanically from its theorem-line source.  No literal
-corollary term is built by the theorem-line builders the composition uses,
-so comparing the two is a check of the corollary.
+corollary term is built by the theorem records the composition uses, so
+comparing the two is a check of the corollary.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import (
     DEFAULT_CONTROL,
-    EvalControl,
     HypSpec,
     Parameter,
     param,
@@ -58,15 +61,18 @@ from .expressions import (
     term,
 )
 from .identities import (
+    TH11,
+    TH12,
+    TH13,
+    TH14,
+    TH15,
     RBranch,
+    Theorem,
     Vec,
     _shift_vec,
     branch_holds,
     line_terms,
-    theorem2_term,
-    theorem3_term,
-    theorem4_exceptional_term,
-    theorem4_regular_term,
+    # not called here; kept for bench/tracing.HOOKS, which wraps these bindings
     theorem_exceptional_term,
     theorem_general_term,
 )
@@ -426,40 +432,17 @@ def _transform_k3(e: Expr, r: complex, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 # the family table
 #
-# A theorem family is a pair of term builders over its (upper, lower)
-# vectors: the term of the general line (the regular line of the Th1-4
-# shape, whose lines branch on r = c-1, or the one line of a single-line
-# family) and the term of the exceptional line.  ``line_terms`` decides which
-# of the two a case line carries.  The builders look up the ``identities``
-# functions when called, so they can be swapped in tests.
+# A row is one identity family: the theorem record (``identities.TH11`` ..
+# ``TH15``) it is or derives from, which owns the lines' builders, branches,
+# ids and LHS power of z; the parameters it draws; and the theorem's
+# (upper, lower) vectors at them.  A corollary row adds its LHS prefactor and
+# series, its transform, and its literal line terms; a row without a literal
+# term of its own takes the Kummer-type term at its transform's argument map
+# over the upper vector.
 
-TermBuilder = Callable[..., Optional[Term]]
-
-
-@dataclass(frozen=True)
-class _Theorem:
-    var: Optional[str]  # 'r', 'c' or None: the parameter the lines branch on
-    branches: tuple[Optional[RBranch], ...]
-    general: TermBuilder  # (upper, lower, params)
-    exceptional: Optional[TermBuilder] = None
-
+LiteralTerm = Callable[[dict], Optional[Term]]
 
 _ALL = tuple(RBranch)
-
-_TH11 = _Theorem(
-    "r", _ALL,
-    lambda up, lo, p: theorem_general_term(up, lo, p["r"], p["n"]),
-    lambda up, lo, p: theorem_exceptional_term(up, lo, p["r"].exact, p["n"]),
-)
-_TH12 = _Theorem(None, (None,), lambda up, lo, p: theorem2_term(up, lo, p["n"]))
-_TH13 = _Theorem(None, (None,), lambda up, lo, p: theorem3_term(up, lo, p["n"]))
-_TH14 = _Theorem(
-    "c", (RBranch.GENERAL, RBranch.EXCEPTIONAL),
-    lambda up, lo, p: theorem4_regular_term(up, lo, p["n"]),
-    lambda up, lo, p: theorem4_exceptional_term(up, lo, p["n"]),
-)
-# the Th1-1 terms at upper vectors that lead with the parameter 1
-_TH15 = replace(_TH11, branches=(RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER))
 
 
 @dataclass(frozen=True)
@@ -482,18 +465,25 @@ class _Family:
     """One table row: the identity family whose case lines are entries."""
 
     id: str
-    theorem: _Theorem
+    theorem: Theorem
     params: _Params
     # the theorem's (upper, lower) vectors at the family's parameters
     vectors: Callable[[dict], tuple[Vec, Vec]]
-    lhs: Callable[[dict], Expr]
+    # a corollary's LHS prefactor and series; a theorem family's LHS has no
+    # prefactor and the series of its vectors
+    prefactor: Optional[Callable[[dict], Factor]] = None
+    series: Optional[Callable[[dict], HypSpec]] = None
     # a corollary's literal terms of its general and exceptional lines, over
-    # the params; a theorem family's lines are its theorem's terms
-    general: Optional[TermBuilder] = None
-    exceptional: Optional[TermBuilder] = None
+    # the params; None takes the Kummer-type term of its transform
+    general: Optional[LiteralTerm] = None
+    exceptional: Optional[LiteralTerm] = None
     kind: Optional[str] = None  # corollary transform: 'k1', 'k2' or 'k3'
     r_min: int = 0  # least exact r of the exceptional line
     pfaff: tuple[RBranch, ...] = ()  # lines with a Pfaff-argument series
+
+
+# the argument map each transform gives the theorem's series
+_MAPS = {"k1": ArgMap.NEGATE, "k2": ArgMap.IDENTITY, "k3": ArgMap.PFAFF}
 
 
 def _th_vectors(p: dict) -> tuple[Vec, Vec]:
@@ -520,41 +510,29 @@ def _spec2f1(p: dict) -> HypSpec:
     return HypSpec((p["a"], p["b"]), (p["c"],))
 
 
+def _exp_minus(p: dict) -> Factor:
+    return expz(-1)
+
+
+def _euler(p: dict) -> Factor:
+    return pow1mz((p["a"] + p["b"]) - p["c"])
+
+
+def _pfaff_r(p: dict) -> Factor:
+    return pow1mz((p["a"] - p["r"]) + (p["n"] - 1))
+
+
 _TABLE = (
     # ---- theorem lines (pFq exercised as 2F1 shapes) ----
-    _Family(
-        "Th1-1", _TH11, _TH, _th_vectors,
-        lambda p: expr(term(1, powz(p["r"]), hyp(HypSpec(*_th_vectors(p))))),
-    ),
-    _Family(
-        "Th1-2", _TH12, _TH, _th_vectors,
-        lambda p: expr(term(1, hyp(HypSpec(*_th_vectors(p))))),
-    ),
-    _Family(
-        "Th1-3", _TH13, _TH, _th_vectors,
-        lambda p: expr(term(1, powz(p["a1"] + (p["n"] - 1)), hyp(HypSpec(*_th_vectors(p))))),
-    ),
-    _Family(
-        "Th1-4", _TH14, _Params(("a1", "a2")),
-        lambda p: ((p["a1"], p["a2"]), (p["c"],)),
-        lambda p: expr(term(1, powz(p["c"] - 1), hyp(HypSpec((p["a1"], p["a2"]), (p["c"],))))),
-    ),
-    _Family(
-        "Th1-5", _TH15, _Params(("a2", "b1")),
-        lambda p: ((_ONE, p["a2"]), (p["b1"],)),
-        lambda p: expr(term(1, powz(p["r"]), hyp(HypSpec((_ONE, p["a2"]), (p["b1"],))))),
-    ),
+    _Family("Th1-1", TH11, _TH, _th_vectors),
+    _Family("Th1-2", TH12, _TH, _th_vectors),
+    _Family("Th1-3", TH13, _TH, _th_vectors),
+    _Family("Th1-4", TH14, _Params(("a1", "a2")), lambda p: ((p["a1"], p["a2"]), (p["c"],))),
+    _Family("Th1-5", TH15, _Params(("a2", "b1")), lambda p: ((_ONE, p["a2"]), (p["b1"],))),
     # ---- corollary lines for e^{-z} 1F1(a;c;z) ----
+    _Family("Co1-1", TH11, _CO1, _k1_vectors, _exp_minus, _spec11, kind="k1"),
     _Family(
-        "Co1-1", _TH11, _CO1, _k1_vectors,
-        lambda p: expr(term(1, powz(p["r"]), expz(-1), hyp(_spec11(p)))),
-        lambda p: _kummer_general(ArgMap.NEGATE, (p["c"] - p["a"],), p),
-        lambda p: _kummer_exceptional(ArgMap.NEGATE, (p["c"] - p["a"],), p),
-        kind="k1",
-    ),
-    _Family(
-        "Co1-2", _TH12, _CO1, _k1_vectors,
-        lambda p: expr(term(1, expz(-1), hyp(_spec11(p)))),
+        "Co1-2", TH12, _CO1, _k1_vectors, _exp_minus, _spec11,
         lambda p: term(
             (-1) ** (p["n"] % 2)
             * pochhammer(p["c"] - p["a"], p["n"])
@@ -565,10 +543,7 @@ _TABLE = (
         kind="k1",
     ),
     _Family(
-        "Co1-3", _TH13, _CO1, _k1_vectors,
-        lambda p: expr(
-            term(1, powz((p["c"] - p["a"]) + (p["n"] - 1)), expz(-1), hyp(_spec11(p)))
-        ),
+        "Co1-3", TH13, _CO1, _k1_vectors, _exp_minus, _spec11,
         lambda p: term(
             pochhammer(p["c"] - p["a"], p["n"]),
             powz((p["c"] - p["a"]) - 1),
@@ -578,51 +553,25 @@ _TABLE = (
         kind="k1",
     ),
     _Family(
-        "Co1-4", _TH14, _CO1, _k1_vectors,
-        lambda p: expr(term(1, powz(p["c"] - 1), expz(-1), hyp(_spec11(p)))),
+        "Co1-4", TH14, _CO1, _k1_vectors, _exp_minus, _spec11,
         lambda p: _regular(p, (p["a"] - p["n"],), expz(-1)),
         _co14_exceptional,
         kind="k1",
     ),
     _Family(
-        "Co1-5", _TH15, _CO1, lambda p: ((_ONE,), (p["c"],)),
-        lambda p: expr(term(1, powz(p["r"]), expz(-1), hyp(HypSpec((p["c"] - 1,), (p["c"],))))),
-        lambda p: _kummer_general(ArgMap.NEGATE, (_ONE,), p),
-        _co15_main,
+        "Co1-5", TH15, _CO1, lambda p: ((_ONE,), (p["c"],)),
+        _exp_minus, lambda p: HypSpec((p["c"] - 1,), (p["c"],)),
+        exceptional=_co15_main,
         kind="k1", r_min=1,
     ),
     # ---- corollary lines for prefactored 2F1 ----
     # Co2-1 and Co2-2 sit in one tuple: their entries alternate, line by line
     (
-        _Family(
-            "Co2-1", _TH11, _CO2, _k2_vectors,
-            lambda p: expr(
-                term(1, powz(p["r"]), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
-            ),
-            lambda p: _kummer_general(ArgMap.IDENTITY, (p["c"] - p["a"], p["c"] - p["b"]), p),
-            lambda p: _kummer_exceptional(ArgMap.IDENTITY, (p["c"] - p["a"], p["c"] - p["b"]), p),
-            kind="k2",
-        ),
-        _Family(
-            "Co2-2", _TH11, _CO2, _k3_vectors,
-            lambda p: expr(
-                term(1, powz(p["r"]), pow1mz((p["a"] - p["r"]) + (p["n"] - 1)), hyp(_spec2f1(p)))
-            ),
-            lambda p: _kummer_general(ArgMap.PFAFF, (p["a"], p["c"] - p["b"]), p),
-            lambda p: _kummer_exceptional(ArgMap.PFAFF, (p["a"], p["c"] - p["b"]), p),
-            kind="k3", pfaff=_ALL,
-        ),
+        _Family("Co2-1", TH11, _CO2, _k2_vectors, _euler, _spec2f1, kind="k2"),
+        _Family("Co2-2", TH11, _CO2, _k3_vectors, _pfaff_r, _spec2f1, kind="k3", pfaff=_ALL),
     ),
     _Family(
-        "Co2-3", _TH13, _CO2, _k2_vectors,
-        lambda p: expr(
-            term(
-                1,
-                powz((p["c"] - p["a"]) + (p["n"] - 1)),
-                pow1mz((p["a"] + p["b"]) - p["c"]),
-                hyp(_spec2f1(p)),
-            )
-        ),
+        "Co2-3", TH13, _CO2, _k2_vectors, _euler, _spec2f1,
         lambda p: term(
             pochhammer(p["c"] - p["a"], p["n"]),
             powz((p["c"] - p["a"]) - 1),
@@ -632,8 +581,7 @@ _TABLE = (
         kind="k2",
     ),
     _Family(
-        "Co2-4", _TH12, _CO2, _k2_vectors,
-        lambda p: expr(term(1, pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))),
+        "Co2-4", TH12, _CO2, _k2_vectors, _euler, _spec2f1,
         lambda p: term(
             pochhammer(p["c"] - p["a"], p["n"])
             * pochhammer(p["c"] - p["b"], p["n"])
@@ -644,8 +592,7 @@ _TABLE = (
         kind="k2",
     ),
     _Family(
-        "Co2-5", _TH12, _CO2, _k3_vectors,
-        lambda p: expr(term(1, pow1mz(p["a"] + (p["n"] - 1)), hyp(_spec2f1(p)))),
+        "Co2-5", TH12, _CO2, _k3_vectors, lambda p: pow1mz(p["a"] + (p["n"] - 1)), _spec2f1,
         lambda p: term(
             (-1) ** (p["n"] % 2)
             * pochhammer(p["a"], p["n"])
@@ -657,10 +604,7 @@ _TABLE = (
         kind="k3",
     ),
     _Family(
-        "Co2-6", _TH14, _CO2, _k2_vectors,
-        lambda p: expr(
-            term(1, powz(p["c"] - 1), pow1mz((p["a"] + p["b"]) - p["c"]), hyp(_spec2f1(p)))
-        ),
+        "Co2-6", TH14, _CO2, _k2_vectors, _euler, _spec2f1,
         lambda p: _regular(
             p, (p["a"] - p["n"], p["b"] - p["n"]), pow1mz(((p["a"] + p["b"]) - p["c"]) - p["n"])
         ),
@@ -668,50 +612,28 @@ _TABLE = (
         kind="k2",
     ),
     _Family(
-        "Co2-7", _TH14, _CO2, _k3_vectors,
-        lambda p: expr(
-            term(1, powz(p["c"] - 1), pow1mz((p["a"] - p["c"]) + p["n"]), hyp(_spec2f1(p)))
-        ),
+        "Co2-7", TH14, _CO2, _k3_vectors, lambda p: pow1mz((p["a"] - p["c"]) + p["n"]), _spec2f1,
         lambda p: _regular(p, (p["a"], p["b"] - p["n"]), pow1mz(p["a"] - p["c"])),
         _co27_exceptional,
         kind="k3",
     ),
     # Co2-8..Co2-10: 2F1 with one parameter pinned (b = c-1 or a1 = 1)
     _Family(
-        "Co2-8", _TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
-        lambda p: expr(
-            term(1, powz(p["r"]), pow1mz(p["a"] - 1), hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))))
-        ),
-        lambda p: _kummer_general(ArgMap.IDENTITY, (_ONE, p["c"] - p["a"]), p),
-        _co28_main,
+        "Co2-8", TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
+        lambda p: pow1mz(p["a"] - 1), lambda p: HypSpec((p["a"], p["c"] - 1), (p["c"],)),
+        exceptional=_co28_main,
         kind="k2", r_min=1,
     ),
     _Family(
-        "Co2-9", _TH15, _CO1, lambda p: ((_ONE, p["a"]), (p["c"],)),
-        lambda p: expr(
-            term(
-                1,
-                powz(p["r"]),
-                pow1mz((p["a"] - p["r"]) + (p["n"] - 1)),
-                hyp(HypSpec((p["a"], p["c"] - 1), (p["c"],))),
-            )
-        ),
-        lambda p: _kummer_general(ArgMap.PFAFF, (_ONE, p["a"]), p),
-        _co29_main,
+        "Co2-9", TH15, _CO1, lambda p: ((_ONE, p["a"]), (p["c"],)),
+        _pfaff_r, lambda p: HypSpec((p["a"], p["c"] - 1), (p["c"],)),
+        exceptional=_co29_main,
         kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
     ),
     _Family(
-        "Co2-10", _TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
-        lambda p: expr(
-            term(
-                1,
-                powz(p["r"]),
-                pow1mz(param(p["n"]) - p["r"]),
-                hyp(HypSpec((_ONE, p["a"]), (p["c"],))),
-            )
-        ),
-        lambda p: _kummer_general(ArgMap.PFAFF, (_ONE, p["c"] - p["a"]), p),
-        _co210_main,
+        "Co2-10", TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
+        lambda p: pow1mz(param(p["n"]) - p["r"]), lambda p: HypSpec((_ONE, p["a"]), (p["c"],)),
+        exceptional=_co210_main,
         kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
     ),
 )
@@ -720,27 +642,13 @@ _TABLE = (
 # ---------------------------------------------------------------------------
 # entries generated from the table
 
-_SUFFIX = {
-    RBranch.GENERAL: "general",
-    RBranch.EXCEPTIONAL: "exceptional",
-    RBranch.NEGATIVE_INTEGER: "negative",
-}
-
-
-def _line_id(fam: _Family, branch: Optional[RBranch]) -> str:
-    if branch is None:
-        return fam.id
-    if fam.theorem.var == "c" and branch is RBranch.GENERAL:
-        return f"{fam.id}-regular"
-    return f"{fam.id}-{_SUFFIX[branch]}"
-
 
 def _applies(fam: _Family, branch: Optional[RBranch], p: dict) -> bool:
     if branch is None:
         return True
-    r = p["c"] - 1 if fam.theorem.var == "c" else p["r"]
-    return branch_holds(branch, r, p["n"]) and (
-        branch is not RBranch.EXCEPTIONAL or r.exact >= fam.r_min  # type: ignore[operator]
+    r = fam.theorem.power(*fam.vectors(p), p)
+    return branch_holds(branch, r, p["n"]) and (  # type: ignore[arg-type]
+        branch is not RBranch.EXCEPTIONAL or r.exact >= fam.r_min  # type: ignore[union-attr]
     )
 
 
@@ -766,27 +674,33 @@ def _draw(fam: _Family, branch: Optional[RBranch], rng: random.Random) -> dict:
     return p
 
 
-def _line(branch: Optional[RBranch], builders: _Theorem | _Family, *args) -> Expr:
-    """The case line of ``branch`` from the general and exceptional term
-    builders of ``builders``, called on ``args``; the one line of a
-    single-line family carries its general term."""
-    general, exceptional = builders.general, builders.exceptional
-    return Expr(
-        line_terms(branch or RBranch.GENERAL, lambda: general(*args), lambda: exceptional(*args))
-    )
+def _lhs(fam: _Family, p: dict) -> Expr:
+    """z^(the theorem's power at the row's vectors), the row's prefactor and
+    the row's series."""
+    upper, lower = fam.vectors(p)
+    power = fam.theorem.power(upper, lower, p)
+    factors = () if power is None else (powz(power),)
+    if fam.prefactor is not None:
+        factors += (fam.prefactor(p),)
+    series = HypSpec(upper, lower) if fam.series is None else fam.series(p)
+    return expr(term(1, *factors, hyp(series)))
 
 
 def _literal(fam: _Family, branch: Optional[RBranch], p: dict) -> Expr:
-    if fam.general is None:
-        return _line(branch, fam.theorem, *fam.vectors(p), p)
-    return _line(branch, fam, p)
+    upper, lower = fam.vectors(p)
+    if fam.kind is None:
+        return fam.theorem.line(branch, upper, lower, p)
+    amap = _MAPS[fam.kind]
+    general = fam.general or (lambda p: _kummer_general(amap, upper, p))
+    exceptional = fam.exceptional or (lambda p: _kummer_exceptional(amap, upper, p))
+    return Expr(line_terms(branch, lambda: general(p), lambda: exceptional(p)))
 
 
 def _entry(fam: _Family, branch: Optional[RBranch]) -> IdentityEntry:
     return IdentityEntry(
-        id=_line_id(fam, branch),
+        id=fam.theorem.line_id(branch, fam.id),
         applicable=lambda p: _applies(fam, branch, p),
-        lhs=fam.lhs,
+        lhs=lambda p: _lhs(fam, p),
         rhs=lambda p: _literal(fam, branch, p),
         draw=lambda rng: _draw(fam, branch, rng),
         z_points=Z_POINTS_PFAFF if branch in fam.pfaff else Z_POINTS,
@@ -826,13 +740,15 @@ def theorem_composition(entry_id: str, params: dict) -> Expr:
     if source is None:
         raise KeyError(f"no composition recorded for {entry_id}")
     fam, branch = source
-    base = _line(branch, fam.theorem, *fam.vectors(params), params)
+    upper, lower = fam.vectors(params)
+    base = fam.theorem.line(branch, upper, lower, params)
     # the Euler substitution keeps the argument; the other two need the
-    # z-power r of the row's LHS for the phase
+    # LHS power r of z for the phase
     if fam.kind == "k2":
         return base
+    r = fam.theorem.power(upper, lower, params)
     transform = _transform_k1 if fam.kind == "k1" else _transform_k3
-    return transform(base, _powz_exponent(fam.lhs(params).terms[0]), params["n"])
+    return transform(base, 0j if r is None else r.value, params["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +767,6 @@ def verify_entry(
     trials: int = 50,
     seed: int = 0,
     tol: float = 1e-8,
-    ctrl: Optional[EvalControl] = None,
 ) -> VerifyReport:
     """Compare the RHS against the jet-oracle derivative on seeded draws.
 
@@ -861,7 +776,6 @@ def verify_entry(
         raise ValueError("trials must be >= 1")
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
-    ctrl = ctrl or DEFAULT_CONTROL
     rng = random.Random(f"{seed}:{e.id}")
     max_err = 0.0
     failures = []
@@ -870,8 +784,8 @@ def verify_entry(
         lhs_e = e.lhs(p)
         for z0 in e.z_points:
             try:
-                lv = nth_derivative(lhs_e, p["n"], z0, ctrl)
-                rv = eval_expr(e.rhs(p), z0, ctrl)
+                lv = nth_derivative(lhs_e, p["n"], z0, DEFAULT_CONTROL)
+                rv = eval_expr(e.rhs(p), z0, DEFAULT_CONTROL)
                 err = rel_err(lv, rv)
             except HypDerivError as exc:
                 # a point either side cannot build or evaluate fails, with the error

@@ -7,14 +7,18 @@ exceptional Th1-4 lines.  Each returns its Term, or None when the prefactor
 is exactly 0; a vanishing Pochhammer denominator raises
 SingularCoefficient.  ``line_terms`` is the one rule for which terms a case
 line carries across the three branches of r (generic, exact 0..n, exact
-negative).  ``specialize`` names the line a parameter set lands on and
-builds it with the same builders the catalog uses.
+negative).
+
+One ``Theorem`` record per theorem (``TH11`` .. ``TH15``) owns its builders,
+the branches that have a line, the id of each line and the LHS power of z.
+Only the records call the builders: ``theorem1_rhs``, ``specialize`` and the
+catalog build and name every theorem line through them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -194,23 +198,100 @@ def theorem4_exceptional_term(upper: Vec, lower: Vec, n: int) -> Optional[Term]:
 
 
 def line_terms(
-    branch: RBranch,
+    branch: Optional[RBranch],
     general: Callable[[], Optional[Term]],
     exceptional: Callable[[], Optional[Term]],
 ) -> tuple[Term, ...]:
     """The terms of the case line of ``branch``, general term first.
 
     The general and negative-integer lines carry the general term, the
-    exceptional and negative-integer lines the exceptional one; a family
-    with one line (Th1-2, Th1-3) carries its term on the general line.  Each
-    builder is called only on a line that carries its term.
+    exceptional and negative-integer lines the exceptional one; the one line
+    of a single-line family (Th1-2, Th1-3), keyed None, carries its general
+    term.  Each builder is called only on a line that carries its term.
     """
     terms: list[Optional[Term]] = []
-    if branch in (RBranch.GENERAL, RBranch.NEGATIVE_INTEGER):
+    if branch in (None, RBranch.GENERAL, RBranch.NEGATIVE_INTEGER):
         terms.append(general())
     if branch in (RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER):
         terms.append(exceptional())
     return tuple(t for t in terms if t is not None)
+
+
+TermBuilder = Callable[[Vec, Vec, dict], Optional[Term]]
+
+_SUFFIX = {
+    RBranch.GENERAL: "general",
+    RBranch.EXCEPTIONAL: "exceptional",
+    RBranch.NEGATIVE_INTEGER: "negative",
+}
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem's case lines over its (upper, lower) vectors and the
+    params n and r.
+
+    The builders look up this module's functions when called, so they can
+    be swapped in tests.
+    """
+
+    id: str
+    var: Optional[str]  # 'r', 'c' or None: the parameter the lines branch on
+    branches: tuple[Optional[RBranch], ...]  # (None,) for a single line
+    # the LHS power of z at the vectors (None for none); a theorem with more
+    # than one line branches on it
+    power: Callable[[Vec, Vec, dict], Optional[Parameter]]
+    # the term of the general line (the regular line of the Th1-4 shape, or
+    # the one line of a single-line theorem) and of the exceptional line
+    general: TermBuilder
+    exceptional: Optional[TermBuilder] = None
+
+    def line_id(self, branch: Optional[RBranch], family: Optional[str] = None) -> str:
+        """The id of the line of ``branch`` of ``family`` (this theorem by
+        default); the general line of the Th1-4 shape is its regular line."""
+        stem = family or self.id
+        if branch is None:
+            return stem
+        if self.var == "c" and branch is RBranch.GENERAL:
+            return f"{stem}-regular"
+        return f"{stem}-{_SUFFIX[branch]}"
+
+    def line(self, branch: Optional[RBranch], upper: Vec, lower: Vec, p: dict) -> Expr:
+        """The case line of ``branch``, as ``line_terms`` assembles it."""
+        general, exceptional = self.general, self.exceptional
+        return Expr(
+            line_terms(
+                branch,
+                lambda: general(upper, lower, p),
+                lambda: exceptional(upper, lower, p),  # type: ignore[misc]
+            )
+        )
+
+
+TH11 = Theorem(
+    "Th1-1", "r", tuple(RBranch),
+    lambda up, lo, p: p["r"],
+    lambda up, lo, p: theorem_general_term(up, lo, p["r"], p["n"]),
+    lambda up, lo, p: theorem_exceptional_term(up, lo, p["r"].exact, p["n"]),
+)
+TH12 = Theorem(
+    "Th1-2", None, (None,),
+    lambda up, lo, p: None,
+    lambda up, lo, p: theorem2_term(up, lo, p["n"]),
+)
+TH13 = Theorem(
+    "Th1-3", None, (None,),
+    lambda up, lo, p: up[0] + (p["n"] - 1),
+    lambda up, lo, p: theorem3_term(up, lo, p["n"]),
+)
+TH14 = Theorem(
+    "Th1-4", "c", (RBranch.GENERAL, RBranch.EXCEPTIONAL),
+    lambda up, lo, p: lo[0] - 1,
+    lambda up, lo, p: theorem4_regular_term(up, lo, p["n"]),
+    lambda up, lo, p: theorem4_exceptional_term(up, lo, p["n"]),
+)
+# the Th1-1 lines at upper vectors that lead with the parameter 1
+TH15 = replace(TH11, id="Th1-5", branches=(RBranch.EXCEPTIONAL, RBranch.NEGATIVE_INTEGER))
 
 
 def theorem1_rhs(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
@@ -218,12 +299,8 @@ def theorem1_rhs(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
     r = param(r)
     validate_spec(spec)
     branch = classify_r(r, n)
-    terms = line_terms(
-        branch,
-        lambda: theorem_general_term(spec.upper, spec.lower, r, n),
-        lambda: theorem_exceptional_term(spec.upper, spec.lower, r.exact, n),  # type: ignore[arg-type]
-    )
-    return IdentityForm("Th1-1", Expr(terms), branch)
+    rhs = TH11.line(branch, spec.upper, spec.lower, {"r": r, "n": n})
+    return IdentityForm("Th1-1", rhs, branch)
 
 
 def reduce_cancellation(spec: HypSpec) -> HypSpec:
@@ -260,9 +337,10 @@ def specialize(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
     line covers: r = b_j - 1 (Th1-4, regular for a general r, exceptional
     for an exact r = 0..n-1), r = 0 (Th1-2), r = a_j + n - 1 (Th1-3) and an
     exact upper parameter 1 (Th1-5, exceptional or negative).  With none,
-    the line is Th1-1's for the branch of r.  The matched parameter moves
-    to the front and the line is built by the same builders the catalog
-    uses for it.  An upper/lower pair already equal in ``spec`` is kept.
+    the line is Th1-1's for the branch of r, named "Th1-1" on every branch.
+    The matched parameter moves to the front, and the line is built and
+    named by its theorem's record, as the catalog builds and names it.  An
+    upper/lower pair already equal in ``spec`` is kept.
     """
     r = param(r)
     validate_spec(spec)
@@ -273,25 +351,19 @@ def specialize(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
     a_idx = next((j for j, a in enumerate(upper) if (a + (n - 1)).value == r.value), None)
     one_idx = next((j for j, a in enumerate(upper) if a.exact == 1), None)
 
-    # the builders read upper and lower when called, after the reordering
-    general = lambda: theorem_general_term(upper, lower, r, n)
-    exceptional = lambda: theorem_exceptional_term(upper, lower, r.exact, n)  # type: ignore[arg-type]
-    name, line = "Th1-1", branch
+    th, line = TH11, branch
     if b_idx is not None and branch is not RBranch.NEGATIVE_INTEGER:
-        name = "Th1-4-regular" if branch is RBranch.GENERAL else "Th1-4-exceptional"
+        th = TH14
         lower = _to_front(lower, b_idx)
         if branch is RBranch.EXCEPTIONAL:  # a numeric b = r+1 becomes the exact c
             lower = (param(r.integer + 1),) + lower[1:]  # type: ignore[operator]
-        general = lambda: theorem4_regular_term(upper, lower, n)
-        exceptional = lambda: theorem4_exceptional_term(upper, lower, n)
     elif branch is RBranch.EXCEPTIONAL and r.exact == 0:
-        name, line = "Th1-2", RBranch.GENERAL
-        general = lambda: theorem2_term(upper, lower, n)
+        th, line = TH12, None
     elif a_idx is not None and branch is not RBranch.EXCEPTIONAL:
-        name, line = "Th1-3", RBranch.GENERAL
+        th, line = TH13, None
         upper = _to_front(upper, a_idx)
-        general = lambda: theorem3_term(upper, lower, n)
     elif one_idx is not None and branch is not RBranch.GENERAL:
-        name = "Th1-5-exceptional" if branch is RBranch.EXCEPTIONAL else "Th1-5-negative"
+        th = TH15
         upper = _to_front(upper, one_idx)
-    return IdentityForm(name, Expr(line_terms(line, general, exceptional)), branch)
+    name = "Th1-1" if th is TH11 else th.line_id(line)
+    return IdentityForm(name, th.line(line, upper, lower, {"r": r, "n": n}), branch)

@@ -448,8 +448,12 @@ _DEC_PREC = 38
 def _cancelled(abs_sum, value) -> bool:
     """Whether a sum cancelled past ``_KAPPA_LIMIT``: ``abs_sum``, the sum of
     its terms' magnitudes (or a bound above it), against the sum ``value``.
-    A magnitude sum at or below 1e-250 counts as nothing to lose."""
-    return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
+    A magnitude sum at or below 1e-250 counts as nothing to lose, and a sum
+    whose modulus is past the largest double as not cancelled."""
+    try:
+        return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
+    except OverflowError:
+        return False
 
 
 class _Complex(Field):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypderiv import catalog, identities
+from hypderiv import identities
 from hypderiv.catalog import (
     catalog_entries,
     corollary_sources,
@@ -454,12 +454,10 @@ def _scaled(builder):
 THEOREM_BUILDERS = (
     (identities, "theorem_general_term"),
     (identities, "theorem_exceptional_term"),
-    (catalog, "theorem_general_term"),
-    (catalog, "theorem_exceptional_term"),
-    (catalog, "theorem2_term"),
-    (catalog, "theorem3_term"),
-    (catalog, "theorem4_regular_term"),
-    (catalog, "theorem4_exceptional_term"),
+    (identities, "theorem2_term"),
+    (identities, "theorem3_term"),
+    (identities, "theorem4_regular_term"),
+    (identities, "theorem4_exceptional_term"),
 )
 
 
@@ -534,7 +532,7 @@ class TestTheoremLinesAgainstTh11:
 
     @pytest.mark.parametrize("builder", sorted(_LINE_BUILDERS))
     def test_a_scaled_builder_fails(self, monkeypatch, builder):
-        monkeypatch.setattr(catalog, builder, _scaled(getattr(catalog, builder)))
+        monkeypatch.setattr(identities, builder, _scaled(getattr(identities, builder)))
         assert _theorem_line_mismatches() == {_LINE_BUILDERS[builder]}
 
 

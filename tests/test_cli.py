@@ -32,6 +32,13 @@ class TestEval:
         assert out.splitlines()[0] == "1.38629436111989"
         assert "convergence: inside-unit-disk" in out
 
+    def test_sum_past_the_largest_double_exit_0(self, capsys):
+        # (1-z)^1000 with a modulus past the largest double prints its value
+        code = main(["eval", "--upper=-1000", "--z=-1.0336993727558301-0.0015972640806892478i"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[0] == "1.36890601335441e+308+1.36890601335441e+308i"
+
     def test_singular_lower_exit_2(self, capsys):
         code = main(["eval", "--upper", "0.5", "--lower", "-1", "--z", "0.1"])
         err = capsys.readouterr().err

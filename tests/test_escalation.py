@@ -8,9 +8,11 @@ it, and the derivative is compared with mpmath at 50 digits.  The stated
 bound is a relative error of 1e-12; the reruns reach about 1e-14.  A last
 case shows the margin of the 38 digits: a series that cancels by kappa ~
 1e16 still comes out within 1e-15.  ``evaluate`` takes the same series
-guard: cancelling scalar sums come out within 1e-15 of mpmath.
+guard: cancelling scalar sums come out within 1e-15 of mpmath, and a sum
+whose modulus is past the largest double is returned as not cancelled.
 """
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -117,3 +119,15 @@ def test_evaluate_matches_mpmath(monkeypatch, upper, lower, z):
                  for x in v] for v in (upper, lower))
         want = complex(mpmath.hyper(a, b, z))
     assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+def test_sum_past_the_largest_double_is_returned():
+    # 1F0(-1000;;z) = (1-z)^1000 at |1-z| = 2.0337: finite parts, a modulus
+    # past the largest double, and a magnitude sum that overflows; the guard
+    # returns it as not cancelled, within 1e-15 of mpmath (halved, so that
+    # the modulus is a double)
+    z = 1 - 2.0337 * cmath.exp(1j * cmath.pi / 4000)
+    got = evaluate(HypSpec.of([-1000], []), z).value
+    with mpmath.workdps(50):
+        want = complex(mpmath.hyper([-1000], [], z))
+    assert abs((got - want) / 2) <= 1e-15 * abs(want / 2), (got, want)

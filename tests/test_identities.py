@@ -416,3 +416,23 @@ class TestSingularRegularBranch:
         assert not e.applicable(p)
         with pytest.raises(SingularLowerParameter):
             e.rhs(p)
+
+
+THEOREM_BUILDERS = (
+    "theorem_general_term",
+    "theorem_exceptional_term",
+    "theorem2_term",
+    "theorem3_term",
+    "theorem4_regular_term",
+    "theorem4_exceptional_term",
+)
+
+
+class TestOneRecordPerTheorem:
+    def test_only_the_theorem_records_call_the_builders(self):
+        # each theorem-line builder is called once, in its record at module
+        # level in identities: not by theorem1_rhs, specialize or the catalog
+        from test_jets import _calls, _scopes_where
+
+        for name in THEOREM_BUILDERS:
+            assert _scopes_where(_calls(name)) == ["identities"], name
