@@ -79,8 +79,8 @@ from .identities import (
 
 Z_POINTS = (0.2, 1 / 3, 0.7)
 # z/(z-1) leaves the unit disk for z > 1/2, so Pfaff-argument entries are
-# verified on the first two sample points only.
-Z_POINTS_PFAFF = (0.2, 1 / 3)
+# verified on the sample points it keeps inside.
+Z_POINTS_PFAFF = tuple(z for z in Z_POINTS if abs(z / (z - 1)) < 1)
 
 _ONE = param(1)
 
@@ -442,8 +442,6 @@ def _transform_k3(e: Expr, r: complex, n: int) -> Expr:
 
 LiteralTerm = Callable[[dict], Optional[Term]]
 
-_ALL = tuple(RBranch)
-
 
 @dataclass(frozen=True)
 class _Params:
@@ -479,7 +477,6 @@ class _Family:
     exceptional: Optional[LiteralTerm] = None
     kind: Optional[str] = None  # corollary transform: 'k1', 'k2' or 'k3'
     r_min: int = 0  # least exact r of the exceptional line
-    pfaff: tuple[RBranch, ...] = ()  # lines with a Pfaff-argument series
 
 
 # the argument map each transform gives the theorem's series
@@ -568,7 +565,7 @@ _TABLE = (
     # Co2-1 and Co2-2 sit in one tuple: their entries alternate, line by line
     (
         _Family("Co2-1", TH11, _CO2, _k2_vectors, _euler, _spec2f1, kind="k2"),
-        _Family("Co2-2", TH11, _CO2, _k3_vectors, _pfaff_r, _spec2f1, kind="k3", pfaff=_ALL),
+        _Family("Co2-2", TH11, _CO2, _k3_vectors, _pfaff_r, _spec2f1, kind="k3"),
     ),
     _Family(
         "Co2-3", TH13, _CO2, _k2_vectors, _euler, _spec2f1,
@@ -628,13 +625,13 @@ _TABLE = (
         "Co2-9", TH15, _CO1, lambda p: ((_ONE, p["a"]), (p["c"],)),
         _pfaff_r, lambda p: HypSpec((p["a"], p["c"] - 1), (p["c"],)),
         exceptional=_co29_main,
-        kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
+        kind="k3", r_min=1,
     ),
     _Family(
         "Co2-10", TH15, _CO1, lambda p: ((_ONE, p["c"] - p["a"]), (p["c"],)),
         lambda p: pow1mz(param(p["n"]) - p["r"]), lambda p: HypSpec((_ONE, p["a"]), (p["c"],)),
         exceptional=_co210_main,
-        kind="k3", r_min=1, pfaff=(RBranch.NEGATIVE_INTEGER,),
+        kind="k3", r_min=1,
     ),
 )
 
@@ -697,13 +694,17 @@ def _literal(fam: _Family, branch: Optional[RBranch], p: dict) -> Expr:
 
 
 def _entry(fam: _Family, branch: Optional[RBranch]) -> IdentityEntry:
+    # a line that carries a Kummer-type term at the Pfaff map (a k3 row's term
+    # with no literal builder) is sampled where z/(z-1) stays in the disk
+    kummer = line_terms(branch, lambda: fam.general is None, lambda: fam.exceptional is None)
+    pfaff = fam.kind == "k3" and any(kummer)
     return IdentityEntry(
         id=fam.theorem.line_id(branch, fam.id),
         applicable=lambda p: _applies(fam, branch, p),
         lhs=lambda p: _lhs(fam, p),
         rhs=lambda p: _literal(fam, branch, p),
         draw=lambda rng: _draw(fam, branch, rng),
-        z_points=Z_POINTS_PFAFF if branch in fam.pfaff else Z_POINTS,
+        z_points=Z_POINTS_PFAFF if pfaff else Z_POINTS,
     )
 
 

@@ -261,6 +261,8 @@ def classify_convergence(spec: HypSpec, z: complex) -> ConvergenceClass:
     p < q+1: entire.  p > q+1: divergent unless terminating.  p = q+1:
     converges inside the unit disk; on the boundary only at z = 1 when
     Re(sum b - sum a) > 0 and at z = -1 when Re(sum b - sum a) + 1 > 0.
+    Where it diverges, a terminating series (a polynomial) is divergent
+    unless terminating, as for p > q+1.
     """
     zc = complex(z)
     if spec.p < spec.q + 1:
@@ -276,6 +278,8 @@ def classify_convergence(spec: HypSpec, z: complex) -> ConvergenceClass:
     elif zc == -1:
         if s.real + 1 > 0:
             return ConvergenceClass.AT_MINUS_ONE
+    if termination_order(spec) is not None:
+        return ConvergenceClass.DIVERGENT_UNLESS_TERMINATING
     return ConvergenceClass.UNIT_DISK_BOUNDARY_DIVERGENT
 
 

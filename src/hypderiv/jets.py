@@ -23,8 +23,8 @@ run over three scalar fields:
 A field supplies lift from complex and lower to complex, a fused sum of
 products (``dot``) and a magnitude for the stop rule; the complex field
 also re-sums each coefficient's bucket of terms exactly rounded
-(``total``).  The decimal field's entry checks its own sums: a coefficient
-that cancelled past what its digits resolve raises ``NoConvergence``.
+(``total``) and sums its terms' magnitudes, the one measure of
+cancellation.
 The leading values of exp and of a non-integer power are transcendental;
 they are taken in double precision and lifted, and since the recurrences
 are linear in that value its rounding scales the whole result instead of
@@ -38,7 +38,9 @@ in that field and at that field's ``series_tol`` (the caller's rel_tol in
 complex field's entry also holds the one cancellation guard: a sum that
 cancelled is rerun, a real terminating series exactly and any other in
 38-digit decimal arithmetic, so a complex series is guarded wherever it is
-summed.
+summed.  The same magnitude sums tell whether a decimal rerun resolved the
+sum: a coefficient that cancelled past what 38 digits resolve raises
+``NoConvergence``.
 The kernel takes its argument w as coefficients.  For an affine
 w = w0 + w1 h (a scalar, the identity and negate maps) each kind of field
 has one loop, which runs at every order, order 0 included.  The complex
@@ -63,7 +65,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter
@@ -123,14 +125,13 @@ class Field:
     the terms since the last fold to the running sums that the one stop
     test reads: in ``COMPLEX`` a ``sum`` over each bucket, in ``DECIMAL`` a
     C-level ``sum`` over each part and in ``FRACTION`` an exact ``sum``.
+    Only the field with a ``total`` returns its terms' magnitude sums, the
+    one measure of cancellation; the decimal and exact kernels keep none.
     """
 
     # The series kernel returns its running sums, unless the field re-sums
     # each coefficient's bucket of terms with ``total`` to round it once.
     total = None
-    # An exact field has no rounding to measure: its kernel returns no
-    # magnitude sums.
-    exact = False
 
     def param(self, x):
         """A ``Parameter`` in this field: its double, lifted."""
@@ -255,10 +256,11 @@ class Field:
         ``max_terms`` terms.  Either sum raises ``NoConvergence`` at the first
         term with a coefficient that is not finite, and where a term or a sum
         overflows (``OverflowError``) with finite parts.  Returns the sums;
-        per coefficient the sum of its terms' magnitudes, or a bound above
-        it, for the complex field's cancellation guard and the decimal
-        field's self-check (None in the exact field); the number of terms
-        summed; and the largest magnitude among the last term's coefficients.
+        in the field with a ``total`` (``COMPLEX``) per coefficient the sum
+        of its terms' magnitudes, or a bound above it, for the cancellation
+        guard and the check of its decimal rerun, and None in the others;
+        the number of terms summed; and the largest magnitude among the last
+        term's coefficients.
         At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums:
         the K = 0 case of each field's loop below.
 
@@ -331,8 +333,8 @@ class Field:
             buckets = kept = [[x] for x in t]
             w1, append0 = w[1] if top else None, buckets[0].append
         else:
-            # the scalar terms u_k = c_k z^k, their magnitudes and (w1/w0)^i
-            buckets, mags, ps, a, i_max = None, [tmax], [one], 0, 0
+            # the scalar terms u_k = c_k z^k and (w1/w0)^i
+            buckets, ps, a, i_max = None, [one], 0, 0
             us = kept = [one]
             if top and w0:
                 rho = w[1] / w0
@@ -378,7 +380,6 @@ class Field:
                     t0 = t0 * rz
                     us.append(t0)
                     tmax = mag(t0)
-                    mags.append(tmax)
                     if a:
                         # term k's largest coefficient, C(k, i) u_k rho^i, at
                         # the i past which the binomial weights fall
@@ -414,20 +415,13 @@ class Field:
             return sums, [sum(map(mag, b)) for b in buckets], k + 1, tmax
         if top and not w0:
             # a term past the order adds nothing to the jet
-            pad = [self.zero] * (top + 1 - len(us))
-            sums, abs_sums = us[: top + 1] + pad, mags[: top + 1] + list(map(mag, pad))
-            tail = tmax if k <= top else mag(self.zero)
-            return sums, None if self.exact else abs_sums, k + 1, tail
+            sums = us[: top + 1] + [self.zero] * (top + 1 - len(us))
+            return sums, None, k + 1, tmax if k <= top else mag(self.zero)
         self.fold(running, us, folded)
         # a jet's sums times (w1/w0)^i, added to zero as a running sum is, so
         # that no part is -0
         sums = [self.zero + s * p for s, p in zip(running, ps)] if top else running
-        if self.exact:
-            return sums, None, k + 1, tmax
-        # the magnitude sums are the same binomial sums over mag(u_k)
-        abs_sums = [0] * (top + 1)
-        Field.fold(self, abs_sums, mags, 0)
-        return sums, list(map(_mul, apow, abs_sums)), k + 1, tmax
+        return sums, None, k + 1, tmax
 
 
 # Taylor coefficients of a series at z0 can cancel heavily (peak term far
@@ -439,19 +433,21 @@ class Field:
 # 19 digits in a 64-bit word, so 38 is the largest precision whose operands
 # fit two words; at 39-57 digits they take three, and a product costs about
 # twice as much (timeit, Python 3.11 on a 2-vCPU Xeon VM: 100-115 ns at 38
-# digits, 205-270 ns at 39-57).  At kappa = 1e16 a 38-digit sum keeps about
-# 22 correct digits, 6 more than a double holds.
+# digits, 205-270 ns at 39-57).  A 38-digit sum keeps the 17 digits that
+# round to a double only up to kappa = 10^(38 - 17), so a decimal rerun
+# whose double pass measured more raises (``_Complex.series``).
 _KAPPA_LIMIT = 1e4
 _DEC_PREC = 38
+_DEC_KAPPA_LIMIT = 10.0 ** (_DEC_PREC - 17)
 
 
-def _cancelled(abs_sum, value) -> bool:
-    """Whether a sum cancelled past ``_KAPPA_LIMIT``: ``abs_sum``, the sum of
-    its terms' magnitudes (or a bound above it), against the sum ``value``.
+def _cancelled(abs_sum, value, limit: float = _KAPPA_LIMIT) -> bool:
+    """Whether a sum cancelled past ``limit``: ``abs_sum``, the sum of its
+    terms' magnitudes (or a bound above it), against the sum ``value``.
     A magnitude sum at or below 1e-250 counts as nothing to lose, and a sum
     whose modulus is past the largest double as not cancelled."""
     try:
-        return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
+        return abs_sum > 1e-250 and abs_sum > limit * abs(value)
     except OverflowError:
         return False
 
@@ -494,7 +490,10 @@ class _Complex(Field):
         coefficient of w with an imaginary part), a finite sum of rationals,
         exactly in ``FRACTION``, each sum rounded once; any other through
         ``rerun``, as ``d_pfq`` (``jet_pfq``) on the lifted w, so at the
-        decimal field's ``series_tol``, ``min(rel_tol, 1e-25)``.
+        decimal field's ``series_tol``, ``min(rel_tol, 1e-25)``.  The double
+        pass's magnitude sums then check the decimal rerun: a rounded sum
+        they exceed by more than 10^(38 - 17) keeps fewer than 17 correct
+        digits, too few to round to a double, and raises ``NoConvergence``.
         """
         out = Field.series(self, spec, w, rel_tol, max_terms)
         sums, abs_sums, terms, tail, m = out
@@ -507,6 +506,10 @@ class _Complex(Field):
         else:
             ctrl = EvalControl(rel_tol, max_terms)
             sums = rerun(lambda: d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w))), ctrl))
+            resolved = f"1e{_DEC_PREC - 17} that {_DEC_PREC} digits resolve"
+            for i, (a, s) in enumerate(zip(abs_sums, sums)):
+                if _cancelled(a, s, _DEC_KAPPA_LIMIT):
+                    raise NoConvergence(f"series coefficient {i} cancelled past the {resolved}")
         return sums, abs_sums, terms, tail, m
 
 
@@ -609,29 +612,11 @@ class _Decimal(Field):
             re_i = sum(map(_mul, re[j - lo :], row), s.re)
             sums[i] = DC(re_i, sum(map(_mul, im[j - lo :], row), s.im))
 
-    def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
-        """``Field.series`` with the decimal field's self-check.
-
-        A coefficient whose terms' magnitude sum exceeds 10^(prec - 17) times
-        its own magnitude, at the active context's precision (1e21 at the
-        rerun's 38 digits), keeps fewer than 17 correct digits, too few to
-        round to a double, and raises ``NoConvergence``.
-        """
-        out = Field.series(self, spec, w, rel_tol, max_terms)
-        prec = getcontext().prec
-        limit = Decimal(10) ** (prec - 17)
-        for i, (s, a) in enumerate(zip(out[0], out[1])):
-            if a > limit * self.mag(s):
-                msg = f"series coefficient {i} cancelled past the 1e{prec - 17} that {prec} digits resolve"
-                raise NoConvergence(msg)
-        return out
-
 
 class _Fraction(Field):
     zero = Fraction(0)
     one = Fraction(1)
     mag = staticmethod(abs)
-    exact = True
 
     @staticmethod
     def lift(x) -> Fraction:

@@ -90,6 +90,12 @@ class TestEval:
             want = "series coefficient 0 cancelled past the 1e21 that 38 digits resolve"
             assert err == f"error: NoConvergence: {want}\n"
 
+    def test_terminating_series_past_the_disk_is_labelled_a_polynomial(self, capsys):
+        # 2F1(-3, 1/2; 1; 2.5) is a cubic: its value, and the p > q+1 label
+        assert main(["eval", "--upper=-3,0.5", "--lower=1", "--z=2.5"]) == 0
+        out = capsys.readouterr().out
+        assert out == "-0.6015625\nterms_used: 4\nconvergence: divergent-unless-terminating\n"
+
     def test_complex_input(self, capsys):
         code = main(["eval", "--upper", "0.5+0.5i", "--lower", "2", "--z", "0.3"])
         assert code == 0

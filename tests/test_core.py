@@ -461,6 +461,12 @@ class TestClassify:
             is ConvergenceClass.DIVERGENT_UNLESS_TERMINATING
         )
 
+    def test_terminating_where_the_series_diverges(self):
+        # p = q+1 polynomials past the unit disk and at z = 1 with
+        # Re(sum b - sum a) = -1: labelled as p > q+1 labels them
+        for spec, z in ((HypSpec.of([-3, 0.5], [1]), 2.5), (HypSpec.of([-3, 5], [1]), 1)):
+            assert classify_convergence(spec, z) is ConvergenceClass.DIVERGENT_UNLESS_TERMINATING
+
 
 # sha256 of evaluate's results over _evaluate_cases(): repr of the value,
 # terms used, terminated and the tail estimate, or the error's class and text.

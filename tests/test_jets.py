@@ -8,6 +8,7 @@ import random
 import struct
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from hypderiv.expressions import (
     ArgMap,
     eval_expr,
     expr,
+    expz,
     hyp,
     map_jet,
     nth_derivative,
@@ -38,6 +40,7 @@ from hypderiv.jets import (
     DC,
     DECIMAL,
     FRACTION,
+    Field,
     Jet,
     derivative,
     jet_add,
@@ -409,6 +412,29 @@ class TestPfqJet:
         # the series rerun's binding is jet_pfq itself
         assert jets.d_pfq is jet_pfq
 
+    def test_only_the_complex_field_measures_cancellation(self):
+        # one cancellation measure: the complex field's entry is the only
+        # override of Field.series, and the decimal and exact kernels return
+        # no magnitude sums, at order 0, on every argument map and at w0 = 0
+        assert [c.__name__ for c in Field.__subclasses__() if "series" in vars(c)] == ["_Complex"]
+        spec = HypSpec.of([0.5, Fraction(2, 3)], [Fraction(7, 4)])
+        with localcontext() as cx:
+            cx.prec = jets._DEC_PREC
+            for field, z0 in ((DECIMAL, 0.3 + 0.2j), (FRACTION, Fraction(1, 3))):
+                for x0, order, amap in product((z0, 0), (0, 3), ArgMap):
+                    w = map_jet(amap, jet_variable(x0, order, field)).coeffs
+                    abs_sums = field.series(spec, w, field.series_tol(1e-14), 5000)[1]
+                    assert abs_sums is None, (field, x0, order, amap)
+
+    def test_rerun_past_its_digits_raises_inside_a_term(self):
+        # e^z as 0F0 at z = -383, bare and times e^z, at orders 1-2: the
+        # series rerun within the term cancels past what its digits resolve
+        f = hyp(HypSpec.of([], []))
+        want = "^series coefficient 0 cancelled past the 1e21 that 38 digits resolve$"
+        for e, n in product((expr(term(1, f)), expr(term(1, expz(1), f))), (1, 2)):
+            with pytest.raises(NoConvergence, match=want):
+                nth_derivative(e, n, -383.0)
+
     def test_only_the_eval_command_calls_the_scalar_entry(self):
         # every other value, figure1's f_R2 included, is an expression's
         assert _scopes_where(_calls("evaluate")) == ["cli._cmd_eval"]
@@ -756,6 +782,12 @@ def _mp_dc(mpmath, x):
     return mpmath.mpc(mpmath.mpf(str(x.re)), mpmath.mpf(str(x.im)))
 
 
+def _complex_magnitudes(spec, w):
+    """The complex field's magnitude sums of the series at w, its one
+    measure of cancellation, from the double pass without its rerun."""
+    return Field.series(COMPLEX, spec, [complex(x) for x in w], 1e-14, 10000)[1]
+
+
 def _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, rounding):
     """Each sum within ``rounding`` times its own magnitude sum, plus 1e-24
     times the jet's largest magnitude sum, of the 60-digit value: rounding
@@ -770,11 +802,12 @@ def _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, rounding):
 
 
 def test_field_series_decimal_sums_match_mpmath():
-    # the decimal fingerprint's sums at 40 digits: a sum that needs no stop
-    # rule (a terminating one) is within 1e-39 of its magnitude sum
+    # the decimal fingerprint's sums at 40 digits, within 1e-37 of the
+    # complex field's magnitude sums of the same series
     mpmath = pytest.importorskip("mpmath")
     runs = _field_series_runs(DECIMAL)
-    for spec, w, (sums, abs_sums, _, _, m) in runs:
+    for spec, w, (sums, _, _, _, m) in runs:
+        abs_sums = _complex_magnitudes(spec, w)
         _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, mpmath.mpf("1e-37"))
     assert sum(m is not None for *_, (*_, m) in runs) >= 60
 
@@ -889,8 +922,9 @@ class TestBinomialKernel:
 
     def test_decimal_jets_match_mpmath(self):
         # 38-digit jets at orders 8-12 on every argument map, within 1e-33 of
-        # each coefficient's magnitude sum (plus the stop rule's 1e-24 of the
-        # largest) of 60-digit mpmath values; the 1F1 with Re c < 0 cancel
+        # each coefficient's magnitude sum in the complex field (plus the
+        # stop rule's 1e-24 of the largest) of 60-digit mpmath values; the
+        # 1F1 with Re c < 0 cancel
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random("binomial-kernel-decimal")
         kappa = 0
@@ -914,7 +948,8 @@ class TestBinomialKernel:
                         with localcontext() as cx:
                             cx.prec = jets._DEC_PREC
                             w = map_jet(amap, jets.d_variable(z0, order)).coeffs
-                            sums, abs_sums, *_ = DECIMAL.series(spec, w, DECIMAL.series_tol(1e-14), 10000)
+                            sums = DECIMAL.series(spec, w, DECIMAL.series_tol(1e-14), 10000)[0]
+                        abs_sums = _complex_magnitudes(spec, w)
                         _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, mpmath.mpf("1e-33"))
-                        kappa = max([kappa] + [a / DECIMAL.mag(s) for s, a in zip(sums, abs_sums)])
+                        kappa = max([kappa] + [a / abs(complex(s)) for s, a in zip(sums, abs_sums)])
         assert kappa >= 1e6, kappa
