@@ -37,6 +37,7 @@ from .jets import (
     COMPLEX,
     FRACTION,
     Jet,
+    check_decimal_resum,
     d_variable,
     derivative,
     jet_add,
@@ -165,21 +166,27 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
     In the complex field at order >= 1 a nonnegative magnitude convolution
     is carried alongside the product; if its bound dwarfs a coefficient of
     the result, the Leibniz sums cancelled heavily and the term is rerun
-    over the decimal variable jet by ``rerun``, at 38 digits.  A product of
-    scalars (order 0) cannot cancel, and the other fields are the reruns and
-    exact jets.
+    over the decimal variable jet by ``rerun``, at 38 digits.  The rerun sums
+    its pFq factors again, so it first checks that 38 digits resolve each
+    (``check_decimal_resum``).  A product of scalars (order 0) cannot
+    cancel, and the other fields are the reruns and exact jets.
     """
     order = var.order
     guard = order and var.field is COMPLEX
     acc = jet_constant(t.coeff, var.base_point, order, var.field)
     mags = [abs(complex(t.coeff))] + [0.0] * order if guard else None
+    hyps = []
     for f in t.factors:
         fj = _factor_jet(f, var, ctrl)
         acc = jet_mul(acc, fj)
         if guard:
             fm = [abs(x) for x in fj.coeffs]
             mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
+            if isinstance(f, Hyp):
+                hyps.append((f, fj.coeffs))
     if guard and any(map(_cancelled, mags, acc.coeffs)):
+        for f, sums in hyps:
+            check_decimal_resum(f.spec, map_jet(f.map, var).coeffs, sums, ctrl)
         vals = rerun(lambda: _term_jet(t, d_variable(var.base_point, order), ctrl))
         return Jet(var.base_point, tuple(vals))
     return acc

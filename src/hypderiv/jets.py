@@ -38,26 +38,11 @@ in that field and at that field's ``series_tol`` (the caller's rel_tol in
 complex field's entry also holds the one cancellation guard: a sum that
 cancelled is rerun, a real terminating series exactly and any other in
 38-digit decimal arithmetic, so a complex series is guarded wherever it is
-summed.  The same magnitude sums tell whether a decimal rerun resolved the
-sum: a coefficient that cancelled past what 38 digits resolve raises
-``NoConvergence``.
-The kernel takes its argument w as coefficients.  For an affine
-w = w0 + w1 h (a scalar, the identity and negate maps) each kind of field
-has one loop, which runs at every order, order 0 included.  The complex
-field steps the term jet c_k w^k itself by the term ratio c_(k+1)/c_k, with
-two products per coefficient: O(K) interpreted work per term at order K,
-and no power of w that could overflow before the term does.  The other
-fields keep the scalar terms u_k = c_k w0^k and take coefficient i as
-(w1/w0)^i sum_k C(k, i) u_k, the series differentiated term by term: one
-binomial-weighted sum per coefficient (``fold``), a C-level ``sum`` over
-the parts in the decimal field, so a decimal jet builds O(terms) ``DC``s at
-any order.  Both loops share one stop test.  It forms the running sums
-(``fold``) only where their largest at the last fold, give or take the
-term coefficients since, does not decide it.
-Any other w (the Pfaff map z/(z-1)) is a composition: the series is summed at
-the affine jet w0 + h and composed once with the powers of w - w0, K-1 full
-products (in the complex field through the module's ``jet_mul``) however
-many terms the series takes.
+summed.  The same magnitude sums tell whether 38 digits resolve the sum, in
+that decimal rerun or in a term's (``check_decimal_resum``): a coefficient
+that cancelled past that raises ``NoConvergence``.
+``Field.pfq`` describes its loops, one per kind of field for an affine
+argument, and its composition for any other (the Pfaff map z/(z-1)).
 """
 
 from __future__ import annotations
@@ -118,15 +103,12 @@ class Field:
     coefficients, and each keeps the operand order of its sums, so that the
     complex field reproduces the oracle's doubles bit for bit.
 
-    The series kernel ``pfq`` has one affine loop per kind of field, run at
-    every order: a field with a ``total`` steps the term jet and keeps each
-    coefficient's terms in a bucket; one without keeps the scalar terms and
-    forms each coefficient with one binomial-weighted sum.  ``fold`` adds
-    the terms since the last fold to the running sums that the one stop
-    test reads: in ``COMPLEX`` a ``sum`` over each bucket, in ``DECIMAL`` a
-    C-level ``sum`` over each part and in ``FRACTION`` an exact ``sum``.
-    Only the field with a ``total`` returns its terms' magnitude sums, the
-    one measure of cancellation; the decimal and exact kernels keep none.
+    In the series kernel ``pfq``, ``fold`` adds the terms since the last
+    fold to the running sums that the one stop test reads: in ``COMPLEX`` a
+    ``sum`` over each coefficient's bucket of terms, in ``DECIMAL`` a C-level
+    ``sum`` over each part and in ``FRACTION`` an exact ``sum``.  Only the
+    field with a ``total`` returns its terms' magnitude sums, the one
+    measure of cancellation; the decimal and exact kernels keep none.
     """
 
     # The series kernel returns its running sums, unless the field re-sums
@@ -491,26 +473,46 @@ class _Complex(Field):
         exactly in ``FRACTION``, each sum rounded once; any other through
         ``rerun``, as ``d_pfq`` (``jet_pfq``) on the lifted w, so at the
         decimal field's ``series_tol``, ``min(rel_tol, 1e-25)``.  The double
-        pass's magnitude sums then check the decimal rerun: a rounded sum
-        they exceed by more than 10^(38 - 17) keeps fewer than 17 correct
-        digits, too few to round to a double, and raises ``NoConvergence``.
+        pass's magnitude sums (term moduli added to ``rel_tol``, or a bound
+        on the Pfaff map) then check the decimal rerun: a rounded sum they
+        exceed by more than 10^(38 - 17) keeps fewer than 17 correct digits,
+        too few to round to a double, and raises ``NoConvergence``
+        (``_check_resolved``; ``check_decimal_resum`` for a term rerun).
         """
         out = Field.series(self, spec, w, rel_tol, max_terms)
         sums, abs_sums, terms, tail, m = out
         if not any(map(_cancelled, abs_sums, sums)):
             return out
-        params = (*spec.upper, *spec.lower)
-        if m is not None and not any(x.imag for x in w) and not any(a.value.imag for a in params):
+        if _exact_rerun(spec, w, m):
             exact = FRACTION.series(spec, list(map(FRACTION.lift, w)), rel_tol, max_terms)[0]
             sums = list(map(FRACTION.lower, exact))
         else:
             ctrl = EvalControl(rel_tol, max_terms)
             sums = rerun(lambda: d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w))), ctrl))
-            resolved = f"1e{_DEC_PREC - 17} that {_DEC_PREC} digits resolve"
-            for i, (a, s) in enumerate(zip(abs_sums, sums)):
-                if _cancelled(a, s, _DEC_KAPPA_LIMIT):
-                    raise NoConvergence(f"series coefficient {i} cancelled past the {resolved}")
+            _check_resolved(abs_sums, sums)
         return sums, abs_sums, terms, tail, m
+
+
+def _exact_rerun(spec: HypSpec, w, m) -> bool:
+    """Whether a cancelled series reruns exactly: a real terminating one."""
+    return m is not None and not any(x.imag for x in (*w, *(a.value for a in spec.upper + spec.lower)))
+
+
+def _check_resolved(abs_sums, sums) -> None:
+    resolved = f"1e{_DEC_PREC - 17} that {_DEC_PREC} digits resolve"
+    for i, (a, s) in enumerate(zip(abs_sums, sums)):
+        if _cancelled(a, s, _DEC_KAPPA_LIMIT):
+            raise NoConvergence(f"series coefficient {i} cancelled past the {resolved}")
+
+
+def check_decimal_resum(spec: HypSpec, w, sums, ctrl: EvalControl) -> None:
+    """``_check_resolved`` for a series with coefficients ``sums`` at the
+    complex w that a term rerun sums again at 38 digits.  ``_Complex.series``
+    checked any it reran in decimal, so only one it may rerun exactly, such
+    as 2F1(-200, 1; 1; 2) = 1 from terms up to 1e95, is summed again in
+    double precision for its magnitude sums."""
+    if _exact_rerun(spec, w, validate_spec(spec)):
+        _check_resolved(Field.series(COMPLEX, spec, w, ctrl.rel_tol, ctrl.max_terms)[1], sums)
 
 
 class DC:

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -347,6 +348,19 @@ class TestEvaluate:
             with pytest.raises(NoConvergence, match="cancelled past"):
                 eval_expr(expr(term(1, hyp(HypSpec.of([], [])))), z)
         assert evaluate(HypSpec.of([], []), -20.0).value == cmath.exp(-20.0)
+
+    def test_rerun_check_limit_is_on_the_double_pass_moduli(self):
+        # the double pass's terms of e^z as 0F0 add up in modulus to e^|z|,
+        # kappa = e^(|z| - Re z); the rerun resolves it to the double at
+        # kappa 0.9e21 and raises at 1.1e21, in every direction
+        for turn, kappa in product((1.0, 0.75, 0.6), (0.9e21, 1.1e21)):
+            angle = turn * math.pi
+            z = cmath.rect(math.log(kappa) / (1 - math.cos(angle)), angle)
+            if kappa < 1e21:
+                assert abs(evaluate(HypSpec.of([], []), z).value / cmath.exp(z) - 1) < 1e-15
+            else:
+                with pytest.raises(NoConvergence, match="^series coefficient 0 cancelled past the 1e21"):
+                    evaluate(HypSpec.of([], []), z)
 
     def test_terminating_overflow_fails_as_no_convergence(self):
         # the terms of this degree-1000 polynomial pass the largest double at

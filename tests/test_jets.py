@@ -435,6 +435,19 @@ class TestPfqJet:
             with pytest.raises(NoConvergence, match=want):
                 nth_derivative(e, n, -383.0)
 
+    def test_exact_rerun_past_38_digits_raises_inside_a_cancelling_term(self):
+        # 2F1(-200, 1; 1; w) = (1 - w)^200 at w = 2 sums to 1 from terms up to
+        # 1e95, exactly in its own rerun; times (1 - z)^-200 (or, on the
+        # Pfaff map, (1 - z)^200) the Leibniz sums cancel to 0 at orders 1-2,
+        # and the term's 38-digit rerun would sum the series ~1e57 off
+        f = HypSpec.of([-200, 1], [1])
+        want = "^series coefficient 0 cancelled past the 1e21 that 38 digits resolve$"
+        for e in (expr(term(1, pow1mz(-200), hyp(f))), expr(term(1, pow1mz(200), hyp(f, ArgMap.PFAFF)))):
+            assert nth_derivative(e, 0, 2.0) == 1
+            for n in (1, 2):
+                with pytest.raises(NoConvergence, match=want):
+                    nth_derivative(e, n, 2.0)
+
     def test_only_the_eval_command_calls_the_scalar_entry(self):
         # every other value, figure1's f_R2 included, is an expression's
         assert _scopes_where(_calls("evaluate")) == ["cli._cmd_eval"]
