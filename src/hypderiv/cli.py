@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``eval``    -- evaluate pFq(a; b; z) by its series, a cancelled sum rerun
-  exactly or in 38-digit decimal arithmetic
+  in self-checked fixed point (a real polynomial past its budget exactly)
 * ``table1``  -- CSV of the reference derivative table (n=4, a=1/2, b=2/3, z=1/3)
 * ``figure1`` -- CSV sweep of the same quantities over real c
 * ``verify``  -- run the identity catalog against the jet oracle

@@ -6,9 +6,9 @@ z, -z or z/(z-1).  This covers every side of the differentiation identities
 handled by this package.  Expressions evaluate as Taylor jets, which is how
 n-th derivatives are obtained.  There is one term path: ``_term_jet`` forms a
 term's product jet in the field of the variable jet (complex, exact Fraction,
-or the 38-digit decimal of its own rerun, which ``jets.rerun`` runs), each
-pFq factor by ``jet_pfq`` in that field, and ``_expr_jet`` sums the terms
-with each coefficient rounded once.  The value at a point, ``eval_expr``, is
+or the fixed point of its own rerun, which ``jets.rerun`` runs and checks),
+each pFq factor by ``jet_pfq`` in that field, and ``_expr_jet`` sums the
+terms with each coefficient rounded once.  The value at a point, ``eval_expr``, is
 the order-0 coefficient of that sum.
 """
 
@@ -33,11 +33,11 @@ from .core import (
 )
 from .errors import BranchPointEvaluation, NoConvergence
 from .jets import (
+    _bits,
     _cancelled,
     COMPLEX,
     FRACTION,
     Jet,
-    check_decimal_resum,
     d_variable,
     derivative,
     jet_add,
@@ -166,28 +166,25 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
     In the complex field at order >= 1 a nonnegative magnitude convolution
     is carried alongside the product; if its bound dwarfs a coefficient of
     the result, the Leibniz sums cancelled heavily and the term is rerun
-    over the decimal variable jet by ``rerun``, at 38 digits.  The rerun sums
-    its pFq factors again, so it first checks that 38 digits resolve each
-    (``check_decimal_resum``).  A product of scalars (order 0) cannot
-    cancel, and the other fields are the reruns and exact jets.
+    from the fixed-point variable jet by ``rerun``, its pFq factors too, at
+    a precision sized from the two (``_bits``) that the rerun's self-check
+    raises until the term's coefficients are resolved.  A product of
+    scalars (order 0) cannot cancel, and the other fields are the reruns
+    and exact jets.
     """
     order = var.order
     guard = order and var.field is COMPLEX
     acc = jet_constant(t.coeff, var.base_point, order, var.field)
     mags = [abs(complex(t.coeff))] + [0.0] * order if guard else None
-    hyps = []
     for f in t.factors:
         fj = _factor_jet(f, var, ctrl)
         acc = jet_mul(acc, fj)
         if guard:
             fm = [abs(x) for x in fj.coeffs]
             mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
-            if isinstance(f, Hyp):
-                hyps.append((f, fj.coeffs))
     if guard and any(map(_cancelled, mags, acc.coeffs)):
-        for f, sums in hyps:
-            check_decimal_resum(f.spec, map_jet(f.map, var).coeffs, sums, ctrl)
-        vals = rerun(lambda: _term_jet(t, d_variable(var.base_point, order), ctrl))
+        bits = _bits(mags, acc.coeffs, [0.0] * (order + 1))
+        vals = rerun(lambda f: _term_jet(t, d_variable(var.base_point, order, f), ctrl), bits)
         return Jet(var.base_point, tuple(vals))
     return acc
 

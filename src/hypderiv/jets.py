@@ -7,42 +7,24 @@ an exact-in-structure oracle for high-order derivatives, where finite
 differences would lose roughly half the significant digits per order.
 
 The jet routines (product, division, exp, pow, integer power and the pFq
-series with its stop rule) are written once, as methods of ``Field``, and
-run over three scalar fields:
+series with its stop rule) are methods of ``Field``, written once over three
+scalar fields: ``COMPLEX``, complex doubles, the oracle's working field;
+``_Fixed``, Gaussian integers scaled by 2^-P, each with an error bound
+(``FX``), for the reruns, whose P ``rerun`` alone sets; and ``FRACTION``,
+exact real ``Fraction``, for exact inputs such as the reference table's and
+for a cancelled real polynomial that no P within the budget resolves.  The
+leading values of exp and of a non-integer power are taken in double
+precision and lifted; the recurrences are linear in them, so their rounding
+scales the result instead of being amplified by cancellation.
 
-* ``COMPLEX`` -- complex doubles, the oracle's working field; products sum
-  exactly rounded (``csum``);
-* ``DECIMAL`` -- complex numbers as a pair of ``Decimal`` (``DC``) at the
-  precision of the active decimal context, 38 digits when the oracle reruns
-  an ill-conditioned series or term; ``rerun`` is the one place that sets
-  it, for both reruns;
-* ``FRACTION`` -- exact real ``Fraction``, for exact rational inputs such
-  as the reference table's, and for the exact rerun of an ill-conditioned
-  real terminating series.
-
-A field supplies lift from complex and lower to complex, a fused sum of
-products (``dot``) and a magnitude for the stop rule; the complex field
-also re-sums each coefficient's bucket of terms exactly rounded
-(``total``) and sums its terms' magnitudes, the one measure of
-cancellation.
-The leading values of exp and of a non-integer power are transcendental;
-they are taken in double precision and lifted, and since the recurrences
-are linear in that value its rounding scales the whole result instead of
-being amplified by cancellation.
-
-The series kernel ``Field.pfq`` is the one place any pFq series is summed,
-and ``Field.series`` its one entry, which checks the input first:
-``core.evaluate`` runs it at order 0, and ``jet_pfq`` on a jet of any field,
-in that field and at that field's ``series_tol`` (the caller's rel_tol in
-``COMPLEX``, at most 1e-25 in ``DECIMAL``, 1e-34 in ``FRACTION``).  The
-complex field's entry also holds the one cancellation guard: a sum that
-cancelled is rerun, a real terminating series exactly and any other in
-38-digit decimal arithmetic, so a complex series is guarded wherever it is
-summed.  The same magnitude sums tell whether 38 digits resolve the sum, in
-that decimal rerun or in a term's (``check_decimal_resum``): a coefficient
-that cancelled past that raises ``NoConvergence``.
-``Field.pfq`` describes its loops, one per kind of field for an affine
-argument, and its composition for any other (the Pfaff map z/(z-1)).
+``Field.pfq`` is the one place any pFq series is summed and ``Field.series``
+its one entry, which checks the input first: ``core.evaluate`` runs it at
+order 0, and ``jet_pfq`` on a jet of any field, at that field's
+``series_tol``.  The complex field's entry holds the one cancellation guard:
+a sum that cancelled is rerun in fixed point, at a precision sized from the
+double pass's magnitude sums and doubled while a coefficient's error bound
+is not 53 + _GUARD bits below it; past _BUDGET bits it raises
+``NoConvergence``.
 """
 
 from __future__ import annotations
@@ -50,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter
@@ -96,28 +77,17 @@ def _lead(name: str, x: complex) -> complex:
 class Field:
     """The jet algebra over one scalar field, on coefficient sequences.
 
-    Subclasses supply ``zero``, ``one``, ``lift``, ``lower``, ``dot`` (the
-    fused sum of products x_0 y_0 + x_1 y_1 + ..., in that order), ``mag``
-    and ``series_tol``, the stop tolerance ``jet_pfq`` sums at for a
-    caller's ``rel_tol``.  The operations take and return lists of
-    coefficients, and each keeps the operand order of its sums, so that the
-    complex field reproduces the oracle's doubles bit for bit.
-
-    In the series kernel ``pfq``, ``fold`` adds the terms since the last
-    fold to the running sums that the one stop test reads: in ``COMPLEX`` a
-    ``sum`` over each coefficient's bucket of terms, in ``DECIMAL`` a C-level
-    ``sum`` over each part and in ``FRACTION`` an exact ``sum``.  Only the
-    field with a ``total`` returns its terms' magnitude sums, the one
-    measure of cancellation; the decimal and exact kernels keep none.
+    Subclasses supply ``zero``, ``one``, ``lift``, ``lower``, ``param``,
+    ``dot`` (the fused sum of products x_0 y_0 + x_1 y_1 + ..., in that
+    order), ``mag`` and ``series_tol``, the stop tolerance ``jet_pfq`` sums
+    at for a caller's ``rel_tol``.  Each operation keeps the operand order of
+    its sums, so that the complex field reproduces the oracle's doubles bit
+    for bit.  Only a field with a ``total``, which re-sums each coefficient's
+    bucket of terms once, returns magnitude sums from ``pfq``: ``COMPLEX``'s
+    are the one measure of cancellation.
     """
 
-    # The series kernel returns its running sums, unless the field re-sums
-    # each coefficient's bucket of terms with ``total`` to round it once.
     total = None
-
-    def param(self, x):
-        """A ``Parameter`` in this field: its double, lifted."""
-        return self.lift(x.value)
 
     def mul(self, a, b):
         """Cauchy product truncated at the common order."""
@@ -151,11 +121,8 @@ class Field:
 
         The leading value is taken in double precision, so a base value whose
         double is 0 (an exact one that underflows) is at the branch point too,
-        and one past the largest double raises ``NoConvergence``.  The decimal
-        rerun also lowers its base value c0 to a double first: where c0 is a
-        binary midpoint, such as 1 - 0.2 formed exactly from the double 0.2,
-        the decimal precision decides which neighbour it rounds to (0.8 at 40
-        digits, the double below at 38).
+        and one past the largest double raises ``NoConvergence``; a rerun's
+        base value is lowered to its correctly rounded double first.
         """
         c0 = a[0]
         if not c0:
@@ -185,29 +152,33 @@ class Field:
         return self.mul(a, b)
 
     def fold(self, sums, us, lo):
-        """Adds the binomial-weighted terms ``us[lo:]`` to ``sums``, in place:
-        ``sums[i]`` gains C(k, i) u_k for each k >= lo, in order of k, with
-        the weights from ``math.comb``; row C(k, 0) = 1 is summed without
-        multiplying."""
+        """Adds C(k, i) us[k] for k >= lo to sums[i], in place and in order
+        of k; row C(k, 0) = 1 is summed without multiplying."""
         n = len(us)
         sums[0] = sum(us[lo:], sums[0])
         for i in range(1, len(sums)):
             j = max(lo, i)
             sums[i] = sum(map(_mul, us[j:], map(math.comb, range(j, n), repeat(i))), sums[i])
 
+    terms = None  # a field's own step of the scalar terms (``_Fixed.terms``)
+
+    def weigh(self, sums, w0, w1):
+        """Coefficient i of an affine jet from its binomial sum: sums[i]
+        times (w1/w0)^i."""
+        rho = w1 / w0
+        return [s * rho**i for i, s in enumerate(sums)]
+
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
         """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
 
-        Validates the spec, and rejects a parameter or coefficient of w that
-        is not finite (``ValueError``).  A nonterminating series raises
-        ``DomainError`` unless w0 lies strictly inside its domain, or for a
-        scalar w = [z] (an order-0 jet too) on a boundary point where it
-        converges.  A numeric lower parameter at a whole number -K <= 0 then
-        raises ``PoleCoefficient`` (at the least such K), unless an exact
-        upper -m with m <= K ends the series first: the rule ``validate_spec``
-        applies to an exact lower, so the pole is reported wherever the stop
-        rule would land.  Parameters enter through ``param``, exactly in
-        ``FRACTION``.  Returns ``pfq``'s result and the termination order.
+        Validates the spec and rejects a value that is not finite
+        (``ValueError``).  A nonterminating series raises ``DomainError``
+        unless w0 lies strictly inside its domain, or for a scalar w = [z] on
+        a boundary point where it converges.  A numeric lower parameter at a
+        whole number -K <= 0 then raises ``PoleCoefficient`` (at the least
+        such K) unless an exact upper -m with m <= K ends the series first,
+        wherever the stop rule would land.  Returns ``pfq``'s result and the
+        termination order.
         """
         m = validate_spec(spec)
         check_finite(spec, w)
@@ -229,65 +200,33 @@ class Field:
     def pfq(self, upper, lower, m, w, rel_tol, max_terms: int):
         """Coefficients of pFq(a; b; w), for w given by its coefficients.
 
-        ``upper`` and ``lower`` are the parameters in this field and ``m`` the
-        termination order (None for a nonterminating series); ``series`` is
-        the entry that checks them.  A terminating series is summed to its
-        last term.  Otherwise the sum stops once the largest term coefficient
-        has stayed below ``rel_tol`` times the largest running sum (both by
-        ``mag``) for three terms in a row, and raises ``NoConvergence`` at
-        ``max_terms`` terms.  Either sum raises ``NoConvergence`` at the first
-        term with a coefficient that is not finite, and where a term or a sum
-        overflows (``OverflowError``) with finite parts.  Returns the sums;
-        in the field with a ``total`` (``COMPLEX``) per coefficient the sum
-        of its terms' magnitudes, or a bound above it, for the cancellation
-        guard and the check of its decimal rerun, and None in the others;
-        the number of terms summed; and the largest magnitude among the last
-        term's coefficients.
-        At order 0 (w = [z]) this is the scalar series that ``evaluate`` sums:
-        the K = 0 case of each field's loop below.
+        ``m`` is the termination order (None for a nonterminating series).
+        A terminating series is summed to its last term; any other stops once
+        the largest term coefficient has stayed below ``rel_tol`` times the
+        largest running sum (both by ``mag``) for three terms, and raises
+        ``NoConvergence`` at ``max_terms`` terms, as both do at a term that
+        is not finite or overflows.  Returns the sums; with a ``total``, each
+        coefficient's magnitude sum (or a bound above it), else None; the
+        number of terms; and the largest magnitude in the last term.
 
-        An affine w = w0 + w1 h (w[2:] all zero: a scalar, the identity and
-        negate maps) has coefficient i = sum_k c_k C(k, i) w0^(k-i) w1^i,
-        formed by one loop per kind of field at every order K >= 0, with the
-        term ratio r_k = c_(k+1)/c_k formed in the loop:
-
-        * a field with a ``total`` (``COMPLEX``) steps the term jet
-          t_k = c_k w^k itself, t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0),
-          two products per coefficient, so a term overflows only where it,
-          not w^k, passes the largest double; t_(k+1),i goes to coefficient
-          i's bucket, which ``total`` re-sums at the end;
-        * the other fields run the scalar pass on z = w0 and keep its terms
-          u_k = c_k w0^k.  Coefficient i is then
-          (w1/w0)^i sum_k C(k, i) u_k: the series differentiated term by
-          term, one binomial-weighted sum per coefficient (``fold``), with
-          the weights from ``math.comb``.  Term k's largest coefficient,
-          max_i C(k, i) |w1/w0|^i mag(u_k), takes the i past which the
-          weights fall.  At w0 = 0 and K >= 1 coefficient i is c_i w1^i,
-          the scalar pass on z = w1 to term K, exactly.
-
-        Both loops share one stop test.  The running sums are formed only in
-        ``fold``, which adds the terms since the last fold left to right, as
-        adding each term as it is formed would.  ``peak`` is their largest
-        at the last fold, by ``mag`` in ``COMPLEX`` and as |w1/w0|^i mag(x)
-        in the binomial shape (``mag`` of the coefficient for a real w1/w0,
-        within a factor sqrt(2) of it otherwise), and ``drift`` sums the
-        largest term coefficients since, so each running sum lies within
-        peak -+ drift.  A term below rel_tol (peak - drift) meets the test and
-        one not below rel_tol (peak + drift) fails it, without a fold; only
-        a term between the two folds the sums in and is tested against their
-        largest.  So every series stops on the same term as with the largest
-        running sum taken at every term, save where a term lies within the
-        rounding of peak -+ drift.
-        Any other w (the Pfaff map) is composed once: the series summed at
-        the affine jet w0 + h gives g_j = F^(j)(w0)/j!, and with d = w - w0
-        coefficient i of the result is sum_(j<=i) g_j (d^j)_i, from the K-1
-        products d^2..d^K of ``power_mul`` however many terms the series
-        takes.  The stop rule so runs on the g_j.  The magnitude bound is
-        B_i = sum_j A_j |(d^j)_i|, with A_j that of g_j; by the binomial
-        expansion of w^k = (w0 + d)^k, it is at least the sum of the
-        magnitudes of the terms c_k (w^k)_i.
+        An affine w = w0 + w1 h has coefficient i = sum_k c_k C(k, i)
+        w0^(k-i) w1^i.  With a ``total`` the term jet steps itself,
+        t_(k+1),i = t_k,(i-1) (r_k w1) + t_k,i (r_k w0) for the term ratio
+        r_k = c_(k+1)/c_k, into a bucket of terms per coefficient.  The other
+        fields keep the scalar terms u_k = c_k w0^k (stepped by the field's
+        own ``terms`` where it has them) and take coefficient i as
+        (w1/w0)^i sum_k C(k, i) u_k (``fold``, ``weigh``); the stop test
+        weighs term k by C(k, i) |w1/w0|^i at the i past which that falls.
+        At w0 = 0 coefficient i is c_i w1^i.  The stop test is one: ``fold``
+        forms the running sums, ``peak`` is their largest at the last fold
+        and ``drift`` sums the largest term coefficients since, so only a
+        term between rel_tol (peak -+ drift) folds; a term of magnitude 0
+        meets it.  Any other w (the Pfaff map) is composed once: the series
+        at w0 + h gives g_j = F^(j)(w0)/j!, and coefficient i is
+        sum_(j<=i) g_j (d^j)_i for d = w - w0, with the magnitude bound
+        sum_j A_j |(d^j)_i|.
         """
-        mag, one, lift = self.mag, self.one, self.lift
+        mag, one, lift, steps = self.mag, self.one, self.lift, None
         if any(w[2:]):
             unit = [one] + [self.zero] * (len(w) - 1)
             g, abs_g, terms, tail = self.pfq(
@@ -315,20 +254,19 @@ class Field:
             buckets = kept = [[x] for x in t]
             w1, append0 = w[1] if top else None, buckets[0].append
         else:
-            # the scalar terms u_k = c_k z^k and (w1/w0)^i
-            buckets, ps, a, i_max = None, [one], 0, 0
+            # the scalar terms u_k = c_k z^k, and |w1/w0|^i
+            buckets, a, i_max = None, 0, 0
             us = kept = [one]
             if top and w0:
-                rho = w[1] / w0
-                a = abs(rho)
+                a = mag(w[1] / w0)
                 for i in range(top):
                     apow[i + 1] = apow[i] * a
-                    ps.append(ps[i] * rho)
             elif top:
                 # F(w1 h): coefficient i is c_i w1^i, from term i alone
                 z, stop = w[1], False
                 if m is None:
                     end = top + 1
+            steps = self.terms and self.terms(upper, lower, z)
         # running holds the sums over the terms before ``folded``, the largest
         # of them (weighed) is ``peak``, and the terms since moved each sum by
         # at most ``drift``
@@ -337,17 +275,18 @@ class Field:
         inf = math.inf
         try:
             for k in range(1, end):
-                # the term ratio c_k/c_(k-1)
-                j = k - 1
-                num, den = one, lift(k)
-                for x in upper:
-                    num *= x + j
-                for x in lower:
-                    den *= x + j
-                if not den:
-                    raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
-                r = num / den
-                rz = r * z
+                if not steps:
+                    # the term ratio c_k/c_(k-1)
+                    j = k - 1
+                    num, den = one, lift(k)
+                    for x in upper:
+                        num *= x + j
+                    for x in lower:
+                        den *= x + j
+                    if not den:
+                        raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={k}")
+                    r = num / den
+                    rz = r * z
                 if buckets:
                     # from the top, so that t_(i-1) is still term k - 1's
                     if top:
@@ -359,9 +298,9 @@ class Field:
                     append0(t0)
                     tmax = max(map(mag, t)) if top else mag(t0)
                 else:
-                    t0 = t0 * rz
+                    t0, tmax = next(steps) if steps else (t0 * rz, None)
+                    tmax = mag(t0) if tmax is None else tmax
                     us.append(t0)
-                    tmax = mag(t0)
                     if a:
                         # term k's largest coefficient, C(k, i) u_k rho^i, at
                         # the i past which the binomial weights fall
@@ -378,7 +317,8 @@ class Field:
                         folded, drift = k + 1, 0
                         peak = max(map(_mul, apow, map(mag, running)))
                         met = tmax < rel_tol * peak
-                    if met:
+                    # a zero term is small also where rel_tol * peak is 0
+                    if met or not tmax:
                         small += 1
                         if small == 3:
                             break
@@ -400,38 +340,40 @@ class Field:
             sums = us[: top + 1] + [self.zero] * (top + 1 - len(us))
             return sums, None, k + 1, tmax if k <= top else mag(self.zero)
         self.fold(running, us, folded)
-        # a jet's sums times (w1/w0)^i, added to zero as a running sum is, so
-        # that no part is -0
-        sums = [self.zero + s * p for s, p in zip(running, ps)] if top else running
-        return sums, None, k + 1, tmax
+        return (self.weigh(running, w0, w[1]) if top else running), None, k + 1, tmax
 
 
-# Taylor coefficients of a series at z0 can cancel heavily (peak term far
-# above the sum, e.g. lower parameters with negative real part at |z0| near
-# the disk boundary).  When the measured peak-to-sum ratio of any jet
-# coefficient exceeds this, the series is rerun (``_Complex.series``) so the
-# returned doubles stay accurate to ~1 ulp: a real terminating series
-# exactly, any other in 38-digit decimal arithmetic.  libmpdec keeps
-# 19 digits in a 64-bit word, so 38 is the largest precision whose operands
-# fit two words; at 39-57 digits they take three, and a product costs about
-# twice as much (timeit, Python 3.11 on a 2-vCPU Xeon VM: 100-115 ns at 38
-# digits, 205-270 ns at 39-57).  A 38-digit sum keeps the 17 digits that
-# round to a double only up to kappa = 10^(38 - 17), so a decimal rerun
-# whose double pass measured more raises (``_Complex.series``).
+# A series whose magnitude sum exceeds a coefficient _KAPPA_LIMIT times
+# reruns (``_Complex.series``).  The rerun's precision in bits is at least
+# _MIN_BITS, where a term rounded to nothing lies far below any stop
+# tolerance, and is doubled while a coefficient keeps fewer than 53 + _GUARD
+# bits above its error bound, up to _BUDGET.
 _KAPPA_LIMIT = 1e4
-_DEC_PREC = 38
-_DEC_KAPPA_LIMIT = 10.0 ** (_DEC_PREC - 17)
+_MIN_BITS = 128
+_GUARD = 8
+_BUDGET = 2048
 
 
 def _cancelled(abs_sum, value, limit: float = _KAPPA_LIMIT) -> bool:
-    """Whether a sum cancelled past ``limit``: ``abs_sum``, the sum of its
-    terms' magnitudes (or a bound above it), against the sum ``value``.
-    A magnitude sum at or below 1e-250 counts as nothing to lose, and a sum
-    whose modulus is past the largest double as not cancelled."""
+    """Whether a sum cancelled past ``limit``: ``abs_sum``, its terms'
+    magnitude sum (or a bound above it), against the sum ``value``; not
+    where that is at most 1e-250 or ``value`` is past the double range."""
     try:
         return abs_sum > 1e-250 and abs_sum > limit * abs(value)
     except OverflowError:
         return False
+
+
+def _bits(abs_sums, sums, growth) -> int:
+    """A rerun's first precision: 64 bits past the largest log2(f_i max(1,
+    A_i) / |s_i|) of a cancelled coefficient i with magnitude sum A_i, sum
+    s_i and ``growth[i]`` = log2 f_i, how much its rounding grows."""
+    need = max(
+        (f + math.log2(max(1.0, a)) - math.log2(abs(s)) if s else math.inf)
+        for a, s, f in zip(abs_sums, sums, growth)
+        if _cancelled(a, s)
+    )
+    return _BUDGET if need > _BUDGET else 64 + math.ceil(need)
 
 
 class _Complex(Field):
@@ -465,154 +407,204 @@ class _Complex(Field):
         return jet_mul(Jet(0j, a), Jet(0j, b)).coeffs
 
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
-        """``Field.series`` with the one cancellation guard.
-
-        A sum that cancelled (``_cancelled``) reruns the series, and only the
-        sums are replaced: a real terminating series (no parameter or
-        coefficient of w with an imaginary part), a finite sum of rationals,
-        exactly in ``FRACTION``, each sum rounded once; any other through
-        ``rerun``, as ``d_pfq`` (``jet_pfq``) on the lifted w, so at the
-        decimal field's ``series_tol``, ``min(rel_tol, 1e-25)``.  The double
-        pass's magnitude sums (term moduli added to ``rel_tol``, or a bound
-        on the Pfaff map) then check the decimal rerun: a rounded sum they
-        exceed by more than 10^(38 - 17) keeps fewer than 17 correct digits,
-        too few to round to a double, and raises ``NoConvergence``
-        (``_check_resolved``; ``check_decimal_resum`` for a term rerun).
-        """
+        """``Field.series`` with the one cancellation guard: the sums of a
+        series that cancelled (``_cancelled``) are replaced by its ``rerun``,
+        ``d_pfq`` on w in fixed point, from the ``_bits`` with growth
+        K C(K + 1, i + 1) max(1, |w1/w0|)^i for K terms.  A real terminating
+        series that the rerun cannot resolve, such as 1F0(-1000; ; 1 + 2^-10),
+        is summed exactly in ``FRACTION``."""
         out = Field.series(self, spec, w, rel_tol, max_terms)
         sums, abs_sums, terms, tail, m = out
         if not any(map(_cancelled, abs_sums, sums)):
             return out
-        if _exact_rerun(spec, w, m):
+        ctrl = EvalControl(rel_tol, max_terms)
+        rho = math.log2(max(1.0, abs(w[1] / w[0]))) if len(w) > 1 and w[0] else 0.0
+        growth = [math.log2(terms * math.comb(terms + 1, i + 1)) + i * rho for i in range(len(w))]
+        try:
+            compute = lambda f: d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w)), f), ctrl)  # noqa: E731
+            sums = rerun(compute, _bits(abs_sums, sums, growth))
+        except NoConvergence:
+            if m is None or any(x.imag for x in (*w, *(a.value for a in spec.upper + spec.lower))):
+                raise
             exact = FRACTION.series(spec, list(map(FRACTION.lift, w)), rel_tol, max_terms)[0]
             sums = list(map(FRACTION.lower, exact))
-        else:
-            ctrl = EvalControl(rel_tol, max_terms)
-            sums = rerun(lambda: d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w))), ctrl))
-            _check_resolved(abs_sums, sums)
         return sums, abs_sums, terms, tail, m
 
 
-def _exact_rerun(spec: HypSpec, w, m) -> bool:
-    """Whether a cancelled series reruns exactly: a real terminating one."""
-    return m is not None and not any(x.imag for x in (*w, *(a.value for a in spec.upper + spec.lower)))
+# An error bound is kept in units of 2^-512 of the grid step 2^-p: a normal
+# double from one step up to the 2^1100 steps a series can gather
+_STEP = 2.0**-512
 
 
-def _check_resolved(abs_sums, sums) -> None:
-    resolved = f"1e{_DEC_PREC - 17} that {_DEC_PREC} digits resolve"
-    for i, (a, s) in enumerate(zip(abs_sums, sums)):
-        if _cancelled(a, s, _DEC_KAPPA_LIMIT):
-            raise NoConvergence(f"series coefficient {i} cancelled past the {resolved}")
+def _divide(xr, xi, yr, yi):
+    """(xr + i xi) / (yr + i yi) rounded down, and its rounding in _STEP."""
+    d = yr * yr + yi * yi
+    (qr, ar), (qi, ai) = divmod(xr * yr + xi * yi, d), divmod(xi * yr - xr * yi, d)
+    return qr, qi, ((ar != 0) + (ai != 0)) * _STEP
 
 
-def check_decimal_resum(spec: HypSpec, w, sums, ctrl: EvalControl) -> None:
-    """``_check_resolved`` for a series with coefficients ``sums`` at the
-    complex w that a term rerun sums again at 38 digits.  ``_Complex.series``
-    checked any it reran in decimal, so only one it may rerun exactly, such
-    as 2F1(-200, 1; 1; 2) = 1 from terms up to 1e95, is summed again in
-    double precision for its magnitude sums."""
-    if _exact_rerun(spec, w, validate_spec(spec)):
-        _check_resolved(Field.series(COMPLEX, spec, w, ctrl.rel_tol, ctrl.max_terms)[1], sums)
+class FX:
+    """(re + i im) 2^-p in the fixed-point field ``f``, ``err`` a bound on
+    |value - exact| in units of _STEP 2^-p and ``m`` the cached modulus.  An
+    operation adds its rounding to its operands' bounds; an int operand
+    enters exactly, any other number lifted."""
 
+    __slots__ = ("re", "im", "err", "f", "m")
 
-class DC:
-    """A complex number as a pair of Decimals, rounded by the active context.
-
-    The other operand may also be real (an int or a Decimal): on either side
-    of a product, on the right of the other operations.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Decimal, im: Decimal):
-        self.re = re
-        self.im = im
+    def __init__(self, re: int, im: int, err: float, f: _Fixed, m: Optional[float] = None):
+        self.re, self.im, self.err, self.f, self.m = re, im, err, f, m
 
     def __add__(self, o):
-        if type(o) is DC:
-            return DC(self.re + o.re, self.im + o.im)
-        return DC(self.re + o, self.im)
+        o = o if type(o) is FX else self.f.lift(o)
+        return FX(self.re + o.re, self.im + o.im, self.err + o.err, self.f)
+
+    __radd__ = __add__
 
     def __sub__(self, o):
-        if type(o) is DC:
-            return DC(self.re - o.re, self.im - o.im)
-        return DC(self.re - o, self.im)
+        return self + o * -1
 
     def __mul__(self, o):
-        if type(o) is DC:
-            return DC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-        return DC(self.re * o, self.im * o)
+        if type(o) is int:
+            return FX(self.re * o, self.im * o, self.err * abs(o), self.f)
+        return self.f.dot((self,), (o if type(o) is FX else self.f.lift(o),))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if type(o) is DC:
-            dr, di = o.re, o.im
-            dd = dr * dr + di * di
-            return DC((self.re * dr + self.im * di) / dd, (self.im * dr - self.re * di) / dd)
-        return DC(self.re / o, self.im / o)
+        f = self.f
+        o = o if type(o) is FX else f.lift(o)
+        q = FX(*_divide(self.re << f.p, self.im << f.p, o.re, o.im), f)
+        if self.err or o.err:
+            # |a/b - A/B| <= (|a - A| + |a/b| |b - B|) / |B|, and |a/b| lies
+            # within 2 steps of |q|
+            den = f.mag(o) - math.ldexp(o.err, 512 - f.p)
+            num = self.err + (f.mag(q) + math.ldexp(2.0, -f.p)) * o.err
+            q.err += num / den if den > 0 else math.inf
+        return q
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __abs__(self) -> Decimal:
-        return (self.re * self.re + self.im * self.im).sqrt()
+        return bool(self.re or self.im)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"DC({self.re}, {self.im})"
+        return self.f.lower(self)
 
 
-_D0 = Decimal(0)
-_re, _im = attrgetter("re"), attrgetter("im")
+class _Fixed(Field):
+    """``FX`` numbers at p bits: the field of the reruns, at the p that
+    ``rerun`` sets.  A product or quotient is exact in Gaussian integers,
+    then rounded down once, less than 2 steps."""
 
+    def __init__(self, p: int):
+        self.p, self.scale = p, 1 << p
+        self.floor = self.scale >> 1022  # the smallest normal double, in steps
+        self.zero, self.one = FX(0, 0, 0.0, self), FX(self.scale, 0, 0.0, self)
 
-class _Decimal(Field):
-    zero = DC(_D0, _D0)
-    one = DC(Decimal(1), _D0)
-
-    @staticmethod
-    def lift(x) -> DC:
-        if type(x) is int:
-            return DC(Decimal(x), _D0)
-        z = complex(x)
-        return DC(Decimal(z.real), Decimal(z.imag))
-
-    lower = staticmethod(complex)
-
-    @staticmethod
-    def series_tol(rel_tol: float) -> Decimal:
-        # a rerun's truncation tail is bounded relative to the dominant
-        # coefficient, not to a cancelled one, so it runs at least 1e-25 deep
-        return Decimal(min(rel_tol, 1e-25))
+    def lift(self, x) -> FX:
+        """An int, ``Fraction`` or finite complex, rounded down to the grid."""
+        if isinstance(x, (int, Fraction)):
+            parts = (x.as_integer_ratio(), (0, 1))
+        elif cmath.isfinite(x := complex(x)):
+            parts = (x.real.as_integer_ratio(), x.imag.as_integer_ratio())
+        else:
+            raise ValueError(f"non-finite value {x!r} for the fixed-point field")
+        (re, xr), (im, xi) = (divmod(n << self.p, d) for n, d in parts)
+        return FX(re, im, ((xr != 0) + (xi != 0)) * _STEP, self)
 
     @staticmethod
-    def dot(xs, ys) -> DC:
-        re = im = _D0
+    def param(x):
+        """A ``Parameter``, exactly, as the Gaussian rational (re + i im)/den."""
+        v = x.value if x.exact is None else x.exact
+        if not isinstance(v, complex):
+            n, den = v.as_integer_ratio()
+            return n, 0, den
+        (a, b), (c, d) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+        return a * max(d // b, 1), c * max(b // d, 1), max(b, d)
+
+    def lower(self, x: FX) -> complex:  # each part rounded once, and not -0
+        return complex(x.re / self.scale + 0.0, x.im / self.scale + 0.0)
+
+    def mag(self, x: FX) -> float:
+        if x.m is None:
+            x.m = math.hypot(x.re / self.scale, x.im / self.scale)
+        return x.m
+
+    @staticmethod
+    def series_tol(rel_tol: float) -> float:
+        # the tail is bounded by the largest coefficient, not a cancelled one
+        return min(rel_tol, 1e-25)
+
+    def dot(self, xs, ys) -> FX:
+        p, mag, re, im, err = self.p, self.mag, 0, 0, 0.0
         for x, y in zip(xs, ys):
             re += x.re * y.re - x.im * y.im
             im += x.re * y.im + x.im * y.re
-        return DC(re, im)
+            if x.err or y.err:
+                err += x.err * (mag(y) + math.ldexp(y.err, 512 - p)) + mag(x) * y.err
+        low = self.scale - 1
+        return FX(re >> p, im >> p, err + (((re & low) != 0) + ((im & low) != 0)) * _STEP, self)
 
-    @staticmethod
-    def mag(x: DC) -> Decimal:
-        return abs(x.re) + abs(x.im)
+    def fold(self, sums, us, lo):
+        # ``Field.fold`` on the parts and bounds, one FX built per coefficient
+        n, parts = len(us), [[getattr(x, k) for x in us[lo:]] for k in ("re", "im", "err")]
+        for i, s in enumerate(sums):
+            j = max(lo, i)
+            row, cut = list(map(math.comb, range(j, n), repeat(i))), (xs[j - lo :] for xs in parts)
+            sums[i] = FX(*(sum(map(_mul, xs, row), x0) for xs, x0 in zip(cut, (s.re, s.im, s.err))), self)
 
-    @staticmethod
-    def fold(sums, us, lo):
-        # ``Field.fold`` on the parts: the same products and sums in the same
-        # order, with one DC built per coefficient
-        n = len(us)
-        re, im = list(map(_re, us[lo:])), list(map(_im, us[lo:]))
-        s = sums[0]
-        sums[0] = DC(sum(re, s.re), sum(im, s.im))
-        for i in range(1, len(sums)):
-            s, j = sums[i], max(lo, i)
-            row = list(map(math.comb, range(j, n), repeat(i)))
-            re_i = sum(map(_mul, re[j - lo :], row), s.re)
-            sums[i] = DC(re_i, sum(map(_mul, im[j - lo :], row), s.im))
+    def terms(self, upper, lower, z):
+        """The scalar terms u_k and their magnitudes: r_k z, exact from the
+        exact parameters and z's grid value, is rounded down once to R_k and
+        t_k = t_(k-1) R_k rounded down, with the bound e_k = e_(k-1) (|R_k| +
+        e(R_k)) + |t_(k-1)| e(R_k) + 2 steps.  A term within its bound of 0
+        has magnitude 0, or rounding down would keep it from the stop test."""
+        p, scale, hypot, ldexp = self.p, self.scale, math.hypot, math.ldexp
+        low, ulp = scale - 1, ldexp(1.0, -p)
+        # r_k z = prod(a + j) prod(den b) z / ((j + 1) prod(b + j) prod(den a)),
+        # the two products' factors of two entering as a shift
+        top, bot = math.prod(d for *_, d in lower), math.prod(d for *_, d in upper)
+        two_top, two_bot = (top & -top).bit_length() - 1, (bot & -bot).bit_length() - 1
+        top, bot, shift = top >> two_top, bot >> two_bot, two_top - two_bot
+        zr, zi, ez = z.re * top, z.im * top, z.err / _STEP / self.mag(z) if z.err else 0.0
+        tr, ti, e, mt, j = scale, 0, 0.0, 1.0, 0
+        while True:
+            xr, xi, yr, yi = zr, zi, (j + 1) * bot, 0
+            for ar, ai, d in upper:
+                ar += j * d
+                xr, xi = xr * ar - xi * ai, xr * ai + xi * ar
+            for br, bi, d in lower:
+                br += j * d
+                yr, yi = yr * br - yi * bi, yr * bi + yi * br
+            j += 1
+            if yi:
+                xr, xi, yr = xr * yr + xi * yi, xi * yr - xr * yi, yr * yr + yi * yi
+            elif not yr:
+                raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={j}")
+            xr, xi, yr = xr << max(shift, 0), xi << max(shift, 0), yr << max(-shift, 0)
+            (rr, xr), (ri, xi) = divmod(xr, yr), divmod(xi, yr)
+            mr = hypot(rr / scale, ri / scale)
+            er = (xr != 0) + (xi != 0) + mr * ez
+            tr, ti = tr * rr - ti * ri, tr * ri + ti * rr
+            e = e * (mr + er * ulp) + (mt * er + ((tr & low) != 0) + ((ti & low) != 0)) * _STEP
+            tr, ti = tr >> p, ti >> p
+            mt = hypot(tr / scale, ti / scale)
+            yield FX(tr, ti, e, self, mt), mt if mt > ldexp(e, 512 - p) else 0.0
+
+    def weigh(self, sums, w0, w1):
+        """``Field.weigh``, one Gaussian division per coefficient.  The bound
+        grows by |w1/w0|^i, and by 2 i eps |sums[i] (w1/w0)^i| for eps the
+        relative bounds of w0 and w1 (while i eps <= 1/2)."""
+        eps = sum(w.err / self.mag(w) for w in (w0, w1) if w.err)
+        eps = math.inf if math.ldexp(eps, 512 - self.p) * len(sums) > 0.5 else eps
+        a, out, ai = self.mag(w1) / self.mag(w0), [sums[0]], 1.0
+        two = min((x & -x).bit_length() for x in (w0.re, w0.im, w1.re, w1.im) if x) - 1
+        (ur, ui, vr, vi), nr, ni, dr, di = (x >> two for x in (w1.re, w1.im, w0.re, w0.im)), 1, 0, 1, 0
+        for i, s in enumerate(sums[1:], 1):
+            nr, ni, dr, di = nr * ur - ni * ui, nr * ui + ni * ur, dr * vr - di * vi, dr * vi + di * vr
+            qr, qi, rounding = _divide(s.re * nr - s.im * ni, s.re * ni + s.im * nr, dr, di)
+            ai *= a
+            grown = s.err + (2 * i * eps * self.mag(s) if eps else 0.0)
+            out.append(FX(qr, qi, ai * grown + rounding, self))
+        return out
 
 
 class _Fraction(Field):
@@ -650,7 +642,6 @@ class _Fraction(Field):
 
 
 COMPLEX = _Complex()
-DECIMAL = _Decimal()
 FRACTION = _Fraction()
 
 
@@ -670,10 +661,8 @@ class Jet:
 
 
 def jet_variable(z0, order: int, field: Field = COMPLEX) -> Jet:
-    """The identity function f(z) = z as a jet at z0.
-
-    An exact z0 beyond the double range raises ``ValueError``, the error of a
-    non-finite input."""
+    """The identity function f(z) = z as a jet at z0; an exact z0 beyond the
+    double range raises ``ValueError``, as a non-finite input does."""
     if order < 0:
         raise ValueError("order must be >= 0")
     try:
@@ -734,15 +723,11 @@ def jet_ipow(a: Jet, m: int) -> Jet:
 
 
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
-    """pFq(a; b; w) with w an analytic argument given as a jet, in its field.
-
-    The field's ``series`` (``evaluate`` runs the complex one at order 0),
-    with its input checks (at order >= 1 the base value must lie strictly
-    inside the convergence domain): terminating series are summed to the
-    end; otherwise the sum stops once the largest term coefficient stays
-    below the field's ``series_tol`` of ``rel_tol`` times the largest
-    coefficient of the running jet for three terms.  In the complex field
-    a cancelled coefficient reruns the series.
+    """pFq(a; b; w) with w an analytic argument given as a jet, in its
+    field: the field's ``series`` at its ``series_tol`` of ``rel_tol``, with
+    its input checks (at order >= 1 the base value must lie strictly inside
+    the convergence domain).  In the complex field a cancelled coefficient
+    reruns the series.
     """
     ctrl = ctrl or DEFAULT_CONTROL
     field = arg.field
@@ -751,31 +736,49 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# the decimal reruns: ``rerun`` holds their one decimal context
+# the reruns: ``rerun`` sets their precision
 
 
-def rerun(compute) -> list[complex]:
-    """``compute()``, a decimal jet, at ``_DEC_PREC`` digits, each
-    coefficient rounded to a complex double: the one extended-precision
-    entry, for the series rerun and the term rerun alike."""
-    with localcontext() as cx:
-        cx.prec = _DEC_PREC
-        return d_pair_to_complexes(compute())
+def _resolved(x: FX) -> bool:
+    """Whether x's error bound lies 53 + _GUARD bits below |re| + |im|, or
+    below the smallest normal double: then its double is faithful."""
+    size, bits = max(abs(x.re) + abs(x.im), x.f.floor), 53 + _GUARD + 512
+    return math.ldexp(x.err, bits) <= size if x.err < 2.0**400 else x.err <= size >> bits
 
 
-def d_pair_from_jet(j: Jet) -> Jet:
-    """A complex jet lifted into the decimal field."""
-    return Jet(j.base_point, tuple(map(DECIMAL.lift, j.coeffs)), DECIMAL)
+def rerun(compute, bits: int) -> list[complex]:
+    """``compute(field)``, a fixed-point jet, rounded to complex doubles: the
+    one extended-precision entry, for both reruns, and the one that sets the
+    precision, from ``bits`` doubled until each coefficient is ``_resolved``;
+    past _BUDGET bits, or the double range, it raises ``NoConvergence``."""
+    p = max(bits, _MIN_BITS)
+    try:
+        while True:
+            p = min(p, _BUDGET)
+            jet = compute(_Fixed(p))
+            loose = [i for i, x in enumerate(jet.coeffs) if not _resolved(x)]
+            if not loose:
+                return d_pair_to_complexes(jet)
+            if p == _BUDGET:
+                raise NoConvergence(f"rerun coefficient {loose[0]} is not resolved within {_BUDGET} bits")
+            p *= 2
+    except OverflowError:
+        raise NoConvergence("rerun overflowed: a value is beyond the double range") from None
+
+
+def d_pair_from_jet(j: Jet, field: _Fixed) -> Jet:
+    """A complex jet lifted into the fixed-point field ``field``."""
+    return Jet(j.base_point, tuple(map(field.lift, j.coeffs)), field)
 
 
 def d_pair_to_complexes(j: Jet) -> list[complex]:
-    """The coefficients of a decimal jet, each rounded to a complex double."""
-    return list(map(DECIMAL.lower, j.coeffs))
+    """The coefficients of a fixed-point jet, rounded to complex doubles."""
+    return list(map(j.field.lower, j.coeffs))
 
 
-def d_variable(z0: complex, order: int) -> Jet:
-    """The variable jet in the decimal field: the start of a term rerun."""
-    return jet_variable(z0, order, DECIMAL)
+def d_variable(z0: complex, order: int, field: _Fixed) -> Jet:
+    """The variable jet in the fixed-point field: the start of a term rerun."""
+    return jet_variable(z0, order, field)
 
 
 # the series rerun's binding, which a tracer wraps to count the reruns

@@ -83,12 +83,14 @@ class TestEval:
         assert err == "error: NoConvergence: series term 409 overflowed: absolute value too large\n"
 
     def test_rerun_cancelled_past_its_digits_exit_3(self, capsys):
-        # e^z as 0F0: the 38-digit rerun cancels past what it resolves
-        for z in ("-383", "-37.9"):
-            assert main(["eval", "--upper=", "--lower=", f"--z={z}"]) == 3
-            err = capsys.readouterr().err
-            want = "series coefficient 0 cancelled past the 1e21 that 38 digits resolve"
-            assert err == f"error: NoConvergence: {want}\n"
+        # e^z as 0F0: at -383 and -37.9 the rerun resolves e^z (printed to
+        # 15 digits); at -700 it cancels past what 2048 bits resolve
+        for z, value in (("-383", "4.62608311237107e-167"), ("-37.9", "3.4692782697491e-17")):
+            assert main(["eval", "--upper=", "--lower=", f"--z={z}"]) == 0
+            assert capsys.readouterr().out.startswith(f"{value}\n")
+        assert main(["eval", "--upper=", "--lower=", "--z=-700"]) == 3
+        want = "rerun coefficient 0 is not resolved within 2048 bits"
+        assert capsys.readouterr().err == f"error: NoConvergence: {want}\n"
 
     def test_terminating_series_past_the_disk_is_labelled_a_polynomial(self, capsys):
         # 2F1(-3, 1/2; 1; 2.5) is a cubic: its value, and the p > q+1 label

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -25,6 +26,7 @@ from hypderiv.core import (
     values_equal,
 )
 from hypderiv.expressions import eval_expr, expr, hyp, nth_derivative, term
+from hypderiv import jets
 from hypderiv.jets import FRACTION, jet_pfq, jet_variable
 from hypderiv.errors import (
     DomainError,
@@ -329,38 +331,102 @@ class TestEvaluate:
             assert got.real == float(want) and got.imag == 0.0
 
     def test_cancelled_terminating_series_is_exact(self):
-        # the double sums of these polynomials cancel by kappa ~ 3e26 and
-        # 2e36, so they are rerun exactly: the Fraction sum of the defining
-        # series, rounded once
-        for upper, lower, z in (([-60], [Fraction(1, 2)], 40), ([-80], [Fraction(3, 2)], 60)):
+        # the double sums of these polynomials cancel by kappa ~ 5e16 to 2e36,
+        # so they are rerun, in fixed point with every exact parameter
+        # entering exactly (1/3 too): each comes out as the Fraction sum of
+        # the defining series, rounded once
+        for upper, lower, z in (
+            ([-60], [Fraction(1, 2)], 40),
+            ([-80], [Fraction(3, 2)], 60),
+            ([-60], [Fraction(1, 3)], 40),
+        ):
             spec = HypSpec.of(upper, lower)
             exact = sum(coefficient(spec, k) * Fraction(z) ** k for k in range(-upper[0] + 1))
             assert evaluate(spec, z).value == complex(float(exact))
 
-    def test_rerun_cancelled_past_its_digits_raises(self):
-        # e^z as 0F0 at z = -383 and -37.9: the 38-digit rerun's terms add up
-        # to ~e^|z| for a sum of e^z, a cancellation past the 1e21 that 38
-        # digits resolve, and their sums are off by 3.8e293 and 1.9e-6
-        # relative; at z = -20 (kappa 2e17) the rerun is exact to the double
-        for z in (-383.0, -37.9):
-            with pytest.raises(NoConvergence, match="^series coefficient 0 cancelled past the 1e21"):
-                evaluate(HypSpec.of([], []), z)
-            with pytest.raises(NoConvergence, match="cancelled past"):
-                eval_expr(expr(term(1, hyp(HypSpec.of([], [])))), z)
-        assert evaluate(HypSpec.of([], []), -20.0).value == cmath.exp(-20.0)
+    def test_cancelled_terminating_series_reruns_in_fixed_point(self, monkeypatch):
+        # 2F1(-1000, 0.37; 1.23; 0.9) sums to 0.067 from terms up to 1e278;
+        # its exact rerun took seconds, the fixed-point one takes under
+        # 50 ms (best of three) and matches mpmath.  The exact rerun is the
+        # fallback for a real polynomial that no precision within the budget
+        # resolves: 1F0(-1000; ; 1 + 2^-10) = 2^-10000, from terms up to
+        # 1e301, comes out as its Fraction sum rounded once, 0.0; off the
+        # real line the same sum raises
+        mpmath = pytest.importorskip("mpmath")
+        exact_reruns = []
+        series = FRACTION.series
+        monkeypatch.setattr(FRACTION, "series", lambda *a: exact_reruns.append(1) or series(*a))
+        spec = HypSpec.of([-1000, 0.37], [1.23])
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got = evaluate(spec, 0.9).value
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05, times
+        with mpmath.workdps(40):
+            assert rel(got, complex(mpmath.hyp2f1(-1000, 0.37, 1.23, 0.9))) <= 1e-15
+        assert not exact_reruns
+        z = 1 + Fraction(1, 2**10)
+        spec = HypSpec.of([-1000], [])
+        assert evaluate(spec, float(z)).value == complex(float((1 - z) ** 1000)) == 0
+        assert exact_reruns == [1]
+        with pytest.raises(NoConvergence, match="^rerun coefficient 0 is not resolved within 2048 bits$"):
+            evaluate(spec, complex(float(z), 1e-300))
 
-    def test_rerun_check_limit_is_on_the_double_pass_moduli(self):
+    def test_rerun_cancelled_past_its_digits_raises(self):
+        # e^z as 0F0: the double pass's terms add up to ~e^|z| for a sum of
+        # e^z.  At z = -383, -37.9 and -25 (kappa 1e333, 1e33 and 5e21; the
+        # 38-digit decimal rerun raised there) the fixed-point rerun resolves
+        # it, within 1e-15 of mpmath; at z = -700 (kappa 1e608) its error
+        # bound is not 61 bits below the sum at 2048 bits, and it raises
+        mpmath = pytest.importorskip("mpmath")
+        e = expr(term(1, hyp(HypSpec.of([], []))))
+        for z in (-383.0, -37.9, -25.0):
+            with mpmath.workdps(40):
+                want = complex(mpmath.exp(mpmath.mpf(z)))
+            assert rel(evaluate(HypSpec.of([], []), z).value, want) <= 1e-15
+            assert rel(eval_expr(e, z), want) <= 1e-15
+        want = "^rerun coefficient 0 is not resolved within 2048 bits$"
+        with pytest.raises(NoConvergence, match=want):
+            evaluate(HypSpec.of([], []), -700.0)
+        with pytest.raises(NoConvergence, match=want):
+            eval_expr(e, -700.0)
+
+    def test_rerun_check_is_on_its_own_error_bound(self):
         # the double pass's terms of e^z as 0F0 add up in modulus to e^|z|,
-        # kappa = e^(|z| - Re z); the rerun resolves it to the double at
-        # kappa 0.9e21 and raises at 1.1e21, in every direction
-        for turn, kappa in product((1.0, 0.75, 0.6), (0.9e21, 1.1e21)):
+        # kappa = e^(|z| - Re z).  The 38-digit rerun raised from kappa 1e21
+        # on, as the double pass measured it; the fixed-point rerun checks
+        # its own error bound, and returns e^z within 1e-15 of mpmath at
+        # kappa 0.9e21, 1.1e21 and 1e100, in every direction
+        mpmath = pytest.importorskip("mpmath")
+        for turn, kappa in product((1.0, 0.75, 0.6), (0.9e21, 1.1e21, 1e100)):
             angle = turn * math.pi
             z = cmath.rect(math.log(kappa) / (1 - math.cos(angle)), angle)
-            if kappa < 1e21:
-                assert abs(evaluate(HypSpec.of([], []), z).value / cmath.exp(z) - 1) < 1e-15
-            else:
-                with pytest.raises(NoConvergence, match="^series coefficient 0 cancelled past the 1e21"):
-                    evaluate(HypSpec.of([], []), z)
+            with mpmath.workdps(40):
+                want = complex(mpmath.exp(mpmath.mpc(z)))
+            assert abs(evaluate(HypSpec.of([], []), z).value - want) <= 1e-15 * abs(want), (turn, kappa)
+
+    def test_self_check_doubles_a_short_precision(self, monkeypatch):
+        # 0F0 at z = -383 started at 128 bits: at 128 to 1024 bits the error
+        # bound of its sum is not 61 bits below it, and the sum at 1024 bits
+        # is indeed far off; the rerun doubles its precision to 2048 bits
+        # and returns the double it returns from its own start
+        precisions = []
+        init = jets._Fixed.__init__
+
+        def recording(self, p):
+            precisions.append(p)
+            init(self, p)
+
+        spec = HypSpec.of([], [])
+        want = evaluate(spec, -383.0).value
+        monkeypatch.setattr(jets._Fixed, "__init__", recording)
+        monkeypatch.setattr(jets, "_bits", lambda *args: 128)
+        assert evaluate(spec, -383.0).value == want
+        assert precisions == [128, 256, 512, 1024, 2048]
+        short = jets._Fixed(1024)
+        loose = short.series(spec, [short.lift(-383.0)], 1e-25, 10000)[0][0]
+        assert not jets._resolved(loose) and rel(short.lower(loose), want) > 1e-15
 
     def test_terminating_overflow_fails_as_no_convergence(self):
         # the terms of this degree-1000 polynomial pass the largest double at
@@ -485,8 +551,9 @@ class TestClassify:
 # sha256 of evaluate's results over _evaluate_cases(): repr of the value,
 # terms used, terminated and the tail estimate, or the error's class and text.
 # Only library errors are caught, so a bare OverflowError (a modulus past the
-# largest double with both parts finite) fails the test.
-EVALUATE_FINGERPRINT = "d1c75172def4f0b85dba437db22d2d7a211cfb7d8ae876d37e72194d682a4340"
+# largest double with both parts finite) fails the test.  What the pin holds
+# of the reruns is bounded by test_every_rerun_matches_mpmath.
+EVALUATE_FINGERPRINT = "21258131c40572ec73b10b94b925d5e3533ff3477b759ff6df93f935235dfc75"
 
 
 def _evaluate_cases():
@@ -550,6 +617,30 @@ def _evaluate_fingerprint():
 class TestEvaluateFingerprint:
     """``evaluate`` bit for bit: values, term counts, tail estimates and
     error messages over a seeded sweep of finite inputs."""
+
+    def test_every_rerun_matches_mpmath(self, monkeypatch):
+        # every input whose double sum cancels and reruns, the 41 that raised
+        # NoConvergence at 38 digits among them, returns a value within
+        # 1e-15 of mpmath; none raises
+        mpmath = pytest.importorskip("mpmath")
+        reruns = []
+        d_pfq = jets.d_pfq
+        monkeypatch.setattr(jets, "d_pfq", lambda *args: reruns.append(1) or d_pfq(*args))
+        checked = 0
+        for spec, z, ctrl in _evaluate_cases():
+            reruns.clear()
+            try:
+                got = evaluate(spec, z, ctrl).value
+            except HypDerivError:
+                assert not reruns, (spec, z)
+                continue
+            if reruns:
+                with mpmath.workdps(80):
+                    up, lo = ([mpmath.mpmathify(x.value) for x in side] for side in (spec.upper, spec.lower))
+                    want = complex(mpmath.hyper(up, lo, mpmath.mpmathify(z), maxterms=10**6))
+                assert abs(got - want) <= 1e-15 * abs(want), (spec, z)
+                checked += 1
+        assert checked >= 150, checked
 
     def test_fingerprint(self):
         got, outcomes = _evaluate_fingerprint()

@@ -1,13 +1,13 @@
-"""Accuracy of the 38-digit decimal reruns against an independent reference.
+"""Accuracy of the fixed-point reruns against an independent reference.
 
 The oracle reruns an ill-conditioned pFq series (series level, in the
 complex field's ``series``) or an ill-conditioned product of factor jets
-(term level, in ``expressions._term_jet``) in decimal arithmetic.  Each case
+(term level, in ``expressions._term_jet``) in fixed-point arithmetic.  Each case
 here is chosen so that the rerun happens, the test counts the entries into
 it, and the derivative is compared with mpmath at 50 digits.  The stated
-bound is a relative error of 1e-12; the reruns reach about 1e-14.  A last
-case shows the margin of the 38 digits: a series that cancels by kappa ~
-1e16 still comes out within 1e-15.  ``evaluate`` takes the same series
+bound is a relative error of 1e-12; the reruns reach about 1e-14, the
+error of the derivative's finite parts.  A last case shows a series that
+cancels by kappa ~ 1e16 come out within 1e-15.  ``evaluate`` takes the same series
 guard: cancelling scalar sums come out within 1e-15 of mpmath, and a sum
 whose modulus is past the largest double is returned as not cancelled.
 """
@@ -84,7 +84,7 @@ def test_rerun_matches_mpmath(monkeypatch, name, e, n, z0, ref, series_reruns, t
 def test_rerun_margin_at_kappa_1e16(monkeypatch):
     # 1F1(1/2; 3/2; z) at z0 = -40: the magnitude sum of each coefficient's
     # terms is 3e16-3e17 times the coefficient, so a double sum keeps no
-    # correct digit and a 38-digit one about 21
+    # correct digit, and the rerun, at a precision sized from that, all 17
     counts = {"d_pfq": 0, "d_variable": 0}
     _counting(monkeypatch, jets, "d_pfq", counts)
     _counting(monkeypatch, ex, "d_variable", counts)
@@ -96,7 +96,7 @@ def test_rerun_margin_at_kappa_1e16(monkeypatch):
 
 
 # (upper, lower, z) of scalar sums that cancel by kappa ~ 5e6-6e14: a double
-# sum keeps 2-10 correct digits of these, the decimal rerun all of them
+# sum keeps 2-10 correct digits of these, the fixed-point rerun all of them
 SCALAR = [
     ([Fraction(1, 2)], [Fraction(3, 2)], -30),
     ([0.3], [1.7], -35.0),

@@ -1,18 +1,21 @@
 """Property tests of the jet algebra, run once per scalar field.
 
-The same routines serve the complex-double, 40-digit decimal and exact
+The same routines serve the complex-double, 200-bit fixed-point and exact
 Fraction fields, so the laws are checked in each: exactly in the Fraction
-field, to a relative 1e-30 in the decimal field and to 1e-9 in the complex
-field, relative to the largest coefficient involved (division and powers
-amplify rounding by up to (sum |f_i| / |f_0|)^order, a few thousand here).
+field, to a relative 1e-45 in the fixed-point field and to 1e-9 in the
+complex field, relative to the largest coefficient involved (division and
+powers amplify rounding by up to (sum |f_i| / |f_0|)^order, a few thousand
+here).  In the fixed-point field each side also lies within its own error
+bound of the exact value, so the two sides lie within the sum of their
+bounds: the bounds the reruns' self-check reads are checked here.
 
 The leading values of exp and of a non-integer power are the one step taken
-in double precision.  The exact and decimal fields therefore check the exp
-law on jets with f_0 = 0 and the pow law on jets with f_0 = 1, where that
-leading value is exactly 1; the complex field checks any f_0.
+in double precision.  The exact and fixed-point fields therefore check the
+exp law on jets with f_0 = 0 and the pow law on jets with f_0 = 1, where
+that leading value is exactly 1; the complex field checks any f_0.
 """
 
-from decimal import Decimal, localcontext
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,10 +24,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hypderiv.jets import _DEC_PREC, COMPLEX, DC, DECIMAL, FRACTION, Field  # noqa: E402
+from hypderiv.core import param  # noqa: E402
+from hypderiv.jets import _STEP, COMPLEX, FRACTION, FX, Field, _Fixed  # noqa: E402
 
-TOL = {COMPLEX: 1e-9, DECIMAL: Decimal("1e-30"), FRACTION: 0}
-FIELDS = pytest.mark.parametrize("F", [COMPLEX, DECIMAL, FRACTION], ids=["complex", "decimal", "fraction"])
+FIXED = _Fixed(200)
+TOL = {COMPLEX: 1e-9, FIXED: 1e-45, FRACTION: 0}
+FIELDS = pytest.mark.parametrize("F", [COMPLEX, FIXED, FRACTION], ids=["complex", "fixed", "fraction"])
 LAWS = settings(max_examples=40, deadline=None)
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=8)
@@ -52,14 +57,22 @@ def assert_close(F, xs, ys):
     if F is FRACTION:
         assert xs == ys
         return
-    if F is DECIMAL:
-        # compare in decimal: lowering to doubles would hide the 40 digits
+    if F is FIXED:
+        # compare on the grid: lowering to doubles would hide the 200 bits
+        for x, y in zip(xs, ys):
+            assert distance(x, y) <= (x.err + y.err) / _STEP, (x, y)
         diff = max(F.mag(x - y) for x, y in zip(xs, ys))
         scale = max([F.mag(x) for x in xs + ys] + [1])
         assert diff <= TOL[F] * scale, (xs, ys)
         return
     scale = max([abs(x) for x in xs + ys] + [1.0])
     assert max(abs(x - y) for x, y in zip(xs, ys)) <= TOL[F] * scale, (xs, ys)
+
+
+def distance(x, y):
+    """|x - y| of two fixed-point values, in grid steps, exactly."""
+    d2 = (x.re - y.re) ** 2 + (x.im - y.im) ** 2
+    return math.isqrt(d2) + (math.isqrt(d2) ** 2 != d2)
 
 
 def unit(F, order):
@@ -81,10 +94,8 @@ orders = st.integers(min_value=0, max_value=6)
 def test_product_commutes_and_associates(F, data):
     order = data.draw(orders)
     a, b, c = (lift(F, data.draw(jets(order))) for _ in range(3))
-    with localcontext() as cx:
-        cx.prec = 40
-        assert_close(F, F.mul(a, b), F.mul(b, a))
-        assert_close(F, F.mul(F.mul(a, b), c), F.mul(a, F.mul(b, c)))
+    assert_close(F, F.mul(a, b), F.mul(b, a))
+    assert_close(F, F.mul(F.mul(a, b), c), F.mul(a, F.mul(b, c)))
 
 
 @FIELDS
@@ -96,9 +107,7 @@ def test_division_undoes_product(F, data):
     bj = data.draw(jets(order))
     assume(well_led(bj) if F is not FRACTION else bj[0][0] != 0)
     b = lift(F, bj)
-    with localcontext() as cx:
-        cx.prec = 40
-        assert_close(F, F.div(F.mul(a, b), b), a)
+    assert_close(F, F.div(F.mul(a, b), b), a)
 
 
 @FIELDS
@@ -107,9 +116,7 @@ def test_division_undoes_product(F, data):
 def test_exp_of_negation_is_reciprocal(F, data):
     order = data.draw(orders)
     a = lift(F, data.draw(jets(order, lead=None if F is COMPLEX else 0)))
-    with localcontext() as cx:
-        cx.prec = 40
-        assert_close(F, F.mul(F.exp(a, 1), F.exp(a, -1)), unit(F, order))
+    assert_close(F, F.mul(F.exp(a, 1), F.exp(a, -1)), unit(F, order))
 
 
 @FIELDS
@@ -121,9 +128,7 @@ def test_pow_of_negated_exponent_is_reciprocal(F, data, alpha):
     assume(well_led(fj))
     f = lift(F, fj)
     al = alpha if F is FRACTION else complex(float(alpha), 0.25)
-    with localcontext() as cx:
-        cx.prec = 40
-        assert_close(F, F.mul(F.pow(f, al), F.pow(f, -al)), unit(F, order))
+    assert_close(F, F.mul(F.pow(f, al), F.pow(f, -al)), unit(F, order))
 
 
 @FIELDS
@@ -134,16 +139,14 @@ def test_integer_power_is_repeated_product(F, data, m):
     fj = data.draw(jets(order))
     assume(well_led(fj) if F is not FRACTION else fj[0][0] != 0)
     f = lift(F, fj)
-    with localcontext() as cx:
-        cx.prec = 40
-        want = unit(F, order)
-        for _ in range(abs(m)):
-            want = F.mul(f, want)
-        if m < 0:
-            want = F.div(unit(F, order), want)
-        assert_close(F, F.ipow(f, m), want)
-        # and powers add: f^m f^2 = f^(m+2)
-        assert_close(F, F.mul(F.ipow(f, m), F.ipow(f, 2)), F.ipow(f, m + 2))
+    want = unit(F, order)
+    for _ in range(abs(m)):
+        want = F.mul(f, want)
+    if m < 0:
+        want = F.div(unit(F, order), want)
+    assert_close(F, F.ipow(f, m), want)
+    # and powers add: f^m f^2 = f^(m+2)
+    assert_close(F, F.mul(F.ipow(f, m), F.ipow(f, 2)), F.ipow(f, m + 2))
 
 
 def deriv(a):
@@ -165,13 +168,11 @@ def test_exp_and_pow_solve_their_differential_equations(F, data, alpha):
     assume(well_led(fj))
     g = lift(F, fj)
     al = alpha if F is FRACTION else complex(float(alpha), 0.25)
-    with localcontext() as cx:
-        cx.prec = 40
-        e = F.exp(f, 1)
-        assert_close(F, deriv(e), F.mul(deriv(f), e[:-1]))
-        p = F.pow(g, al)
-        alpha_f = F.lift(al)
-        assert_close(F, F.mul(g[:-1], deriv(p)), [alpha_f * x for x in F.mul(deriv(g), p[:-1])])
+    e = F.exp(f, 1)
+    assert_close(F, deriv(e), F.mul(deriv(f), e[:-1]))
+    p = F.pow(g, al)
+    alpha_f = F.lift(al)
+    assert_close(F, F.mul(g[:-1], deriv(p)), [alpha_f * x for x in F.mul(deriv(g), p[:-1])])
 
 
 def series_terms(F, upper, lower, m, w):
@@ -219,14 +220,20 @@ def check_series_composed(F, data, m, dense):
     else:
         re[2:] = im[2:] = [Fraction(0)] * (order - 1)
     w = lift(F, (re, im))
-    params = [lift(F, data.draw(jets(0)))[0] for _ in range(3)]
+    raw = [data.draw(jets(0)) for _ in range(3)]
+    params = [lift(F, r)[0] for r in raw]
     upper, lower = params[:2], [params[2] + 3]
-    with localcontext() as cx:
-        cx.prec = 40
-        # a terminating sum of m + 1 terms: the stop rule does not apply
-        got, bound, n, _ = F.pfq(upper, lower, m, w, rel_tol=0, max_terms=m + 1)
-        terms = series_terms(F, upper, lower, m, w)
-        want = series_by_products(F, upper, lower, m, w)
+    kernel_upper, kernel_lower = upper, lower
+    if F is FIXED:
+        # the fixed-point kernel takes the same parameters exactly, as
+        # Gaussian rationals (``param``)
+        exact = [F.param(param(complex(float(r[0][0]), float(r[1][0])))) for r in raw]
+        (a, b, d), kernel_upper = exact[2], exact[:2]
+        kernel_lower = [(a + 3 * d, b, d)]
+    # a terminating sum of m + 1 terms: the stop rule does not apply
+    got, bound, n, _ = F.pfq(kernel_upper, kernel_lower, m, w, rel_tol=0, max_terms=m + 1)
+    terms = series_terms(F, upper, lower, m, w)
+    want = series_by_products(F, upper, lower, m, w)
     assert n == m + 1
     if F is not COMPLEX:
         # only the complex field measures cancellation
@@ -259,38 +266,37 @@ def test_dense_argument_is_the_series_composed(F, data, m):
     check_series_composed(F, data, m, dense=True)
 
 
-# Decimal parts: exact zeros of either sign and exponent, and values equal
-# but for their exponent (0.5 and 0.50), so that a sum's exponent shows;
-# small integers scaled by a few powers of ten; and integers of more digits
-# than the rerun's context keeps, so that every operation rounds
-parts = st.one_of(
-    st.sampled_from([Decimal(x) for x in ("0", "-0", "0E-7", "0.5", "0.50", "-0.500", "1", "1.0")]),
-    st.builds(lambda m, e: Decimal(f"{m}E{e}"), st.integers(-50, 50), st.integers(-2, 0)),
-    st.builds(lambda m, e: Decimal(f"{m}E{e}"), st.integers(-(10**45), 10**45), st.integers(-45, 0)),
-)
-dcs = st.builds(DC, parts, parts)
+# Grid values: zeros, small integers and integers of more bits than the
+# field's 200, with error bounds of zero or up to a thousand steps
+parts = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50), st.integers(-(2**260), 2**260))
+fxs = st.builds(lambda re, im, err: FX(re, im, err, FIXED), parts, parts, st.floats(0, 1e3 * _STEP))
 
 
 @LAWS
 @given(
-    sums=st.lists(dcs, min_size=1, max_size=13),
-    us=st.lists(dcs, min_size=1, max_size=30),
+    sums=st.lists(fxs, min_size=1, max_size=13),
+    us=st.lists(fxs, min_size=1, max_size=30),
     data=st.data(),
 )
-def test_decimal_fold_is_the_generic_fold(sums, us, data):
-    # the decimal field's binomial fold forms the same products and sums as
-    # ``Field.fold``, so every digit and exponent agrees
+def test_fixed_fold_is_the_generic_fold(sums, us, data):
+    # the fixed-point field's binomial fold forms the same products and sums
+    # as ``Field.fold``, parts and error bounds alike, so every bit agrees
     lo = data.draw(st.integers(min_value=0, max_value=len(us)))
-    text = lambda xs: [f"{x.re} {x.im}" for x in xs]  # noqa: E731
-    with localcontext() as cx:
-        cx.prec = _DEC_PREC
-        got, want = sums[:], sums[:]
-        DECIMAL.fold(got, us, lo)
-        Field.fold(DECIMAL, want, us, lo)
-    assert text(got) == text(want)
+    bits = lambda xs: [(x.re, x.im, x.err) for x in xs]  # noqa: E731
+    got, want = sums[:], sums[:]
+    FIXED.fold(got, us, lo)
+    Field.fold(FIXED, want, us, lo)
+    assert bits(got) == bits(want)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def exact(x):
+    """A complex double or a fixed-point value as an exact (re, im) pair."""
+    if isinstance(x, FX):
+        return Fraction(x.re, FIXED.scale), Fraction(x.im, FIXED.scale)
+    return Fraction(x.real), Fraction(x.imag)
 
 
 @LAWS
@@ -298,15 +304,21 @@ finite = dict(allow_nan=False, allow_infinity=False)
     x=st.complex_numbers(max_magnitude=1e3, **finite),
     y=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, **finite),
 )
-def test_decimal_scalars_agree_with_complex(x, y):
-    D = DECIMAL
+def test_fixed_scalars_agree_with_complex(x, y):
+    # each operation lies within its own error bound of the exact result of
+    # the doubles it was given, and so within 1e-15 of the complex result,
+    # but for the 2^-200 grid, which a subnormal double lies below
+    D = FIXED
     a, b = D.lift(x), D.lift(y)
-    with localcontext() as cx:
-        cx.prec = 40
-        for got, want, scale in (
-            (a + b, x + y, abs(x) + abs(y)),
-            (a - b, x - y, abs(x) + abs(y)),
-            (a * b, x * y, abs(x) * abs(y)),
-            (a / b, x / y, abs(x) / abs(y)),
-        ):
-            assert abs(D.lower(got) - want) <= 1e-15 * scale, (got, want)
+    (xr, xi), (yr, yi) = exact(x), exact(y)
+    dd = yr * yr + yi * yi
+    for got, want, (er, ei), scale in (
+        (a + b, x + y, (xr + yr, xi + yi), abs(x) + abs(y)),
+        (a - b, x - y, (xr - yr, xi - yi), abs(x) + abs(y)),
+        (a * b, x * y, (xr * yr - xi * yi, xr * yi + xi * yr), abs(x) * abs(y)),
+        (a / b, x / y, ((xr * yr + xi * yi) / dd, (xi * yr - xr * yi) / dd), abs(x) / abs(y)),
+    ):
+        gr, gi = exact(got)
+        off = (gr - er) ** 2 + (gi - ei) ** 2
+        assert off <= (Fraction(got.err) / Fraction(_STEP) / D.scale) ** 2, (got, want)
+        assert abs(D.lower(got) - want) <= 1e-15 * scale + math.ldexp(got.err / _STEP + 2, -D.p), (got, want)

@@ -6,13 +6,13 @@ import hashlib
 import math
 import random
 import struct
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from hypderiv import expressions as ex
 from hypderiv import jets
 from hypderiv.core import EvalControl, HypSpec, csum, evaluate, termination_order
 from hypderiv.errors import (
@@ -36,10 +36,10 @@ from hypderiv.expressions import (
     term,
 )
 from hypderiv.jets import (
+    _STEP,
     COMPLEX,
-    DC,
-    DECIMAL,
     FRACTION,
+    FX,
     Field,
     Jet,
     derivative,
@@ -53,6 +53,10 @@ from hypderiv.jets import (
     jet_pow,
     jet_variable,
 )
+
+
+# a fixed-point field of the reruns' kind, at a precision of its own
+FIXED = jets._Fixed(160)
 
 
 def rel(x, y):
@@ -334,15 +338,15 @@ class TestPfqJet:
         # a non-finite coefficient past the base value is rejected too
         with pytest.raises(ValueError, match="^non-finite"):
             jet_pfq(HypSpec.of([1], [2]), Jet(0.5, (0.5, nan)))
-        # the decimal and the exact entries run the same checks
-        d_nan, d_half = DC(Decimal("NaN"), Decimal(0)), DECIMAL.lift(0.5)
-        for coeffs in ((d_nan, DECIMAL.one), (d_half, d_nan)):
+        # the fixed-point and the exact entries run the same checks; a
+        # fixed-point jet cannot hold a value that is not finite at all
+        for coeffs in ((nan, 1), (0.5, complex(1, inf))):
             with pytest.raises(ValueError, match="^non-finite"):
-                jets.d_pfq(HypSpec.of([1], [2]), Jet(0.5, coeffs, DECIMAL), tight)
+                jets.d_pfq(HypSpec.of([1], [2]), jets.d_pair_from_jet(Jet(0.5, coeffs), FIXED), tight)
         for upper, lower in (([nan], [2]), ([1], [complex(2, inf)])):
             spec = HypSpec.of(upper, lower)
             with pytest.raises(ValueError, match="^non-finite"):
-                jets.d_pfq(spec, jets.d_variable(0.5, 2), tight)
+                jets.d_pfq(spec, jets.d_variable(0.5, 2, FIXED), tight)
             with pytest.raises(ValueError, match="^non-finite"):
                 nth_derivative(expr(term(1, hyp(spec))), 2, Fraction(1, 2))
         # an exact base point beyond the double range is rejected as invalid
@@ -373,7 +377,7 @@ class TestPfqJet:
             msg = f"at k={k}$"
             with pytest.raises(PoleCoefficient, match=msg):
                 evaluate(spec, z0)
-            for field in (COMPLEX, DECIMAL, FRACTION):
+            for field in (COMPLEX, FIXED, FRACTION):
                 with pytest.raises(PoleCoefficient, match=msg):
                     field.series(spec, [field.lift(z0), field.one], 1e-14, 10000)
         # K >= m: the series ends first and is summed, as at an exact lower
@@ -398,84 +402,94 @@ class TestPfqJet:
         assert found == ["jets.Field.pfq", "jets.Field.series"]
 
     def test_rerun_is_the_one_extended_precision_entry(self):
-        # jets.rerun holds the package's one decimal context, for the series
-        # and the term rerun alike; expressions imports nothing from decimal
-        assert _scopes_where(_calls("localcontext")) == ["jets.rerun"]
-        tree = ast.parse(Path(jets.__file__).with_name("expressions.py").read_text())
-        imported = [
-            node.module if isinstance(node, ast.ImportFrom) else alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        ]
-        assert imported and "decimal" not in imported
+        # no module of the package imports decimal, and jets.rerun is the one
+        # scope that builds a fixed-point field, so the one that sets its
+        # precision, for the series and the term rerun alike
+        for path in sorted(Path(jets.__file__).parent.glob("*.py")):
+            imported = [
+                node.module if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            ]
+            assert "decimal" not in imported, path.name
+        assert _scopes_where(_calls("_Fixed")) == ["jets.rerun"]
         # the series rerun's binding is jet_pfq itself
         assert jets.d_pfq is jet_pfq
 
     def test_only_the_complex_field_measures_cancellation(self):
         # one cancellation measure: the complex field's entry is the only
-        # override of Field.series, and the decimal and exact kernels return
-        # no magnitude sums, at order 0, on every argument map and at w0 = 0
+        # override of Field.series, and the fixed-point and exact kernels
+        # return no magnitude sums, at order 0, on every argument map and at
+        # w0 = 0
         assert [c.__name__ for c in Field.__subclasses__() if "series" in vars(c)] == ["_Complex"]
         spec = HypSpec.of([0.5, Fraction(2, 3)], [Fraction(7, 4)])
-        with localcontext() as cx:
-            cx.prec = jets._DEC_PREC
-            for field, z0 in ((DECIMAL, 0.3 + 0.2j), (FRACTION, Fraction(1, 3))):
-                for x0, order, amap in product((z0, 0), (0, 3), ArgMap):
-                    w = map_jet(amap, jet_variable(x0, order, field)).coeffs
-                    abs_sums = field.series(spec, w, field.series_tol(1e-14), 5000)[1]
-                    assert abs_sums is None, (field, x0, order, amap)
+        for field, z0 in ((FIXED, 0.3 + 0.2j), (FRACTION, Fraction(1, 3))):
+            for x0, order, amap in product((z0, 0), (0, 3), ArgMap):
+                w = map_jet(amap, jet_variable(x0, order, field)).coeffs
+                abs_sums = field.series(spec, w, field.series_tol(1e-14), 5000)[1]
+                assert abs_sums is None, (field, x0, order, amap)
 
     def test_rerun_past_its_digits_raises_inside_a_term(self):
-        # e^z as 0F0 at z = -383, bare and times e^z, at orders 1-2: the
-        # series rerun within the term cancels past what its digits resolve
+        # e^z as 0F0, bare and times e^z, at orders 1-2.  At z = -383 the
+        # series rerun within the term resolves e^z from terms up to e^383:
+        # within 1e-15 of mpmath, or of the smallest subnormal for the
+        # 2^n e^(2z) = 1e-333 that underflows.  At z = -700 its terms reach
+        # 1e302 for a sum of 1e-304, past what 2048 bits resolve, and it
+        # raises
+        mpmath = pytest.importorskip("mpmath")
         f = hyp(HypSpec.of([], []))
-        want = "^series coefficient 0 cancelled past the 1e21 that 38 digits resolve$"
-        for e, n in product((expr(term(1, f)), expr(term(1, expz(1), f))), (1, 2)):
-            with pytest.raises(NoConvergence, match=want):
-                nth_derivative(e, n, -383.0)
+        for (e, s), n in product(((expr(term(1, f)), 1), (expr(term(1, expz(1), f)), 2)), (1, 2)):
+            with mpmath.workdps(40):
+                want = complex(s**n * mpmath.exp(s * mpmath.mpf(-383)))
+            assert abs(nth_derivative(e, n, -383.0) - want) <= 1e-15 * abs(want) + 5e-324, (s, n)
+            with pytest.raises(NoConvergence, match="^rerun coefficient 0 is not resolved within 2048 bits$"):
+                nth_derivative(e, n, -700.0)
 
-    def test_exact_rerun_past_38_digits_raises_inside_a_cancelling_term(self):
+    def test_term_rerun_resolves_an_exact_zero(self, monkeypatch):
         # 2F1(-200, 1; 1; w) = (1 - w)^200 at w = 2 sums to 1 from terms up to
-        # 1e95, exactly in its own rerun; times (1 - z)^-200 (or, on the
-        # Pfaff map, (1 - z)^200) the Leibniz sums cancel to 0 at orders 1-2,
-        # and the term's 38-digit rerun would sum the series ~1e57 off
+        # 1e95; times (1 - z)^-200 (or, on the Pfaff map, (1 - z)^200) the
+        # Leibniz sums cancel to 0 at orders 1-2, and the term reruns.  The
+        # rerun resolves each coefficient to below the smallest normal
+        # double, so the derivative is n! times at most one subnormal step
+        reruns = []
+        d_variable = jets.d_variable
+        monkeypatch.setattr(ex, "d_variable", lambda *a: reruns.append(a[2].p) or d_variable(*a))
         f = HypSpec.of([-200, 1], [1])
-        want = "^series coefficient 0 cancelled past the 1e21 that 38 digits resolve$"
         for e in (expr(term(1, pow1mz(-200), hyp(f))), expr(term(1, pow1mz(200), hyp(f, ArgMap.PFAFF)))):
             assert nth_derivative(e, 0, 2.0) == 1
             for n in (1, 2):
-                with pytest.raises(NoConvergence, match=want):
-                    nth_derivative(e, n, 2.0)
+                reruns.clear()
+                assert abs(nth_derivative(e, n, 2.0)) <= math.factorial(n) * 5e-324
+                # resolved only at a precision past 1022 + 61 bits
+                assert reruns and reruns[-1] > 1083, reruns
 
     def test_only_the_eval_command_calls_the_scalar_entry(self):
         # every other value, figure1's f_R2 included, is an expression's
         assert _scopes_where(_calls("evaluate")) == ["cli._cmd_eval"]
 
     def test_runs_over_its_jets_field(self):
-        # a decimal or exact argument jet is summed in its own field, at the
-        # field's series_tol, as that field's series entry sums it, and
+        # a fixed-point or exact argument jet is summed in its own field, at
+        # the field's series_tol, as that field's series entry sums it, and
         # agrees with the complex jet
         ctrl = EvalControl(rel_tol=1e-14, max_terms=5000)
         spec = HypSpec.of([0.5, Fraction(2, 3)], [Fraction(7, 4)])
-        digits = {DECIMAL: lambda x: (x.re, x.im), FRACTION: lambda x: x}
+        digits = {FIXED: lambda x: (x.re, x.im, x.err), FRACTION: lambda x: x}
         assert COMPLEX.series_tol(1e-14) == 1e-14
-        assert DECIMAL.series_tol(1e-14) == Decimal(1e-25)
-        assert DECIMAL.series_tol(1e-30) == Decimal(1e-30)
+        assert FIXED.series_tol(1e-14) == 1e-25
+        assert FIXED.series_tol(1e-30) == 1e-30
         assert FRACTION.series_tol(1e-14) == Fraction(1, 10**34)
-        with localcontext() as cx:
-            cx.prec = jets._DEC_PREC
-            for field, z0 in ((DECIMAL, 0.3 + 0.2j), (DECIMAL, -0.4), (FRACTION, Fraction(1, 3))):
-                for amap in ArgMap:
-                    arg = map_jet(amap, jet_variable(z0, 4, field))
-                    got = jet_pfq(spec, arg, ctrl)
-                    assert got.field is field and got.base_point == arg.base_point
-                    tol = field.series_tol(ctrl.rel_tol)
-                    want = field.series(spec, arg.coeffs, tol, ctrl.max_terms)[0]
-                    assert list(map(digits[field], got.coeffs)) == list(map(digits[field], want))
-                    ref = jet_pfq(spec, map_jet(amap, jet_variable(complex(z0), 4)), ctrl)
-                    for x, y in zip(got.coeffs, ref.coeffs):
-                        assert rel(field.lower(x), y) < 1e-12, (field, z0, amap)
+        for field, z0 in ((FIXED, 0.3 + 0.2j), (FIXED, -0.4), (FRACTION, Fraction(1, 3))):
+            for amap in ArgMap:
+                arg = map_jet(amap, jet_variable(z0, 4, field))
+                got = jet_pfq(spec, arg, ctrl)
+                assert got.field is field and got.base_point == arg.base_point
+                tol = field.series_tol(ctrl.rel_tol)
+                want = field.series(spec, arg.coeffs, tol, ctrl.max_terms)[0]
+                assert list(map(digits[field], got.coeffs)) == list(map(digits[field], want))
+                ref = jet_pfq(spec, map_jet(amap, jet_variable(complex(z0), 4)), ctrl)
+                for x, y in zip(got.coeffs, ref.coeffs):
+                    assert rel(field.lower(x), y) < 1e-12, (field, z0, amap)
 
     def test_powers_of_affine_arguments_skip_the_product(self, monkeypatch):
         # the identity and negate maps step their term jets with two products per
@@ -552,7 +566,7 @@ JET_PFQ_FINGERPRINT = {
     "pfaff": "a4f7f5430d6c70cda0477887a4e302120e84e928753cbe2b7c12b932a7447c52",
 }
 
-# 1F1(1/2; 3/2) on the negate map at |z0| = 15 cancels and is rerun in decimal
+# 1F1(1/2; 3/2) on the negate map at |z0| = 15 cancels and is rerun
 S11_DEEP = HypSpec.of([0.5], [1.5])
 
 
@@ -575,7 +589,8 @@ def _param(rng, real):
 def _fingerprint_cases():
     """Seeded (spec, map, z0, order) inputs of every kind the oracle meets:
     2F1 (|w0| < 0.9), 1F1 and 0F1 (|w0| < 8), terminating 2F1 and the
-    decimal rerun, each at a real and a complex base point, per map and order."""
+    fixed-point rerun, each at a real and a complex base point, per map and
+    order."""
     rng = random.Random("jet-pfq-fingerprint")
     for order in range(13):
         for amap in ArgMap:
@@ -679,14 +694,15 @@ def test_affine_map_jets_match_mpmath():
     assert n == {ArgMap.IDENTITY: 72, ArgMap.NEGATE: 84}
 
 
-# sha256 of the decimal kernel at 40 digits (the str of each part) and of the
-# exact kernel (reprs), each with the terms summed and the last term's size.
-# What the pins hold is bounded below: each decimal sum against a 60-digit
-# mpmath value (test_field_series_decimal_sums_match_mpmath), each exact sum
-# as the exact sum of its first ``terms`` terms
+# sha256 of the fixed-point kernel at 160 bits (each part and error bound)
+# and of the exact kernel (reprs), each with the terms summed and the last
+# term's size.  What the pins hold is bounded below: each fixed-point sum
+# against a 60-digit mpmath value, within its own error bound
+# (test_field_series_fixed_sums_match_mpmath), each exact sum as the exact
+# sum of its first ``terms`` terms
 # (test_field_series_exact_sums_are_partial_sums)
 FIELD_SERIES_FINGERPRINT = {
-    "decimal": "938eceeb0084ec80035125b4c60f1d02ed68625cd74e9a082e88db9c37d653fd",
+    "fixed": "44c58a9cc2a127dc82774ef2ee2ee6337fae4f521809e715bfbc58d4c6e30a1e",
     "fraction": "9ecd25d3312cae38729a3c30d11e7a5eed47ad66ca5f9e38ef81e322a2e35a61",
 }
 
@@ -695,8 +711,8 @@ def _field_series_cases(rng, field):
     """Seeded (spec, w) inputs of ``field``'s kernel: 2F1, 1F1, 0F1 and a
     terminating 2F1 on every argument map at orders 0-9, and order-0 series
     of positive real terms, where the running sum is its terms' magnitude
-    sum and the stop test is met with the least slack.  Decimal inputs take
-    real or complex doubles; exact ones small rationals."""
+    sum and the stop test is met with the least slack.  Fixed-point inputs
+    take real or complex doubles; exact ones small rationals."""
     if field is FRACTION:
 
         def num(lo, hi, real=True):
@@ -713,11 +729,11 @@ def _field_series_cases(rng, field):
             return x if real else complex(x, rng.uniform(-1, 1))
 
         def variable(z0, order):
-            return jets.d_variable(complex(z0), order)
+            return jets.d_variable(complex(z0), order, FIXED)
 
     for order in range(10):
         for amap in ArgMap:
-            for real in (True, False) if field is DECIMAL else (True,):
+            for real in (True, False) if field is FIXED else (True,):
                 p = lambda: num(-2.5, 2.5, real)  # noqa: E731
                 for spec, radius in (
                     (HypSpec.of([p(), p()], [p() + 3]), 0.6),
@@ -740,18 +756,16 @@ def _field_series_cases(rng, field):
 
 
 def _field_series_runs(field):
-    """(spec, w, ``field.series`` output) over ``_field_series_cases``, at 40
-    digits and rel_tol 1e-25 in ``DECIMAL``, 1e-20 in ``FRACTION``."""
-    rng = random.Random(f"field-series-fingerprint-{'fraction' if field is FRACTION else 'decimal'}")
-    rel_tol = Fraction(1, 10**20) if field is FRACTION else Decimal("1e-25")
-    with localcontext() as cx:
-        cx.prec = 40
-        cases = list(_field_series_cases(rng, field))
-        return [(spec, w, field.series(spec, w, rel_tol, 10000)) for spec, w in cases]
+    """(spec, w, ``field.series`` output) over ``_field_series_cases``, at
+    rel_tol 1e-25 in ``FIXED``, 1e-20 in ``FRACTION``."""
+    rng = random.Random(f"field-series-fingerprint-{'fraction' if field is FRACTION else 'fixed'}")
+    rel_tol = Fraction(1, 10**20) if field is FRACTION else 1e-25
+    cases = list(_field_series_cases(rng, field))
+    return [(spec, w, field.series(spec, w, rel_tol, 10000)) for spec, w in cases]
 
 
 def _field_series_fingerprint(field):
-    text = repr if field is FRACTION else lambda x: f"{x.re} {x.im}"
+    text = repr if field is FRACTION else lambda x: f"{x.re} {x.im} {x.err!r}"
     h = hashlib.sha256()
     runs = _field_series_runs(field)
     for _, _, (sums, _, terms, tail, _) in runs:
@@ -759,13 +773,14 @@ def _field_series_fingerprint(field):
     return h.hexdigest(), len(runs)
 
 
-@pytest.mark.parametrize("field", [DECIMAL, FRACTION], ids=["decimal", "fraction"])
+@pytest.mark.parametrize("field", [FIXED, FRACTION], ids=["fixed", "fraction"])
 def test_field_series_fingerprint(field):
-    # the decimal and exact kernels bit for bit, as the jet_pfq fingerprint
-    # pins the complex one; the two tests below bound what the pins hold
+    # the fixed-point and exact kernels bit for bit, as the jet_pfq
+    # fingerprint pins the complex one; the two tests below bound what the
+    # pins hold
     got, n = _field_series_fingerprint(field)
-    assert n == (10 * 3 * (8 if field is DECIMAL else 4) + 36)
-    assert got == FIELD_SERIES_FINGERPRINT["decimal" if field is DECIMAL else "fraction"]
+    assert n == (10 * 3 * (8 if field is FIXED else 4) + 36)
+    assert got == FIELD_SERIES_FINGERPRINT["fixed" if field is FIXED else "fraction"]
 
 
 def _mp_jet(mpmath, spec, w):
@@ -791,8 +806,10 @@ def _mp_jet(mpmath, spec, w):
     return out
 
 
-def _mp_dc(mpmath, x):
-    return mpmath.mpc(mpmath.mpf(str(x.re)), mpmath.mpf(str(x.im)))
+def _mp_fx(mpmath, x):
+    """A fixed-point value as an mpmath number, exactly at 60 digits."""
+    p = x.f.p
+    return mpmath.mpc(mpmath.ldexp(mpmath.mpf(x.re), -p), mpmath.ldexp(mpmath.mpf(x.im), -p))
 
 
 def _complex_magnitudes(spec, w):
@@ -801,27 +818,34 @@ def _complex_magnitudes(spec, w):
     return Field.series(COMPLEX, spec, [complex(x) for x in w], 1e-14, 10000)[1]
 
 
-def _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, rounding):
-    """Each sum within ``rounding`` times its own magnitude sum, plus 1e-24
-    times the jet's largest magnitude sum, of the 60-digit value: rounding
-    grows with a coefficient's own terms, while the stop rule bounds the
-    tail against the largest running sum, not against each coefficient."""
+def _assert_within_bounds(mpmath, spec, w, sums, abs_sums, m, rounding):
+    """Each sum within twice its own error bound, plus for a nonterminating
+    series 1e-24 times the jet's largest magnitude sum, of the 60-digit value
+    at w: the bound covers the distance to the series at the exact argument,
+    and the argument's own bounds cover the distance from there to its grid
+    values, while the stop rule bounds the tail against the largest running
+    sum.  Each also lies within ``rounding`` times its magnitude sum, plus
+    that tail, of the value, and each bound below 1e-24 times the largest
+    magnitude sum, so that no bound is vacuous."""
     with mpmath.workdps(60):
-        ref = _mp_jet(mpmath, spec, [_mp_dc(mpmath, x) for x in w])
-        largest = mpmath.mpf(str(max(abs_sums)))
+        ref = _mp_jet(mpmath, spec, [_mp_fx(mpmath, x) for x in w])
+        largest = max(abs_sums)
+        tail = mpmath.mpf("1e-24") * largest if m is None else 0
         for i, (s, a, r) in enumerate(zip(sums, abs_sums, ref)):
-            err = abs(_mp_dc(mpmath, s) - r)
-            assert err <= rounding * mpmath.mpf(str(a)) + mpmath.mpf("1e-24") * largest, (spec, w[0], i)
+            bound = mpmath.ldexp(mpmath.mpf(s.err / _STEP), -s.f.p)
+            assert bound <= 1e-24 * largest, (spec, w[0], i)
+            err = abs(_mp_fx(mpmath, s) - r)
+            assert err <= 2 * bound + tail and err <= rounding * a + tail, (spec, w[0], i)
 
 
-def test_field_series_decimal_sums_match_mpmath():
-    # the decimal fingerprint's sums at 40 digits, within 1e-37 of the
-    # complex field's magnitude sums of the same series
+def test_field_series_fixed_sums_match_mpmath():
+    # the fixed-point fingerprint's sums at 160 bits, each within its error
+    # bound and within 1e-37 (what the 38-digit decimal rerun kept) of the
+    # complex field's magnitude sum of the same series
     mpmath = pytest.importorskip("mpmath")
-    runs = _field_series_runs(DECIMAL)
+    runs = _field_series_runs(FIXED)
     for spec, w, (sums, _, _, _, m) in runs:
-        abs_sums = _complex_magnitudes(spec, w)
-        _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, mpmath.mpf("1e-37"))
+        _assert_within_bounds(mpmath, spec, w, sums, _complex_magnitudes(spec, w), m, 1e-37)
     assert sum(m is not None for *_, (*_, m) in runs) >= 60
 
 
@@ -867,7 +891,7 @@ def _k0_cases(rng, field):
                 yield HypSpec.of([m] + upper[1:], lower), lift(num(-radius, radius) or Fraction(1, 3))
 
 
-@pytest.mark.parametrize("field", [COMPLEX, DECIMAL, FRACTION], ids=["complex", "decimal", "fraction"])
+@pytest.mark.parametrize("field", [COMPLEX, FIXED, FRACTION], ids=["complex", "fixed", "fraction"])
 def test_order_0_is_the_k0_case_of_each_loop(field):
     # a jet w0 + 0 h + ... of any order K sums the order-0 series: the same
     # coefficient 0, term count and tail, and zero in every higher coefficient
@@ -875,16 +899,14 @@ def test_order_0_is_the_k0_case_of_each_loop(field):
     rel_tol = Fraction(1, 10**12) if field is FRACTION else field.series_tol(1e-14)
 
     def key(x):
-        return (x.re, x.im) if field is DECIMAL else x
+        return (x.re, x.im, x.err) if field is FIXED else x
 
-    with localcontext() as cx:
-        cx.prec = jets._DEC_PREC
-        for spec, w0 in _k0_cases(rng, field):
-            sums, _, terms, tail, _ = field.series(spec, [w0], rel_tol, 10000)
-            for k in range(1, 7):
-                got, _, got_terms, got_tail, _ = field.series(spec, [w0] + [field.zero] * k, rel_tol, 10000)
-                assert key(got[0]) == key(sums[0]) and (got_terms, got_tail) == (terms, tail), (spec, w0, k)
-                assert not any(got[1:]), (spec, w0, k)
+    for spec, w0 in _k0_cases(rng, field):
+        sums, _, terms, tail, _ = field.series(spec, [w0], rel_tol, 10000)
+        for k in range(1, 7):
+            got, _, got_terms, got_tail, _ = field.series(spec, [w0] + [field.zero] * k, rel_tol, 10000)
+            assert key(got[0]) == key(sums[0]) and (got_terms, got_tail) == (terms, tail), (spec, w0, k)
+            assert not any(got[1:]), (spec, w0, k)
 
 
 class TestBinomialKernel:
@@ -892,24 +914,22 @@ class TestBinomialKernel:
     u_k = c_k w0^k, and coefficient i of an affine jet is
     (w1/w0)^i sum_k C(k, i) u_k."""
 
-    def test_decimal_jet_builds_o_terms_dcs(self, monkeypatch):
-        # an order-12 jet builds about as many DCs per term as the scalar
-        # series (order 0), not a DC per coefficient per term
+    def test_fixed_jet_builds_o_terms_fxs(self, monkeypatch):
+        # an order-12 jet builds about as many FXs per term as the scalar
+        # series (order 0), not an FX per coefficient per term
         built = [0]
-        init = DC.__init__
+        init = FX.__init__
 
-        def counting(self, re, im):
+        def counting(self, *args):
             built[0] += 1
-            init(self, re, im)
+            init(self, *args)
 
-        monkeypatch.setattr(DC, "__init__", counting)
+        monkeypatch.setattr(FX, "__init__", counting)
         per_term = {}
         for order in (0, 12):
-            with localcontext() as cx:
-                cx.prec = jets._DEC_PREC
-                w = jets.d_variable(0.8, order).coeffs
-                built[0] = 0
-                terms = DECIMAL.series(HypSpec.of([0.5, 1.25], [2.75]), w, Decimal("1e-25"), 10000)[2]
+            w = jets.d_variable(0.8, order, FIXED).coeffs
+            built[0] = 0
+            terms = FIXED.series(HypSpec.of([0.5, 1.25], [2.75]), w, 1e-25, 10000)[2]
             assert terms >= 200
             per_term[order] = built[0] / terms
         assert per_term[12] <= per_term[0] + 1, per_term
@@ -933,13 +953,14 @@ class TestBinomialKernel:
                     c *= math.prod(a + k for a in upper) / (math.prod(b + k for b in lower) * (k + 1))
                 assert got == want and terms == m + 1 and abs_sums is None, (spec, w)
 
-    def test_decimal_jets_match_mpmath(self):
-        # 38-digit jets at orders 8-12 on every argument map, within 1e-33 of
-        # each coefficient's magnitude sum in the complex field (plus the
-        # stop rule's 1e-24 of the largest) of 60-digit mpmath values; the
+    def test_fixed_jets_match_mpmath(self):
+        # 160-bit jets at orders 8-12 on every argument map, each coefficient
+        # within its error bound and within 1e-33 (what the 38-digit decimal
+        # rerun kept here) of its magnitude sum in the complex field, plus the
+        # stop rule's 1e-24 of the largest, of 60-digit mpmath values; the
         # 1F1 with Re c < 0 cancel
         mpmath = pytest.importorskip("mpmath")
-        rng = random.Random("binomial-kernel-decimal")
+        rng = random.Random("binomial-kernel-fixed")
         kappa = 0
         for order in range(8, 13):
             for amap in ArgMap:
@@ -958,11 +979,9 @@ class TestBinomialKernel:
                         (HypSpec.of([num(-2, 2), num(-2, 2)], [num(1, 3)]), base(0.8)),
                     )
                     for spec, z0 in cases:
-                        with localcontext() as cx:
-                            cx.prec = jets._DEC_PREC
-                            w = map_jet(amap, jets.d_variable(z0, order)).coeffs
-                            sums = DECIMAL.series(spec, w, DECIMAL.series_tol(1e-14), 10000)[0]
+                        w = map_jet(amap, jets.d_variable(z0, order, FIXED)).coeffs
+                        sums = FIXED.series(spec, w, FIXED.series_tol(1e-14), 10000)[0]
                         abs_sums = _complex_magnitudes(spec, w)
-                        _assert_within_magnitudes(mpmath, spec, w, sums, abs_sums, mpmath.mpf("1e-33"))
+                        _assert_within_bounds(mpmath, spec, w, sums, abs_sums, None, 1e-33)
                         kappa = max([kappa] + [a / abs(complex(s)) for s, a in zip(sums, abs_sums)])
         assert kappa >= 1e6, kappa
