@@ -306,9 +306,9 @@ def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> E
     successive terms fall below rel_tol * |partial sum|; the value is an
     fsum of all terms and ``tail_estimate`` the last term's modulus.  A sum
     that cancelled is rerun as ``jet_pfq`` reruns it, in self-checked fixed
-    point (exactly for a real polynomial no precision within the budget
-    resolves); ``terms_used`` and ``tail_estimate`` stay the double sum's.  A term that
-    overflows raises ``NoConvergence`` at once.
+    point (exactly for a real polynomial that no precision in the budget
+    resolves); ``terms_used`` and ``tail_estimate`` stay the double sum's.
+    A term that overflows raises ``NoConvergence`` at once.
     """
     from .jets import COMPLEX  # jets imports this module
 

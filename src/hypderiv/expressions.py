@@ -8,8 +8,8 @@ n-th derivatives are obtained.  There is one term path: ``_term_jet`` forms a
 term's product jet in the field of the variable jet (complex, exact Fraction,
 or the fixed point of its own rerun, which ``jets.rerun`` runs and checks),
 each pFq factor by ``jet_pfq`` in that field, and ``_expr_jet`` sums the
-terms with each coefficient rounded once.  The value at a point, ``eval_expr``, is
-the order-0 coefficient of that sum.
+terms with each coefficient rounded once.  The value at a point,
+``eval_expr``, is the order-0 coefficient of that sum.
 """
 
 from __future__ import annotations
