@@ -347,7 +347,7 @@ class TestEvaluate:
     def test_cancelled_terminating_series_reruns_in_fixed_point(self, monkeypatch):
         # 2F1(-1000, 0.37; 1.23; 0.9) sums to 0.067 from terms up to 1e278;
         # its exact rerun took seconds, the fixed-point one takes under
-        # 50 ms (best of three) and matches mpmath.  The exact rerun is the
+        # 50 ms (best of five) and matches mpmath.  The exact rerun is the
         # fallback for a real polynomial that no precision within the budget
         # resolves: 1F0(-1000; ; 1 + 2^-10) = 2^-10000, from terms up to
         # 1e301, comes out as its Fraction sum rounded once, 0.0; off the
@@ -358,7 +358,7 @@ class TestEvaluate:
         monkeypatch.setattr(FRACTION, "series", lambda *a: exact_reruns.append(1) or series(*a))
         spec = HypSpec.of([-1000, 0.37], [1.23])
         times = []
-        for _ in range(3):
+        for _ in range(5):
             start = time.perf_counter()
             got = evaluate(spec, 0.9).value
             times.append(time.perf_counter() - start)
