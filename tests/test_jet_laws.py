@@ -9,13 +9,19 @@ here).  In the fixed-point field each side also lies within its own error
 bound of the exact value, so the two sides lie within the sum of their
 bounds: the bounds the reruns' self-check reads are checked here.
 
-The leading values of exp and of a non-integer power are the one step taken
-in double precision.  The exact and fixed-point fields therefore check the
-exp law on jets with f_0 = 0 and the pow law on jets with f_0 = 1, where
-that leading value is exactly 1; the complex field checks any f_0.
-"""
+The laws are properties of the generic ``Field`` routines, not of any one
+field's arithmetic, so they are also checked, to a relative 1e-30, in a
+40-digit decimal field defined here (``DECIMAL``) that the package itself
+does not use: its rounding is neither binary nor fixed-point.
 
+The leading values of exp and of a non-integer power are the one step taken
+in double precision.  The exact, fixed-point and decimal fields therefore
+check the exp law on jets with f_0 = 0 and the pow law on jets with
+f_0 = 1, where that leading value is exactly 1; the complex field checks
+any f_0.
+"""
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,9 +33,92 @@ from hypothesis import strategies as st  # noqa: E402
 from hypderiv.core import param  # noqa: E402
 from hypderiv.jets import _STEP, COMPLEX, FRACTION, FX, Field, _Fixed  # noqa: E402
 
+_CX = Context(prec=40)
+
+
+class DC:
+    """A complex number as a pair of Decimals, each operation rounded to 40
+    digits.  The other operand may also be an int."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Decimal, im: Decimal):
+        self.re = re
+        self.im = im
+
+    def __add__(self, o):
+        o = _dc(o)
+        return DC(_CX.add(self.re, o.re), _CX.add(self.im, o.im))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        o = _dc(o)
+        return DC(_CX.subtract(self.re, o.re), _CX.subtract(self.im, o.im))
+
+    def __mul__(self, o):
+        o, m = _dc(o), _CX.multiply
+        re = _CX.subtract(m(self.re, o.re), m(self.im, o.im))
+        return DC(re, _CX.add(m(self.re, o.im), m(self.im, o.re)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o, m = _dc(o), _CX.multiply
+        dd = _CX.add(m(o.re, o.re), m(o.im, o.im))
+        re = _CX.add(m(self.re, o.re), m(self.im, o.im))
+        im = _CX.subtract(m(self.im, o.re), m(self.re, o.im))
+        return DC(_CX.divide(re, dd), _CX.divide(im, dd))
+
+    def __pow__(self, n: int):
+        out = DECIMAL.one
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"DC({self.re}, {self.im})"
+
+
+def _dc(x) -> DC:
+    return x if type(x) is DC else DC(Decimal(x), Decimal(0))
+
+
+class _Decimal(Field):
+    zero = DC(Decimal(0), Decimal(0))
+    one = DC(Decimal(1), Decimal(0))
+    lower = staticmethod(complex)
+
+    @staticmethod
+    def lift(x) -> DC:
+        if type(x) is int:
+            return _dc(x)
+        z = complex(x)
+        return DC(Decimal(z.real), Decimal(z.imag))
+
+    @staticmethod
+    def mag(x: DC) -> Decimal:
+        return _CX.add(x.re.copy_abs(), x.im.copy_abs())
+
+    def dot(self, xs, ys) -> DC:
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+
+
+DECIMAL = _Decimal()
 FIXED = _Fixed(200)
-TOL = {COMPLEX: 1e-9, FIXED: 1e-45, FRACTION: 0}
-FIELDS = pytest.mark.parametrize("F", [COMPLEX, FIXED, FRACTION], ids=["complex", "fixed", "fraction"])
+TOL = {COMPLEX: 1e-9, DECIMAL: Decimal("1e-30"), FIXED: 1e-45, FRACTION: 0}
+FIELDS = pytest.mark.parametrize(
+    "F", [COMPLEX, DECIMAL, FIXED, FRACTION], ids=["complex", "decimal", "fixed", "fraction"]
+)
 LAWS = settings(max_examples=40, deadline=None)
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=8)
@@ -56,6 +145,12 @@ def assert_close(F, xs, ys):
     assert len(xs) == len(ys)
     if F is FRACTION:
         assert xs == ys
+        return
+    if F is DECIMAL:
+        # compare in decimal: lowering to doubles would hide the 40 digits
+        diff = max(F.mag(x - y) for x, y in zip(xs, ys))
+        scale = max([F.mag(x) for x in xs + ys] + [1])
+        assert diff <= TOL[F] * scale, (xs, ys)
         return
     if F is FIXED:
         # compare on the grid: lowering to doubles would hide the 200 bits
