@@ -300,15 +300,15 @@ def evaluate(spec: HypSpec, z: complex, ctrl: Optional[EvalControl] = None) -> E
 
     This is the series kernel of the jet algebra at order 0: the complex
     field's ``series`` at w = [z], with its input checks (z may sit on a
-    boundary point where the series converges) and its cancellation guard,
-    stepping each term by the term ratio.  Terminating series are summed to
+    boundary point where the series converges) and the cancellation guard
+    of ``jets.rerun``, stepping each term by the term ratio.  Terminating series are summed to
     the end (m+1 terms).  Otherwise terms are accumulated until three
     successive terms fall below rel_tol * |partial sum|; the value is an
     fsum of all terms and ``tail_estimate`` the last term's modulus.  A sum
     that cancelled is rerun as ``jet_pfq`` reruns it, in self-checked fixed
-    point (exactly for a real polynomial that no precision in the budget
-    resolves); ``terms_used`` and ``tail_estimate`` stay the double sum's.
-    A term that overflows raises ``NoConvergence`` at once.
+    point; ``terms_used`` and ``tail_estimate`` stay the double sum's.  A
+    term that overflows raises ``NoConvergence`` at once, as a sum past the
+    double range does.
     """
     from .jets import COMPLEX  # jets imports this module
 

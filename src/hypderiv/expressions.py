@@ -33,8 +33,6 @@ from .core import (
 )
 from .errors import BranchPointEvaluation, NoConvergence
 from .jets import (
-    _bits,
-    _cancelled,
     COMPLEX,
     FRACTION,
     Jet,
@@ -164,13 +162,11 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
     """Product jet of one term over the field of ``var``, the variable jet.
 
     In the complex field at order >= 1 a nonnegative magnitude convolution
-    is carried alongside the product; if its bound dwarfs a coefficient of
-    the result, the Leibniz sums cancelled heavily and the term is rerun
-    from the fixed-point variable jet by ``rerun``, its pFq factors too, at
-    a precision sized from the two (``_bits``) that the rerun's self-check
-    raises until the term's coefficients are resolved.  A product of
-    scalars (order 0) cannot cancel, and the other fields are the reruns
-    and exact jets.
+    is carried alongside the product and handed to ``rerun`` with it: if its
+    bound dwarfs a coefficient of the result, the Leibniz sums cancelled
+    heavily and the term is rerun from the fixed-point variable jet, its pFq
+    factors too.  A product of scalars (order 0) cannot cancel, and the
+    other fields are the reruns and exact jets, so they carry no magnitudes.
     """
     order = var.order
     guard = order and var.field is COMPLEX
@@ -182,11 +178,9 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
         if guard:
             fm = [abs(x) for x in fj.coeffs]
             mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
-    if guard and any(map(_cancelled, mags, acc.coeffs)):
-        bits = _bits(mags, acc.coeffs, [0.0] * (order + 1))
-        vals = rerun(lambda f: _term_jet(t, d_variable(var.base_point, order, f), ctrl), bits)
-        return Jet(var.base_point, tuple(vals))
-    return acc
+    compute = lambda f: _term_jet(t, d_variable(var.base_point, order, f), ctrl)  # noqa: E731
+    vals = rerun(compute, mags, acc.coeffs, lambda i: 0.0)
+    return acc if vals is acc.coeffs else Jet(var.base_point, tuple(vals))
 
 
 def _expr_jet(e: Expr, var: Jet, ctrl: EvalControl) -> Jet:

@@ -11,20 +11,20 @@ series with its stop rule) are methods of ``Field``, written once over three
 scalar fields: ``COMPLEX``, complex doubles, the oracle's working field;
 ``_Fixed``, Gaussian integers scaled by 2^-P, each with an error bound
 (``FX``), for the reruns, whose P ``rerun`` alone sets; and ``FRACTION``,
-exact real ``Fraction``, for exact inputs such as the reference table's and
-for a cancelled real polynomial that no P within the budget resolves.  The
-leading values of exp and of a non-integer power are taken in double
+exact real ``Fraction``, for exact inputs such as the reference table's.
+The leading values of exp and of a non-integer power are taken in double
 precision and lifted; the recurrences are linear in them, so their rounding
 scales the result instead of being amplified by cancellation.
 
 ``Field.pfq`` is the one place any pFq series is summed and ``Field.series``
 its one entry, which checks the input first: ``core.evaluate`` runs it at
 order 0, and ``jet_pfq`` on a jet of any field, at that field's
-``series_tol``.  The complex field's entry holds the one cancellation guard:
-a sum that cancelled is rerun in fixed point, at a precision sized from the
-double pass's magnitude sums and doubled while a coefficient's error bound
-is not 53 + _GUARD bits below it; past _BUDGET bits it raises
-``NoConvergence``.
+``series_tol``.  ``rerun`` holds the one cancellation guard, for a series
+and for a term of an expression alike: a sum that cancelled is rerun in
+fixed point, at a precision sized from the double pass's magnitude sums and
+doubled while a coefficient's error bound is not 53 + _GUARD bits below it;
+past _BUDGET bits it raises ``NoConvergence``.  The fixed-point rerun is the
+only rerun.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class Field:
     its sums, so that the complex field reproduces the oracle's doubles bit
     for bit.  Only a field with a ``total``, which re-sums each coefficient's
     bucket of terms once, returns magnitude sums from ``pfq``: ``COMPLEX``'s
-    are the one measure of cancellation.
+    are the one measure of cancellation, and ``series`` hands them to
+    ``rerun`` in every field.
     """
 
     total = None
@@ -177,7 +178,10 @@ class Field:
         a boundary point where it converges.  A numeric lower parameter at a
         whole number -K <= 0 then raises ``PoleCoefficient`` (at the least
         such K) unless an exact upper -m with m <= K ends the series first,
-        wherever the stop rule would land.  Returns ``pfq``'s result and the
+        wherever the stop rule would land.  A sum past the double range
+        raises ``NoConvergence``.  Returns ``pfq``'s result, its sums passed
+        through ``rerun`` (``d_pfq`` on w in fixed point, with growth
+        K C(K + 1, i + 1) max(1, |w1/w0|)^i for K terms), and the
         termination order.
         """
         m = validate_spec(spec)
@@ -195,7 +199,19 @@ class Field:
             raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={int(min(poles)) + 1}")
         param = self.param
         upper, lower = list(map(param, spec.upper)), list(map(param, spec.lower))
-        return (*self.pfq(upper, lower, m, w, rel_tol, max_terms), m)
+        try:
+            sums, abs_sums, terms, tail = self.pfq(upper, lower, m, w, rel_tol, max_terms)
+        except OverflowError as exc:
+            raise NoConvergence(f"series sum overflowed: {exc}") from None
+
+        def compute(f):
+            return d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w)), f), EvalControl(rel_tol, max_terms))
+
+        def growth(i):
+            rho = math.log2(max(1.0, abs(w[1] / w[0]))) if i and w[0] else 0.0
+            return math.log2(terms * math.comb(terms + 1, i + 1)) + i * rho
+
+        return rerun(compute, abs_sums, sums, growth), abs_sums, terms, tail, m
 
     def pfq(self, upper, lower, m, w, rel_tol, max_terms: int):
         """Coefficients of pFq(a; b; w), for w given by its coefficients.
@@ -343,34 +359,39 @@ class Field:
         return (self.weigh(running, w0, w[1]) if top else running), None, k + 1, tmax
 
 
-# A series whose magnitude sum exceeds a coefficient _KAPPA_LIMIT times
-# reruns (``_Complex.series``).  The rerun's precision in bits is at least
-# _MIN_BITS, where a term rounded to nothing lies far below any stop
-# tolerance, and is doubled while a coefficient keeps fewer than 53 + _GUARD
-# bits above its error bound, up to _BUDGET.
+# A sum whose magnitude sum is over _KAPPA_LIMIT times its modulus reruns
+# (``rerun``).  The rerun's precision in bits is at least _MIN_BITS, where a
+# term rounded to nothing lies far below any stop tolerance, and is doubled
+# while a coefficient keeps fewer than 53 + _GUARD bits above its error
+# bound, up to _BUDGET.  Every term of a double pass is below 2^1024, and a
+# coefficient resolves once its bound is 53 + _GUARD bits below
+# max(|s|, 2^-1022), so an order-0 sum of up to 10^4 terms needs about 2200
+# bits: _BUDGET leaves room for that.
 _KAPPA_LIMIT = 1e4
 _MIN_BITS = 128
 _GUARD = 8
-_BUDGET = 2048
+_BUDGET = 4096
 
 
-def _cancelled(abs_sum, value, limit: float = _KAPPA_LIMIT) -> bool:
-    """Whether a sum cancelled past ``limit``: ``abs_sum``, its terms'
+def _cancelled(abs_sum, value) -> bool:
+    """Whether a sum cancelled past _KAPPA_LIMIT: ``abs_sum``, its terms'
     magnitude sum (or a bound above it), against the sum ``value``; not
     where that is at most 1e-250 or ``value`` is past the double range."""
     try:
-        return abs_sum > 1e-250 and abs_sum > limit * abs(value)
+        return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
     except OverflowError:
         return False
 
 
 def _bits(abs_sums, sums, growth) -> int:
     """A rerun's first precision: 64 bits past the largest log2(f_i max(1,
-    A_i) / |s_i|) of a cancelled coefficient i with magnitude sum A_i, sum
-    s_i and ``growth[i]`` = log2 f_i, how much its rounding grows."""
+    A_i) / max(|s_i|, 2^-1022)) of a cancelled coefficient i with magnitude
+    sum A_i, sum s_i and ``growth(i)`` = log2 f_i, how much its rounding
+    grows.  2^-1022, the smallest normal double, is the floor ``_resolved``
+    measures a sum against, so an exact zero starts near the bits it needs."""
     need = max(
-        (f + math.log2(max(1.0, a)) - math.log2(abs(s)) if s else math.inf)
-        for a, s, f in zip(abs_sums, sums, growth)
+        growth(i) + math.log2(max(1.0, a)) - math.log2(max(abs(s), 2.0**-1022))
+        for i, (a, s) in enumerate(zip(abs_sums, sums))
         if _cancelled(a, s)
     )
     return _BUDGET if need > _BUDGET else 64 + math.ceil(need)
@@ -405,30 +426,6 @@ class _Complex(Field):
         # through the module's ``jet_mul`` binding, so that a tracer wrapping
         # it sees the composition's products
         return jet_mul(Jet(0j, a), Jet(0j, b)).coeffs
-
-    def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
-        """``Field.series`` with the one cancellation guard: the sums of a
-        series that cancelled (``_cancelled``) are replaced by its ``rerun``,
-        ``d_pfq`` on w in fixed point, from the ``_bits`` with growth
-        K C(K + 1, i + 1) max(1, |w1/w0|)^i for K terms.  A real terminating
-        series that the rerun cannot resolve, such as 1F0(-1000; ; 1 + 2^-10),
-        is summed exactly in ``FRACTION``."""
-        out = Field.series(self, spec, w, rel_tol, max_terms)
-        sums, abs_sums, terms, tail, m = out
-        if not any(map(_cancelled, abs_sums, sums)):
-            return out
-        ctrl = EvalControl(rel_tol, max_terms)
-        rho = math.log2(max(1.0, abs(w[1] / w[0]))) if len(w) > 1 and w[0] else 0.0
-        growth = [math.log2(terms * math.comb(terms + 1, i + 1)) + i * rho for i in range(len(w))]
-        try:
-            compute = lambda f: d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w)), f), ctrl)  # noqa: E731
-            sums = rerun(compute, _bits(abs_sums, sums, growth))
-        except NoConvergence:
-            if m is None or any(x.imag for x in (*w, *(a.value for a in spec.upper + spec.lower))):
-                raise
-            exact = FRACTION.series(spec, list(map(FRACTION.lift, w)), rel_tol, max_terms)[0]
-            sums = list(map(FRACTION.lower, exact))
-        return sums, abs_sums, terms, tail, m
 
 
 # An error bound is kept in units of 2^-512 of the grid step 2^-p: a normal
@@ -746,12 +743,18 @@ def _resolved(x: FX) -> bool:
     return math.ldexp(x.err, bits) <= size if x.err < 2.0**400 else x.err <= size >> bits
 
 
-def rerun(compute, bits: int) -> list[complex]:
-    """``compute(field)``, a fixed-point jet, rounded to complex doubles: the
-    one extended-precision entry, for both reruns, and the one that sets the
-    precision, from ``bits`` doubled until each coefficient is ``_resolved``;
-    past _BUDGET bits, or the double range, it raises ``NoConvergence``."""
-    p = max(bits, _MIN_BITS)
+def rerun(compute, abs_sums, sums, growth):
+    """``sums`` unchanged unless one of them cancelled (``_cancelled``
+    against its magnitude sum in ``abs_sums``, None in a field that measures
+    none); then ``compute(field)``, a fixed-point jet, rounded to complex
+    doubles.  The one cancellation guard and extended-precision entry, for
+    the series and the term rerun alike, and the one that sets the
+    precision: from ``_bits`` with ``growth(i)``, doubled until each
+    coefficient is ``_resolved``; past _BUDGET bits, or the double range, it
+    raises ``NoConvergence``."""
+    if abs_sums is None or not any(map(_cancelled, abs_sums, sums)):
+        return sums
+    p = max(_bits(abs_sums, sums, growth), _MIN_BITS)
     try:
         while True:
             p = min(p, _BUDGET)

@@ -83,14 +83,26 @@ class TestEval:
         assert err == "error: NoConvergence: series term 409 overflowed: absolute value too large\n"
 
     def test_rerun_cancelled_past_its_digits_exit_3(self, capsys):
-        # e^z as 0F0: at -383 and -37.9 the rerun resolves e^z (printed to
-        # 15 digits); at -700 it cancels past what 2048 bits resolve
-        for z, value in (("-383", "4.62608311237107e-167"), ("-37.9", "3.4692782697491e-17")):
+        # e^z as 0F0: at -383, -37.9 and -700 the rerun resolves e^z
+        # (printed to 15 digits); at -750 a term of the double pass passes
+        # the largest double before any sum can cancel
+        for z, value in (
+            ("-383", "4.62608311237107e-167"),
+            ("-37.9", "3.4692782697491e-17"),
+            ("-700", "9.85967654375977e-305"),
+        ):
             assert main(["eval", "--upper=", "--lower=", f"--z={z}"]) == 0
             assert capsys.readouterr().out.startswith(f"{value}\n")
-        assert main(["eval", "--upper=", "--lower=", "--z=-700"]) == 3
-        want = "rerun coefficient 0 is not resolved within 2048 bits"
-        assert capsys.readouterr().err == f"error: NoConvergence: {want}\n"
+        assert main(["eval", "--upper=", "--lower=", "--z=-750"]) == 3
+        assert capsys.readouterr().err == "error: NoConvergence: series term 530 overflowed: it is not finite\n"
+
+    def test_sum_overflow_exit_3(self, capsys):
+        # finite terms whose sum passes the largest double: e^709.9 as 0F0,
+        # and (1 + 1.0364)^1000 as 1F0(-1000; ; -1.0364)
+        for args in (["--upper=", "--z=709.9"], ["--upper=-1000", "--z=-1.0364"]):
+            assert main(["eval", *args, "--lower="]) == 3, args
+            want = "error: NoConvergence: series sum overflowed: intermediate overflow in fsum\n"
+            assert capsys.readouterr().err == want, args
 
     def test_terminating_series_past_the_disk_is_labelled_a_polynomial(self, capsys):
         # 2F1(-3, 1/2; 1; 2.5) is a cubic: its value, and the p > q+1 label

@@ -344,14 +344,13 @@ class TestEvaluate:
             exact = sum(coefficient(spec, k) * Fraction(z) ** k for k in range(-upper[0] + 1))
             assert evaluate(spec, z).value == complex(float(exact))
 
-    def test_cancelled_terminating_series_reruns_in_fixed_point(self, monkeypatch):
+    def test_cancelled_terminating_series_reruns_in_fixed_point(self, monkeypatch, rerun_precisions):
         # 2F1(-1000, 0.37; 1.23; 0.9) sums to 0.067 from terms up to 1e278;
         # its exact rerun took seconds, the fixed-point one takes under
-        # 50 ms (best of five) and matches mpmath.  The exact rerun is the
-        # fallback for a real polynomial that no precision within the budget
-        # resolves: 1F0(-1000; ; 1 + 2^-10) = 2^-10000, from terms up to
-        # 1e301, comes out as its Fraction sum rounded once, 0.0; off the
-        # real line the same sum raises
+        # 50 ms (best of five) and matches mpmath.  The fixed-point rerun is
+        # the only one, for a real polynomial too: 1F0(-1000; ; 1 + 2^-10) =
+        # 2^-10000, from terms up to 1e301, comes out 0.0 with no exact
+        # rerun, and so does its complex neighbour, past 2048 bits
         mpmath = pytest.importorskip("mpmath")
         exact_reruns = []
         series = FRACTION.series
@@ -365,32 +364,37 @@ class TestEvaluate:
         assert min(times) < 0.05, times
         with mpmath.workdps(40):
             assert rel(got, complex(mpmath.hyp2f1(-1000, 0.37, 1.23, 0.9))) <= 1e-15
-        assert not exact_reruns
         z = 1 + Fraction(1, 2**10)
         spec = HypSpec.of([-1000], [])
-        assert evaluate(spec, float(z)).value == complex(float((1 - z) ** 1000)) == 0
-        assert exact_reruns == [1]
-        with pytest.raises(NoConvergence, match="^rerun coefficient 0 is not resolved within 2048 bits$"):
-            evaluate(spec, complex(float(z), 1e-300))
+        for w in (float(z), complex(float(z), 1e-300)):
+            rerun_precisions.clear()
+            value = evaluate(spec, w).value
+            assert value == complex(float((1 - z) ** 1000)) == 0 and math.copysign(1, value.real) == 1
+            assert rerun_precisions[-1] > 2048, (w, rerun_precisions)
+        assert not exact_reruns
 
-    def test_rerun_cancelled_past_its_digits_raises(self):
+    def test_rerun_cancelled_past_its_digits_raises(self, monkeypatch, rerun_precisions):
         # e^z as 0F0: the double pass's terms add up to ~e^|z| for a sum of
         # e^z.  At z = -383, -37.9 and -25 (kappa 1e333, 1e33 and 5e21; the
-        # 38-digit decimal rerun raised there) the fixed-point rerun resolves
-        # it, within 1e-15 of mpmath; at z = -700 (kappa 1e608) its error
-        # bound is not 61 bits below the sum at 2048 bits, and it raises
+        # 38-digit decimal rerun raised there) and at -700, -705 and -709
+        # (kappa up to 1e616; they raised past a budget of 2048 bits) the
+        # fixed-point rerun resolves it, within 1e-15 of mpmath.  A rerun
+        # whose error bound is not 61 bits below the sum at _BUDGET bits
+        # raises: -383 with a budget of 512 bits
         mpmath = pytest.importorskip("mpmath")
         e = expr(term(1, hyp(HypSpec.of([], []))))
-        for z in (-383.0, -37.9, -25.0):
+        for z in (-383.0, -37.9, -25.0, -700.0, -705.0, -709.0):
             with mpmath.workdps(40):
                 want = complex(mpmath.exp(mpmath.mpf(z)))
-            assert rel(evaluate(HypSpec.of([], []), z).value, want) <= 1e-15
-            assert rel(eval_expr(e, z), want) <= 1e-15
-        want = "^rerun coefficient 0 is not resolved within 2048 bits$"
-        with pytest.raises(NoConvergence, match=want):
-            evaluate(HypSpec.of([], []), -700.0)
-        with pytest.raises(NoConvergence, match=want):
-            eval_expr(e, -700.0)
+            assert rel(evaluate(HypSpec.of([], []), z).value, want) <= 1e-15, z
+            assert rel(eval_expr(e, z), want) <= 1e-15, z
+        monkeypatch.setattr(jets, "_BUDGET", 512)
+        want = "^rerun coefficient 0 is not resolved within 512 bits$"
+        for f, args in ((evaluate, (HypSpec.of([], []), -383.0)), (eval_expr, (e, -383.0))):
+            rerun_precisions.clear()
+            with pytest.raises(NoConvergence, match=want):
+                f(*args)
+            assert rerun_precisions[-1] == 512, rerun_precisions
 
     def test_rerun_check_is_on_its_own_error_bound(self):
         # the double pass's terms of e^z as 0F0 add up in modulus to e^|z|,
@@ -406,24 +410,17 @@ class TestEvaluate:
                 want = complex(mpmath.exp(mpmath.mpc(z)))
             assert abs(evaluate(HypSpec.of([], []), z).value - want) <= 1e-15 * abs(want), (turn, kappa)
 
-    def test_self_check_doubles_a_short_precision(self, monkeypatch):
+    def test_self_check_doubles_a_short_precision(self, monkeypatch, rerun_precisions):
         # 0F0 at z = -383 started at 128 bits: at 128 to 1024 bits the error
         # bound of its sum is not 61 bits below it, and the sum at 1024 bits
         # is indeed far off; the rerun doubles its precision to 2048 bits
         # and returns the double it returns from its own start
-        precisions = []
-        init = jets._Fixed.__init__
-
-        def recording(self, p):
-            precisions.append(p)
-            init(self, p)
-
         spec = HypSpec.of([], [])
         want = evaluate(spec, -383.0).value
-        monkeypatch.setattr(jets._Fixed, "__init__", recording)
+        rerun_precisions.clear()
         monkeypatch.setattr(jets, "_bits", lambda *args: 128)
         assert evaluate(spec, -383.0).value == want
-        assert precisions == [128, 256, 512, 1024, 2048]
+        assert rerun_precisions == [128, 256, 512, 1024, 2048]
         short = jets._Fixed(1024)
         loose = short.series(spec, [short.lift(-383.0)], 1e-25, 10000)[0][0]
         assert not jets._resolved(loose) and rel(short.lower(loose), want) > 1e-15
@@ -439,6 +436,15 @@ class TestEvaluate:
             eval_expr(e, 1.7)
         with pytest.raises(NoConvergence, match="overflowed"):
             nth_derivative(e, 2, 1.7)
+
+    def test_sum_overflow_fails_as_no_convergence(self):
+        # every term is finite, but the sum passes the largest double: e^709.9
+        # as 0F0, and (1 + 1.0364)^1000 as 1F0(-1000; ; -1.0364)
+        for spec, z in ((HypSpec.of([], []), 709.9), (HypSpec.of([-1000], []), -1.0364)):
+            with pytest.raises(NoConvergence, match="^series sum overflowed"):
+                evaluate(spec, z)
+            with pytest.raises(NoConvergence, match="overflowed"):
+                eval_expr(expr(term(1, hyp(spec))), z)
 
     def test_permutation_invariance(self):
         rng = random.Random(4)

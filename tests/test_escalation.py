@@ -1,8 +1,9 @@
 """Accuracy of the fixed-point reruns against an independent reference.
 
-The oracle reruns an ill-conditioned pFq series (series level, in the
-complex field's ``series``) or an ill-conditioned product of factor jets
-(term level, in ``expressions._term_jet``) in fixed-point arithmetic.  Each case
+The oracle reruns an ill-conditioned pFq series (series level, from
+``Field.series``) or an ill-conditioned product of factor jets (term
+level, from ``expressions._term_jet``) in fixed-point arithmetic, both
+through ``jets.rerun``.  Each case
 here is chosen so that the rerun happens, the test counts the entries into
 it, and the derivative is compared with mpmath at 50 digits.  The stated
 bound is a relative error of 1e-12; the reruns reach about 1e-14, the

@@ -138,8 +138,8 @@ class TestEvalExpr:
                 z = cmath.rect(abs(z), rng.uniform(-math.pi, math.pi))
             got = outcome(lambda: evaluate(spec, z).value)
             assert got == outcome(eval_expr, expr(term(1, hyp(spec))), z), (spec, z)
-        # every cancelled sum reruns in fixed point, a real polynomial too;
-        # none here needs the exact fallback
+        # every cancelled sum reruns in fixed point, a real polynomial too,
+        # and none in the exact field
         assert reruns["d_pfq"] >= 120 and not reruns["series"], reruns
         # none of the 300 raises at this seed (13 did at 38 digits)
         assert not raised, len(raised)

@@ -293,6 +293,17 @@ class TestPfqJet:
                 with pytest.raises(NoConvergence, match=f"^series term {k} overflowed"):
                     run(spec, x)
 
+    def test_sum_overflow_fails_as_no_convergence(self):
+        # finite terms whose sum passes the largest double: e^709.9 as 0F0 at
+        # orders 0-2, and a Pfaff-shaped composition at w0 = 709.5 whose
+        # coefficient 2, 1.5 e^709.5, is past it though every g_j is not
+        spec = HypSpec.of([], [])
+        args = [jet_variable(709.9, order) for order in (0, 1, 2)]
+        args.append(Jet(709.5, (709.5 + 0j, 1 + 0j, 1 + 0j)))
+        for arg in args:
+            with pytest.raises(NoConvergence, match="^series sum overflowed"):
+                jet_pfq(spec, arg)
+
     def test_modulus_overflow_fails_fast(self):
         # both parts of term 409 stay finite, but its modulus passes the
         # largest double: abs() raises OverflowError in the stop test
@@ -403,8 +414,10 @@ class TestPfqJet:
 
     def test_rerun_is_the_one_extended_precision_entry(self):
         # no module of the package imports decimal, and jets.rerun is the one
-        # scope that builds a fixed-point field, so the one that sets its
-        # precision, for the series and the term rerun alike
+        # scope that builds a fixed-point field or sizes it, so the one that
+        # sets its precision, for the series and the term rerun alike; the
+        # series entry and the term are its only callers, and jets makes no
+        # exact rerun
         for path in sorted(Path(jets.__file__).parent.glob("*.py")):
             imported = [
                 node.module if isinstance(node, ast.ImportFrom) else alias.name
@@ -414,15 +427,23 @@ class TestPfqJet:
             ]
             assert "decimal" not in imported, path.name
         assert _scopes_where(_calls("_Fixed")) == ["jets.rerun"]
+        assert _scopes_where(_calls("_bits")) == ["jets.rerun"]
+        assert _scopes_where(_calls("rerun")) == ["expressions._term_jet", "jets.Field.series"]
+        named = _scopes_where(lambda node: isinstance(node, ast.Name) and node.id == "_cancelled")
+        assert named == ["jets._bits", "jets.rerun"]
+        fraction_series = _scopes_where(
+            lambda node: _calls("series")(node) and getattr(node.func.value, "id", None) == "FRACTION"
+        )
+        assert not [scope for scope in fraction_series if scope.startswith("jets")], fraction_series
         # the series rerun's binding is jet_pfq itself
         assert jets.d_pfq is jet_pfq
 
     def test_only_the_complex_field_measures_cancellation(self):
-        # one cancellation measure: the complex field's entry is the only
-        # override of Field.series, and the fixed-point and exact kernels
-        # return no magnitude sums, at order 0, on every argument map and at
-        # w0 = 0
-        assert [c.__name__ for c in Field.__subclasses__() if "series" in vars(c)] == ["_Complex"]
+        # one cancellation measure: no field overrides Field.series, which
+        # hands every field's magnitude sums to rerun, and the fixed-point
+        # and exact kernels return none, at order 0, on every argument map
+        # and at w0 = 0, so their sums pass through
+        assert Field.__subclasses__() and not [c for c in Field.__subclasses__() if "series" in vars(c)]
         spec = HypSpec.of([0.5, Fraction(2, 3)], [Fraction(7, 4)])
         for field, z0 in ((FIXED, 0.3 + 0.2j), (FRACTION, Fraction(1, 3))):
             for x0, order, amap in product((z0, 0), (0, 3), ArgMap):
@@ -430,21 +451,27 @@ class TestPfqJet:
                 abs_sums = field.series(spec, w, field.series_tol(1e-14), 5000)[1]
                 assert abs_sums is None, (field, x0, order, amap)
 
-    def test_rerun_past_its_digits_raises_inside_a_term(self):
-        # e^z as 0F0, bare and times e^z, at orders 1-2.  At z = -383 the
-        # series rerun within the term resolves e^z from terms up to e^383:
+    def test_rerun_past_its_digits_raises_inside_a_term(self, monkeypatch, rerun_precisions):
+        # e^z as 0F0, bare and times e^z, at orders 1-2.  At z = -383 and
+        # -700 the series rerun within the term resolves e^z from terms up
+        # to e^383 and 1e302 (past the 2048 bits that once were the budget):
         # within 1e-15 of mpmath, or of the smallest subnormal for the
-        # 2^n e^(2z) = 1e-333 that underflows.  At z = -700 its terms reach
-        # 1e302 for a sum of 1e-304, past what 2048 bits resolve, and it
-        # raises
+        # 2^n e^(2z) that underflows; so at -709 at order 0.  With a budget
+        # of 512 bits the rerun at -383 raises
         mpmath = pytest.importorskip("mpmath")
         f = hyp(HypSpec.of([], []))
-        for (e, s), n in product(((expr(term(1, f)), 1), (expr(term(1, expz(1), f)), 2)), (1, 2)):
+        bare, times_exp = (expr(term(1, f)), 1), (expr(term(1, expz(1), f)), 2)
+        cases = [(*es, n, z) for es, n, z in product((bare, times_exp), (1, 2), (-383.0, -700.0))]
+        for e, s, n, z in cases + [(*bare, 0, -709.0)]:
             with mpmath.workdps(40):
-                want = complex(s**n * mpmath.exp(s * mpmath.mpf(-383)))
-            assert abs(nth_derivative(e, n, -383.0) - want) <= 1e-15 * abs(want) + 5e-324, (s, n)
-            with pytest.raises(NoConvergence, match="^rerun coefficient 0 is not resolved within 2048 bits$"):
-                nth_derivative(e, n, -700.0)
+                want = complex(s**n * mpmath.exp(s * mpmath.mpf(z)))
+            assert abs(nth_derivative(e, n, z) - want) <= 1e-15 * abs(want) + 5e-324, (s, n, z)
+        monkeypatch.setattr(jets, "_BUDGET", 512)
+        for (e, _), n in product((bare, times_exp), (1, 2)):
+            rerun_precisions.clear()
+            with pytest.raises(NoConvergence, match="^rerun coefficient 0 is not resolved within 512 bits$"):
+                nth_derivative(e, n, -383.0)
+            assert rerun_precisions[-1] == 512, rerun_precisions
 
     def test_term_rerun_resolves_an_exact_zero(self, monkeypatch):
         # 2F1(-200, 1; 1; w) = (1 - w)^200 at w = 2 sums to 1 from terms up to
