@@ -188,20 +188,20 @@ def _expr_jet(e: Expr, var: Jet, ctrl: EvalControl) -> Jet:
     rounded once (``csum`` in ``COMPLEX``, exact in ``FRACTION``).  A term
     with coefficient 0 is skipped unevaluated; no term gives the zero jet.
 
-    A product or sum that overflows, or in ``COMPLEX`` a summed coefficient
-    that is not finite, raises ``NoConvergence``: the oracle returns a
-    finite value or none.
+    A product or sum that overflows, or in ``COMPLEX`` a term coefficient
+    that is not finite (checked before the sum), raises ``NoConvergence``:
+    the oracle returns a finite value or none.
     """
     field = var.field
     total = field.total or (lambda col: sum(col, field.zero))
     try:
         jets = [_term_jet(t, var, ctrl).coeffs for t in e.terms if t.coeff != 0]
+        if field is COMPLEX and not all(all(map(cmath.isfinite, j)) for j in jets):
+            raise NoConvergence("expression term overflowed: a coefficient is not finite")
         cols = zip(*jets) if jets else [()] * (var.order + 1)
         sums = tuple(map(total, cols))
     except OverflowError as exc:
         raise NoConvergence(f"expression overflowed: {exc}") from None
-    if field is COMPLEX and not all(map(cmath.isfinite, sums)):
-        raise NoConvergence("expression coefficient overflowed: it is not finite")
     return Jet(var.base_point, sums, field)
 
 

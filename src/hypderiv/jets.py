@@ -86,6 +86,13 @@ class Field:
     bucket of terms once, returns magnitude sums from ``pfq``: ``COMPLEX``'s
     are the one measure of cancellation, and ``series`` hands them to
     ``rerun`` in every field.
+
+    Besides its arithmetic a field overrides three kernel steps, each for a
+    reason measured on the hook: ``_Complex.total`` with its ``fold``, the
+    stepped bucket loop (1.7x slower in ``FRACTION``); ``_Fixed.terms``
+    (the generic term ratio reruns 3.5x slower, and some fail); and
+    ``_Fixed.fold`` (the generic one runs ``kummer-deep`` at 0.8x).  Every
+    other step is generic, the weighting and the composition's products too.
     """
 
     total = None
@@ -148,10 +155,6 @@ class Field:
             out = self.div(unit, out)
         return out
 
-    def power_mul(self, a, b):
-        """The product that steps the powers of a composition: ``mul``."""
-        return self.mul(a, b)
-
     def fold(self, sums, us, lo):
         """Adds C(k, i) us[k] for k >= lo to sums[i], in place and in order
         of k; row C(k, 0) = 1 is summed without multiplying."""
@@ -164,10 +167,13 @@ class Field:
     terms = None  # a field's own step of the scalar terms (``_Fixed.terms``)
 
     def weigh(self, sums, w0, w1):
-        """Coefficient i of an affine jet from its binomial sum: sums[i]
-        times (w1/w0)^i."""
-        rho = w1 / w0
-        return [s * rho**i for i, s in enumerate(sums)]
+        """Coefficient i of an affine jet from its binomial sum: sums[i] times
+        (w1/w0)^i, one division, then the power stepped by one product each."""
+        rho, power, out = w1 / w0, self.one, sums[:1]
+        for s in sums[1:]:
+            power = power * rho
+            out.append(s * power)
+        return out
 
     def series(self, spec: HypSpec, w, rel_tol, max_terms: int):
         """``pfq`` for ``spec`` after the input checks: the kernel's one entry.
@@ -251,7 +257,8 @@ class Field:
             d = [self.zero] + list(w[1:])
             powers = [unit, d]
             while len(powers) < len(w):
-                powers.append(self.power_mul(powers[-1], d))
+                # in every field through ``jet_mul``, the binding a tracer wraps
+                powers.append(jet_mul(Jet(0j, powers[-1], self), Jet(0j, d, self)).coeffs)
             cols = [[p[i] for p in powers[: i + 1]] for i in range(len(w))]
             sums = [self.dot(g[: i + 1], col) for i, col in enumerate(cols)]
             if abs_g is not None:
@@ -403,6 +410,9 @@ class _Complex(Field):
     lift = lower = staticmethod(complex)
     param = staticmethod(attrgetter("value"))
     mag = staticmethod(abs)
+    # the stepped bucket loop, this field's alone: in FRACTION it took
+    # table1_csv 78 ms against 46 ms on the binomial fold (best of 5,
+    # in-process CPU time on a 2-vCPU Xeon VM)
     total = staticmethod(csum)
 
     @staticmethod
@@ -422,22 +432,10 @@ class _Complex(Field):
         for i, b in enumerate(buckets):
             sums[i] = sum(b[lo:], sums[i])
 
-    def power_mul(self, a, b):
-        # through the module's ``jet_mul`` binding, so that a tracer wrapping
-        # it sees the composition's products
-        return jet_mul(Jet(0j, a), Jet(0j, b)).coeffs
-
 
 # An error bound is kept in units of 2^-512 of the grid step 2^-p: a normal
 # double from one step up to the 2^1100 steps a series can gather
 _STEP = 2.0**-512
-
-
-def _divide(xr, xi, yr, yi):
-    """(xr + i xi) / (yr + i yi) rounded down, and its rounding in _STEP."""
-    d = yr * yr + yi * yi
-    (qr, ar), (qi, ai) = divmod(xr * yr + xi * yi, d), divmod(xi * yr - xr * yi, d)
-    return qr, qi, ((ar != 0) + (ai != 0)) * _STEP
 
 
 class FX:
@@ -470,7 +468,10 @@ class FX:
     def __truediv__(self, o):
         f = self.f
         o = o if type(o) is FX else f.lift(o)
-        q = FX(*_divide(self.re << f.p, self.im << f.p, o.re, o.im), f)
+        xr, xi, yr, yi = self.re << f.p, self.im << f.p, o.re, o.im
+        d = yr * yr + yi * yi
+        (qr, ar), (qi, ai) = divmod(xr * yr + xi * yi, d), divmod(xi * yr - xr * yi, d)
+        q = FX(qr, qi, ((ar != 0) + (ai != 0)) * _STEP, f)
         if self.err or o.err:
             # |a/b - A/B| <= (|a - A| + |a/b| |b - B|) / |B|, and |a/b| lies
             # within 2 steps of |q|
@@ -541,7 +542,9 @@ class _Fixed(Field):
         return FX(re >> p, im >> p, err + (((re & low) != 0) + ((im & low) != 0)) * _STEP, self)
 
     def fold(self, sums, us, lo):
-        # ``Field.fold`` on the parts and bounds, one FX built per coefficient
+        # ``Field.fold`` on the parts and bounds, one FX built per coefficient;
+        # the generic fold ran kummer-deep at 0.8x (medians 82 against 101
+        # ops/s, 3 interleaved in-process runs of seed 1, 2-vCPU Xeon VM)
         n, parts = len(us), [[getattr(x, k) for x in us[lo:]] for k in ("re", "im", "err")]
         for i, s in enumerate(sums):
             j = max(lo, i)
@@ -553,7 +556,10 @@ class _Fixed(Field):
         exact parameters and z's grid value, is rounded down once to R_k and
         t_k = t_(k-1) R_k rounded down, with the bound e_k = e_(k-1) (|R_k| +
         e(R_k)) + |t_(k-1)| e(R_k) + 2 steps.  A term within its bound of 0
-        has magnitude 0, or rounding down would keep it from the stop test."""
+        has magnitude 0, or rounding down would keep it from the stop test.
+        With the generic in-loop term ratio on lifted parameters in its place,
+        kummer-deep's reruns at seed 1 took 3.5x as long (5.0 s against 1.4 s
+        CPU time on a 2-vCPU Xeon VM) and 8 of its 300 trios failed."""
         p, scale, hypot, ldexp = self.p, self.scale, math.hypot, math.ldexp
         low, ulp = scale - 1, ldexp(1.0, -p)
         # r_k z = prod(a + j) prod(den b) z / ((j + 1) prod(b + j) prod(den a)),
@@ -585,23 +591,6 @@ class _Fixed(Field):
             tr, ti = tr >> p, ti >> p
             mt = hypot(tr / scale, ti / scale)
             yield FX(tr, ti, e, self, mt), mt if mt > ldexp(e, 512 - p) else 0.0
-
-    def weigh(self, sums, w0, w1):
-        """``Field.weigh``, one Gaussian division per coefficient.  The bound
-        grows by |w1/w0|^i, and by 2 i eps |sums[i] (w1/w0)^i| for eps the
-        relative bounds of w0 and w1 (while i eps <= 1/2)."""
-        eps = sum(w.err / self.mag(w) for w in (w0, w1) if w.err)
-        eps = math.inf if math.ldexp(eps, 512 - self.p) * len(sums) > 0.5 else eps
-        a, out, ai = self.mag(w1) / self.mag(w0), [sums[0]], 1.0
-        two = min((x & -x).bit_length() for x in (w0.re, w0.im, w1.re, w1.im) if x) - 1
-        (ur, ui, vr, vi), nr, ni, dr, di = (x >> two for x in (w1.re, w1.im, w0.re, w0.im)), 1, 0, 1, 0
-        for i, s in enumerate(sums[1:], 1):
-            nr, ni, dr, di = nr * ur - ni * ui, nr * ui + ni * ur, dr * vr - di * vi, dr * vi + di * vr
-            qr, qi, rounding = _divide(s.re * nr - s.im * ni, s.re * ni + s.im * nr, dr, di)
-            ai *= a
-            grown = s.err + (2 * i * eps * self.mag(s) if eps else 0.0)
-            out.append(FX(qr, qi, ai * grown + rounding, self))
-        return out
 
 
 class _Fraction(Field):
@@ -724,11 +713,14 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     field: the field's ``series`` at its ``series_tol`` of ``rel_tol``, with
     its input checks (at order >= 1 the base value must lie strictly inside
     the convergence domain).  In the complex field a cancelled coefficient
-    reruns the series.
+    reruns the series, and a coefficient that is not finite (a power of the
+    Pfaff composition past the double range) raises ``NoConvergence``.
     """
     ctrl = ctrl or DEFAULT_CONTROL
     field = arg.field
     vals = field.series(spec, arg.coeffs, field.series_tol(ctrl.rel_tol), ctrl.max_terms)[0]
+    if field is COMPLEX and not all(map(cmath.isfinite, vals)):
+        raise NoConvergence("jet_pfq coefficient overflowed: it is not finite")
     return Jet(arg.base_point, tuple(vals), field)
 
 

@@ -236,6 +236,15 @@ class TestFiniteOrNoConvergence:
             with pytest.raises(NoConvergence):
                 case()
 
+    def test_opposite_infinite_terms_raise_no_convergence(self):
+        # each term is +-1e320 at z = 1e10, and their sum inf - inf: a term
+        # that is not finite raises before csum sees it, at orders 0 and 1
+        e = expr(term(1e300, powz(2)), term(-1e300, powz(2)))
+        with pytest.raises(NoConvergence):
+            eval_expr(e, 1e10)
+        with pytest.raises(NoConvergence):
+            nth_derivative(e, 1, 1e10)
+
     def test_values_just_inside_the_range_are_returned(self):
         # the same shapes, scaled into the double range, are finite values
         assert eval_expr(expr(term(1e307, powz(1)), term(1e307, powz(1))), 1.0) == 2e307

@@ -451,6 +451,18 @@ class TestPfqJet:
                 abs_sums = field.series(spec, w, field.series_tol(1e-14), 5000)[1]
                 assert abs_sums is None, (field, x0, order, amap)
 
+    def test_each_field_overrides_only_its_measured_hooks(self):
+        # one kernel: a field overrides Field's steps only where a measurement
+        # says it pays, the complex field's stepped buckets (fold, total) and
+        # the fixed-point scalar terms (fold, terms); the weighting, the
+        # division and the composition's products are the generic ones
+        kernel = {name for name in vars(Field) if not name.startswith("__")}
+        fields = [c for c in Field.__subclasses__() if c.__module__ == jets.__name__]
+        overrides = {c.__name__: set(vars(c)) & kernel for c in fields}
+        assert overrides == {"_Complex": {"fold", "total"}, "_Fixed": {"fold", "terms"}, "_Fraction": set()}
+        assert not [name for name in ("power_mul", "_divide") if hasattr(jets, name) or hasattr(Field, name)]
+        assert "weigh" not in vars(jets._Fixed) and "power_mul" not in vars(jets._Complex)
+
     def test_rerun_past_its_digits_raises_inside_a_term(self, monkeypatch, rerun_precisions):
         # e^z as 0F0, bare and times e^z, at orders 1-2.  At z = -383 and
         # -700 the series rerun within the term resolves e^z from terms up
@@ -523,7 +535,7 @@ class TestPfqJet:
         # coefficient and call no jet_mul; a dense argument (the Pfaff map) is
         # composed once, with the products d^2..d^K of d = w - w0: K - 1 calls
         # at order K, however many terms the series takes, also when it ends
-        # at term 0
+        # at term 0, and in every field
         calls = []
         monkeypatch.setattr(jets, "jet_mul", lambda a, b: calls.append(1) or jet_mul(a, b))
         spec = HypSpec.of([0.5, 1.5], [2.5])
@@ -539,9 +551,22 @@ class TestPfqJet:
             calls.clear()
             jet_pfq(s, map_jet(amap, jet_variable(z0, order)))
             assert len(calls) == want, (amap, z0, order)
+        for field, z0 in ((FIXED, -0.05), (FIXED, 0.3 + 0.2j), (FRACTION, Fraction(-1, 20))):
+            for order in (1, 3, 6):
+                calls.clear()
+                jet_pfq(spec, map_jet(ArgMap.PFAFF, jet_variable(z0, order, field)))
+                assert len(calls) == order - 1, (field, z0, order)
         # the two nonterminating Pfaff inputs differ sixfold in their terms
         w = [evaluate(spec, z0 / (z0 - 1)).terms_used for z0 in (-0.05, -3.0)]
         assert 6 * w[0] < w[1], w
+
+    def test_overflowed_composition_raises_no_convergence(self):
+        # the Pfaff composition's power d^2 passes the double range, and its
+        # coefficient 2 is not finite (inf+nanj): in the complex field
+        # jet_pfq returns a finite jet or raises
+        with pytest.raises(NoConvergence, match="not finite"):
+            jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e200, 1e200)))
+        assert all(map(cmath.isfinite, jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e100, 1e100))).coeffs))
 
     def test_terminating(self):
         # (-2)F at any base: a degree-2 polynomial, jet is exact
@@ -729,7 +754,7 @@ def test_affine_map_jets_match_mpmath():
 # sum of its first ``terms`` terms
 # (test_field_series_exact_sums_are_partial_sums)
 FIELD_SERIES_FINGERPRINT = {
-    "fixed": "44c58a9cc2a127dc82774ef2ee2ee6337fae4f521809e715bfbc58d4c6e30a1e",
+    "fixed": "d93fffbd6e8ed864cc51dd43abe0310971bbd9bcae9ff25c7419ebefa7ff366f",
     "fraction": "9ecd25d3312cae38729a3c30d11e7a5eed47ad66ca5f9e38ef81e322a2e35a61",
 }
 
