@@ -170,8 +170,13 @@ _real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def csum(terms: Sequence[complex]) -> complex:
-    """Exactly-rounded complex sum (componentwise math.fsum)."""
-    return complex(math.fsum(map(_real, terms)), math.fsum(map(_imag, terms)))
+    """Exactly-rounded complex sum (componentwise math.fsum).  Infinities of
+    opposite signs, terms past the double range, raise ``OverflowError`` as
+    an overflow inside the sum does."""
+    try:
+        return complex(math.fsum(map(_real, terms)), math.fsum(map(_imag, terms)))
+    except ValueError as exc:  # fsum's "-inf + inf"
+        raise OverflowError(str(exc)) from None
 
 
 def pochhammer(a: ParamLike, k: int) -> Union[complex, Fraction]:

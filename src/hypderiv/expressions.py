@@ -179,7 +179,7 @@ def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
             fm = [abs(x) for x in fj.coeffs]
             mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
     compute = lambda f: _term_jet(t, d_variable(var.base_point, order, f), ctrl)  # noqa: E731
-    vals = rerun(compute, mags, acc.coeffs, lambda i: 0.0)
+    vals = rerun(compute, mags, acc.coeffs)
     return acc if vals is acc.coeffs else Jet(var.base_point, tuple(vals))
 
 

@@ -21,9 +21,9 @@ its one entry, which checks the input first: ``core.evaluate`` runs it at
 order 0, and ``jet_pfq`` on a jet of any field, at that field's
 ``series_tol``.  ``rerun`` holds the one cancellation guard, for a series
 and for a term of an expression alike: a sum that cancelled is rerun in
-fixed point, at a precision sized from the double pass's magnitude sums and
-doubled while a coefficient's error bound is not 53 + _GUARD bits below it;
-past _BUDGET bits it raises ``NoConvergence``.  The fixed-point rerun is the
+fixed point, from one fixed precision, _MIN_BITS, doubled while a
+coefficient's own error bound is not 53 + _GUARD bits below it; past
+_BUDGET bits it raises ``NoConvergence``.  The fixed-point rerun is the
 only rerun.
 """
 
@@ -186,8 +186,7 @@ class Field:
         such K) unless an exact upper -m with m <= K ends the series first,
         wherever the stop rule would land.  A sum past the double range
         raises ``NoConvergence``.  Returns ``pfq``'s result, its sums passed
-        through ``rerun`` (``d_pfq`` on w in fixed point, with growth
-        K C(K + 1, i + 1) max(1, |w1/w0|)^i for K terms), and the
+        through ``rerun`` (``d_pfq`` on w in fixed point), and the
         termination order.
         """
         m = validate_spec(spec)
@@ -213,11 +212,7 @@ class Field:
         def compute(f):
             return d_pfq(spec, d_pair_from_jet(Jet(w[0], tuple(w)), f), EvalControl(rel_tol, max_terms))
 
-        def growth(i):
-            rho = math.log2(max(1.0, abs(w[1] / w[0]))) if i and w[0] else 0.0
-            return math.log2(terms * math.comb(terms + 1, i + 1)) + i * rho
-
-        return rerun(compute, abs_sums, sums, growth), abs_sums, terms, tail, m
+        return rerun(compute, abs_sums, sums), abs_sums, terms, tail, m
 
     def pfq(self, upper, lower, m, w, rel_tol, max_terms: int):
         """Coefficients of pFq(a; b; w), for w given by its coefficients.
@@ -367,15 +362,18 @@ class Field:
 
 
 # A sum whose magnitude sum is over _KAPPA_LIMIT times its modulus reruns
-# (``rerun``).  The rerun's precision in bits is at least _MIN_BITS, where a
-# term rounded to nothing lies far below any stop tolerance, and is doubled
-# while a coefficient keeps fewer than 53 + _GUARD bits above its error
-# bound, up to _BUDGET.  Every term of a double pass is below 2^1024, and a
-# coefficient resolves once its bound is 53 + _GUARD bits below
-# max(|s|, 2^-1022), so an order-0 sum of up to 10^4 terms needs about 2200
-# bits: _BUDGET leaves room for that.
+# (``rerun``).  Every rerun starts at _MIN_BITS and doubles while a
+# coefficient keeps fewer than 53 + _GUARD bits above its error bound, up to
+# _BUDGET.  The double pass measures a cancellation only up to about 2^53,
+# past which its sum is rounding noise, so it decides whether to rerun but
+# not how precisely.  192 bits resolve every rerun of the kummer-deep pools
+# (seeds 1, 2 and 7919) at once; from 128 bits 306 of their 532 reruns at
+# seed 1 doubled, and from 160 bits some still did.
+# Every term of a double pass is below 2^1024, and a coefficient resolves
+# once its bound is 53 + _GUARD bits below max(|s|, 2^-1022), so an order-0
+# sum of up to 10^4 terms needs about 2200 bits: _BUDGET leaves room for that.
 _KAPPA_LIMIT = 1e4
-_MIN_BITS = 128
+_MIN_BITS = 192
 _GUARD = 8
 _BUDGET = 4096
 
@@ -388,20 +386,6 @@ def _cancelled(abs_sum, value) -> bool:
         return abs_sum > 1e-250 and abs_sum > _KAPPA_LIMIT * abs(value)
     except OverflowError:
         return False
-
-
-def _bits(abs_sums, sums, growth) -> int:
-    """A rerun's first precision: 64 bits past the largest log2(f_i max(1,
-    A_i) / max(|s_i|, 2^-1022)) of a cancelled coefficient i with magnitude
-    sum A_i, sum s_i and ``growth(i)`` = log2 f_i, how much its rounding
-    grows.  2^-1022, the smallest normal double, is the floor ``_resolved``
-    measures a sum against, so an exact zero starts near the bits it needs."""
-    need = max(
-        growth(i) + math.log2(max(1.0, a)) - math.log2(max(abs(s), 2.0**-1022))
-        for i, (a, s) in enumerate(zip(abs_sums, sums))
-        if _cancelled(a, s)
-    )
-    return _BUDGET if need > _BUDGET else 64 + math.ceil(need)
 
 
 class _Complex(Field):
@@ -735,28 +719,27 @@ def _resolved(x: FX) -> bool:
     return math.ldexp(x.err, bits) <= size if x.err < 2.0**400 else x.err <= size >> bits
 
 
-def rerun(compute, abs_sums, sums, growth):
+def rerun(compute, abs_sums, sums):
     """``sums`` unchanged unless one of them cancelled (``_cancelled``
     against its magnitude sum in ``abs_sums``, None in a field that measures
     none); then ``compute(field)``, a fixed-point jet, rounded to complex
     doubles.  The one cancellation guard and extended-precision entry, for
     the series and the term rerun alike, and the one that sets the
-    precision: from ``_bits`` with ``growth(i)``, doubled until each
-    coefficient is ``_resolved``; past _BUDGET bits, or the double range, it
+    precision: _MIN_BITS, doubled until each coefficient is ``_resolved``
+    by its own error bound; past _BUDGET bits, or the double range, it
     raises ``NoConvergence``."""
     if abs_sums is None or not any(map(_cancelled, abs_sums, sums)):
         return sums
-    p = max(_bits(abs_sums, sums, growth), _MIN_BITS)
+    p = _MIN_BITS
     try:
         while True:
-            p = min(p, _BUDGET)
             jet = compute(_Fixed(p))
             loose = [i for i, x in enumerate(jet.coeffs) if not _resolved(x)]
             if not loose:
                 return d_pair_to_complexes(jet)
             if p == _BUDGET:
                 raise NoConvergence(f"rerun coefficient {loose[0]} is not resolved within {_BUDGET} bits")
-            p *= 2
+            p = min(2 * p, _BUDGET)
     except OverflowError:
         raise NoConvergence("rerun overflowed: a value is beyond the double range") from None
 

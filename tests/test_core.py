@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
 
 from hypderiv.core import (
@@ -278,7 +279,6 @@ class TestCoefficient:
                 assert type(got) is Fraction and got == c, (spec, k)
 
     def test_matches_mpmath_rf(self):
-        mpmath = pytest.importorskip("mpmath")
         rng = random.Random("coefficient-vs-mpmath")
         with mpmath.workdps(30):
             for spec in self._specs(rng, exact=False):
@@ -351,7 +351,6 @@ class TestEvaluate:
         # the only one, for a real polynomial too: 1F0(-1000; ; 1 + 2^-10) =
         # 2^-10000, from terms up to 1e301, comes out 0.0 with no exact
         # rerun, and so does its complex neighbour, past 2048 bits
-        mpmath = pytest.importorskip("mpmath")
         exact_reruns = []
         series = FRACTION.series
         monkeypatch.setattr(FRACTION, "series", lambda *a: exact_reruns.append(1) or series(*a))
@@ -381,7 +380,6 @@ class TestEvaluate:
         # fixed-point rerun resolves it, within 1e-15 of mpmath.  A rerun
         # whose error bound is not 61 bits below the sum at _BUDGET bits
         # raises: -383 with a budget of 512 bits
-        mpmath = pytest.importorskip("mpmath")
         e = expr(term(1, hyp(HypSpec.of([], []))))
         for z in (-383.0, -37.9, -25.0, -700.0, -705.0, -709.0):
             with mpmath.workdps(40):
@@ -394,7 +392,7 @@ class TestEvaluate:
             rerun_precisions.clear()
             with pytest.raises(NoConvergence, match=want):
                 f(*args)
-            assert rerun_precisions[-1] == 512, rerun_precisions
+            assert rerun_precisions == [192, 384, 512], rerun_precisions
 
     def test_rerun_check_is_on_its_own_error_bound(self):
         # the double pass's terms of e^z as 0F0 add up in modulus to e^|z|,
@@ -402,7 +400,6 @@ class TestEvaluate:
         # on, as the double pass measured it; the fixed-point rerun checks
         # its own error bound, and returns e^z within 1e-15 of mpmath at
         # kappa 0.9e21, 1.1e21 and 1e100, in every direction
-        mpmath = pytest.importorskip("mpmath")
         for turn, kappa in product((1.0, 0.75, 0.6), (0.9e21, 1.1e21, 1e100)):
             angle = turn * math.pi
             z = cmath.rect(math.log(kappa) / (1 - math.cos(angle)), angle)
@@ -410,18 +407,17 @@ class TestEvaluate:
                 want = complex(mpmath.exp(mpmath.mpc(z)))
             assert abs(evaluate(HypSpec.of([], []), z).value - want) <= 1e-15 * abs(want), (turn, kappa)
 
-    def test_self_check_doubles_a_short_precision(self, monkeypatch, rerun_precisions):
-        # 0F0 at z = -383 started at 128 bits: at 128 to 1024 bits the error
-        # bound of its sum is not 61 bits below it, and the sum at 1024 bits
-        # is indeed far off; the rerun doubles its precision to 2048 bits
-        # and returns the double it returns from its own start
+    def test_self_check_doubles_a_short_precision(self, rerun_precisions):
+        # 0F0 at z = -383 starts at 192 bits, as every rerun does: at 192 to
+        # 768 bits the error bound of its sum is not 61 bits below it, and
+        # the sum at 768 bits is indeed far off; the rerun doubles its
+        # precision to 1536 bits and returns e^-383 within 1e-15 of mpmath
         spec = HypSpec.of([], [])
-        want = evaluate(spec, -383.0).value
-        rerun_precisions.clear()
-        monkeypatch.setattr(jets, "_bits", lambda *args: 128)
-        assert evaluate(spec, -383.0).value == want
-        assert rerun_precisions == [128, 256, 512, 1024, 2048]
-        short = jets._Fixed(1024)
+        with mpmath.workdps(40):
+            want = complex(mpmath.exp(-383))
+        assert rel(evaluate(spec, -383.0).value, want) <= 1e-15
+        assert rerun_precisions == [192, 384, 768, 1536]
+        short = jets._Fixed(768)
         loose = short.series(spec, [short.lift(-383.0)], 1e-25, 10000)[0][0]
         assert not jets._resolved(loose) and rel(short.lower(loose), want) > 1e-15
 
@@ -628,7 +624,6 @@ class TestEvaluateFingerprint:
         # every input whose double sum cancels and reruns, the 41 that raised
         # NoConvergence at 38 digits among them, returns a value within
         # 1e-15 of mpmath; none raises
-        mpmath = pytest.importorskip("mpmath")
         reruns = []
         d_pfq = jets.d_pfq
         monkeypatch.setattr(jets, "d_pfq", lambda *args: reruns.append(1) or d_pfq(*args))

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hypderiv import jets
@@ -89,7 +90,6 @@ class TestEvalExpr:
     def test_pfq_factor_is_guarded(self):
         # 1F1(1/2; 3/2; w) = sqrt(pi) erf(sqrt(-w)) / (2 sqrt(-w)) at w = -20
         # and -15: the series cancels, so the factor reruns in fixed point
-        mpmath = pytest.importorskip("mpmath")
         spec = HypSpec.of([Fraction(1, 2)], [Fraction(3, 2)])
         for m, z, w in ((ArgMap.IDENTITY, -20, -20), (ArgMap.NEGATE, 15, -15)):
             with mpmath.workdps(40):

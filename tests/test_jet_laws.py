@@ -25,13 +25,11 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from hypderiv.core import param  # noqa: E402
-from hypderiv.jets import _STEP, COMPLEX, FRACTION, FX, Field, _Fixed  # noqa: E402
+from hypderiv.core import param
+from hypderiv.jets import _STEP, COMPLEX, FRACTION, FX, Field, _Fixed
 
 _CX = Context(prec=40)
 

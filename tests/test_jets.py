@@ -3,6 +3,7 @@
 import ast
 import cmath
 import hashlib
+import inspect
 import math
 import random
 import struct
@@ -10,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from hypderiv import expressions as ex
@@ -324,7 +326,6 @@ class TestPfqJet:
         spec = HypSpec.of([], [1.5])
         coeffs = jet_pfq(spec, jet_variable(2e4, 2)).coeffs
         assert coeffs[0] == evaluate(spec, 2e4).value == 1.2146587558307586e120
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             want = mpmath.taylor(lambda z: mpmath.hyper([], [1.5], z), 20000, 2)
         for g, w in zip(coeffs[1:], want[1:]):
@@ -414,10 +415,11 @@ class TestPfqJet:
 
     def test_rerun_is_the_one_extended_precision_entry(self):
         # no module of the package imports decimal, and jets.rerun is the one
-        # scope that builds a fixed-point field or sizes it, so the one that
-        # sets its precision, for the series and the term rerun alike; the
-        # series entry and the term are its only callers, and jets makes no
-        # exact rerun
+        # scope that builds a fixed-point field, so the one that sets its
+        # precision, for the series and the term rerun alike, from no guess
+        # of the caller's: it takes no growth model, and jets has no _bits.
+        # The series entry and the term are its only callers, rerun alone
+        # names _cancelled, and jets makes no exact rerun
         for path in sorted(Path(jets.__file__).parent.glob("*.py")):
             imported = [
                 node.module if isinstance(node, ast.ImportFrom) else alias.name
@@ -427,10 +429,11 @@ class TestPfqJet:
             ]
             assert "decimal" not in imported, path.name
         assert _scopes_where(_calls("_Fixed")) == ["jets.rerun"]
-        assert _scopes_where(_calls("_bits")) == ["jets.rerun"]
+        assert not hasattr(jets, "_bits")
+        assert list(inspect.signature(jets.rerun).parameters) == ["compute", "abs_sums", "sums"]
         assert _scopes_where(_calls("rerun")) == ["expressions._term_jet", "jets.Field.series"]
         named = _scopes_where(lambda node: isinstance(node, ast.Name) and node.id == "_cancelled")
-        assert named == ["jets._bits", "jets.rerun"]
+        assert named == ["jets.rerun"]
         fraction_series = _scopes_where(
             lambda node: _calls("series")(node) and getattr(node.func.value, "id", None) == "FRACTION"
         )
@@ -470,7 +473,6 @@ class TestPfqJet:
         # within 1e-15 of mpmath, or of the smallest subnormal for the
         # 2^n e^(2z) that underflows; so at -709 at order 0.  With a budget
         # of 512 bits the rerun at -383 raises
-        mpmath = pytest.importorskip("mpmath")
         f = hyp(HypSpec.of([], []))
         bare, times_exp = (expr(term(1, f)), 1), (expr(term(1, expz(1), f)), 2)
         cases = [(*es, n, z) for es, n, z in product((bare, times_exp), (1, 2), (-383.0, -700.0))]
@@ -483,7 +485,7 @@ class TestPfqJet:
             rerun_precisions.clear()
             with pytest.raises(NoConvergence, match="^rerun coefficient 0 is not resolved within 512 bits$"):
                 nth_derivative(e, n, -383.0)
-            assert rerun_precisions[-1] == 512, rerun_precisions
+            assert rerun_precisions == [192, 384, 512], rerun_precisions
 
     def test_term_rerun_resolves_an_exact_zero(self, monkeypatch):
         # 2F1(-200, 1; 1; w) = (1 - w)^200 at w = 2 sums to 1 from terms up to
@@ -502,6 +504,47 @@ class TestPfqJet:
                 assert abs(nth_derivative(e, n, 2.0)) <= math.factorial(n) * 5e-324
                 # resolved only at a precision past 1022 + 61 bits
                 assert reruns and reruns[-1] > 1083, reruns
+
+    def test_term_rerun_resolves_at_its_first_precision(self, rerun_precisions):
+        # two order-12 terms whose Leibniz sums cancel: the term reruns once,
+        # at 192 bits, where a start sized from the double pass (128 and 150
+        # bits) doubled, and returns the same doubles
+        cases = (
+            (
+                0.5613545127064852 + 0.19076969139749717j,
+                term(
+                    1.0,
+                    powz(0.0185656669838572),
+                    pow1mz(1.066107586594156 - 0.9661939927242125j),
+                    hyp(
+                        HypSpec.of(
+                            [-0.8259066933589985 - 1.5938942906023945j, 1.6242381666671375 - 0.3703872720438832j],
+                            [-0.267776113286017 - 0.9980875699220653j],
+                        )
+                    ),
+                ),
+                -5652770723.858411 - 4544938559.8473835j,
+            ),
+            (
+                -0.4763011936505627 - 0.4293930857821061j,
+                term(
+                    1.0,
+                    powz(-0.48731725991293295),
+                    pow1mz(-4.795527356873728 + 1.0776929517821814j),
+                    hyp(
+                        HypSpec.of(
+                            [-3.4752713797907218 + 1.3925761894664939j, -3.1899855756226376 + 0.4206622859888143j],
+                            [-1.8697295985396316 + 0.7355455236731268j],
+                        )
+                    ),
+                ),
+                4322649810.63323 - 18420612218.83666j,
+            ),
+        )
+        for z0, t, want in cases:
+            rerun_precisions.clear()
+            assert nth_derivative(expr(t), 12, z0) == want, z0
+            assert rerun_precisions == [192], (z0, rerun_precisions)
 
     def test_only_the_eval_command_calls_the_scalar_entry(self):
         # every other value, figure1's f_R2 included, is an expression's
@@ -563,9 +606,16 @@ class TestPfqJet:
     def test_overflowed_composition_raises_no_convergence(self):
         # the Pfaff composition's power d^2 passes the double range, and its
         # coefficient 2 is not finite (inf+nanj): in the complex field
-        # jet_pfq returns a finite jet or raises
+        # jet_pfq returns a finite jet or raises.  At order 4 the powers
+        # overflow to infinities of opposite signs, which csum, like fsum's
+        # own overflow, raises as OverflowError, so the series entry reports
+        # a sum overflow, not a bare ValueError
         with pytest.raises(NoConvergence, match="not finite"):
             jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e200, 1e200)))
+        with pytest.raises(NoConvergence, match=r"^series sum overflowed: -inf \+ inf in fsum$"):
+            jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e200, 1e200, -1e200, 1e200)))
+        with pytest.raises(OverflowError):
+            csum([math.inf, -math.inf])
         assert all(map(cmath.isfinite, jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e100, 1e100))).coeffs))
 
     def test_terminating(self):
@@ -700,7 +750,6 @@ def _pfaff_accuracy_cases():
 def test_pfaff_map_jets_match_mpmath():
     # every coefficient of 2F1(a, b; c; z/(z-1)) to 1e-12 relative, against
     # mpmath's Taylor expansion of the same function at 40 digits
-    mpmath = pytest.importorskip("mpmath")
     n = 0
     with mpmath.workdps(40):
         for spec, z0, order in _pfaff_accuracy_cases():
@@ -721,7 +770,6 @@ def test_affine_map_jets_match_mpmath():
     # digits, coefficient j of pFq(a; b; s z) at z0 (s = +-1) is
     # s^j (a)_j / ((b)_j j!) pFq(a + j; b + j; s z0) (DLMF 16.3.1), one
     # mpmath series per coefficient in place of a numerical expansion.
-    mpmath = pytest.importorskip("mpmath")
     n = {ArgMap.IDENTITY: 0, ArgMap.NEGATE: 0}
     with mpmath.workdps(40):
         for spec, amap, z0, order in _fingerprint_cases():
@@ -894,7 +942,6 @@ def test_field_series_fixed_sums_match_mpmath():
     # the fixed-point fingerprint's sums at 160 bits, each within its error
     # bound and within 1e-37 (what the 38-digit decimal rerun kept) of the
     # complex field's magnitude sum of the same series
-    mpmath = pytest.importorskip("mpmath")
     runs = _field_series_runs(FIXED)
     for spec, w, (sums, _, _, _, m) in runs:
         _assert_within_bounds(mpmath, spec, w, sums, _complex_magnitudes(spec, w), m, 1e-37)
@@ -1011,7 +1058,6 @@ class TestBinomialKernel:
         # rerun kept here) of its magnitude sum in the complex field, plus the
         # stop rule's 1e-24 of the largest, of 60-digit mpmath values; the
         # 1F1 with Re c < 0 cancel
-        mpmath = pytest.importorskip("mpmath")
         rng = random.Random("binomial-kernel-fixed")
         kappa = 0
         for order in range(8, 13):
