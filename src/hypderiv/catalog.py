@@ -303,17 +303,20 @@ def _co210_main(p: dict) -> Term:
 # Kummer-type rewrites on expressions
 
 
-def _rewrite_hyps(e: Expr, match, rewrite) -> Expr:
+def _rewrite_hyps(e: Expr, rewrite: Callable[[Hyp], Optional[list[Factor]]]) -> Expr:
+    """Replace each pFq factor by its ``rewrite``; one that it leaves alone
+    rewrites to None."""
     hit = False
     new_terms = []
     for t in e.terms:
         fs: list[Factor] = []
         for f in t.factors:
-            if isinstance(f, Hyp) and match(f):
-                fs.extend(rewrite(f))
-                hit = True
-            else:
+            new = rewrite(f) if isinstance(f, Hyp) else None
+            if new is None:
                 fs.append(f)
+            else:
+                fs.extend(new)
+                hit = True
         new_terms.append(Term(t.coeff, tuple(fs)))
     if not hit:
         raise NotApplicable("no hypergeometric factor matches the transform")
@@ -323,30 +326,28 @@ def _rewrite_hyps(e: Expr, match, rewrite) -> Expr:
 def kummer1(e: Expr) -> Expr:
     """1F1(a;c;z) -> e^z 1F1(c-a;c;-z) (and the mirrored form at -z)."""
 
-    def match(f: Hyp) -> bool:
-        return f.spec.p == 1 and f.spec.q == 1 and f.map in (ArgMap.IDENTITY, ArgMap.NEGATE)
-
-    def rewrite(f: Hyp):
+    def rewrite(f: Hyp) -> Optional[list[Factor]]:
+        if (f.spec.p, f.spec.q) != (1, 1) or f.map not in (ArgMap.IDENTITY, ArgMap.NEGATE):
+            return None
         (a,), (c,) = f.spec.upper, f.spec.lower
         flipped = HypSpec((c - a,), (c,))
         if f.map is ArgMap.IDENTITY:
             return [expz(1), Hyp(flipped, ArgMap.NEGATE)]
         return [expz(-1), Hyp(flipped, ArgMap.IDENTITY)]
 
-    return _rewrite_hyps(e, match, rewrite)
+    return _rewrite_hyps(e, rewrite)
 
 
 def kummer2(e: Expr) -> Expr:
     """Euler: 2F1(a,b;c;z) -> (1-z)^{c-a-b} 2F1(c-a,c-b;c;z)."""
 
-    def match(f: Hyp) -> bool:
-        return f.spec.p == 2 and f.spec.q == 1 and f.map is ArgMap.IDENTITY
-
-    def rewrite(f: Hyp):
+    def rewrite(f: Hyp) -> Optional[list[Factor]]:
+        if (f.spec.p, f.spec.q) != (2, 1) or f.map is not ArgMap.IDENTITY:
+            return None
         (a, b), (c,) = f.spec.upper, f.spec.lower
         return [pow1mz(c - a - b), Hyp(HypSpec((c - a, c - b), (c,)), ArgMap.IDENTITY)]
 
-    return _rewrite_hyps(e, match, rewrite)
+    return _rewrite_hyps(e, rewrite)
 
 
 def kummer3(e: Expr) -> Expr:
@@ -356,17 +357,16 @@ def kummer3(e: Expr) -> Expr:
     involution of the argument).
     """
 
-    def match(f: Hyp) -> bool:
-        return f.spec.p == 2 and f.spec.q == 1 and f.map in (ArgMap.IDENTITY, ArgMap.PFAFF)
-
-    def rewrite(f: Hyp):
+    def rewrite(f: Hyp) -> Optional[list[Factor]]:
+        if (f.spec.p, f.spec.q) != (2, 1) or f.map not in (ArgMap.IDENTITY, ArgMap.PFAFF):
+            return None
         (a, b), (c,) = f.spec.upper, f.spec.lower
         flipped = HypSpec((a, c - b), (c,))
         if f.map is ArgMap.IDENTITY:
             return [pow1mz(-a), Hyp(flipped, ArgMap.PFAFF)]
         return [pow1mz(a), Hyp(flipped, ArgMap.IDENTITY)]
 
-    return _rewrite_hyps(e, match, rewrite)
+    return _rewrite_hyps(e, rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +446,14 @@ LiteralTerm = Callable[[dict], Optional[Term]]
 @dataclass(frozen=True)
 class _Params:
     """Complex parameters drawn together, with the combinations of their
-    values that must stay off the integers too."""
+    values that must stay off the integers too.  ``_draw`` adds r, or a c
+    left out of the names, only where the row's theorem branches on it."""
 
     names: tuple[str, ...]
     derived: Optional[Callable[[dict], list]] = None
-    r_always: bool = False  # draw r on a single line too (left unused there)
 
 
-_TH = _Params(("a1", "a2", "b1"), r_always=True)
+_TH = _Params(("a1", "a2", "b1"))
 _CO1 = _Params(("a", "c"), lambda v: [v["c"] - v["a"]])
 _CO2 = _Params(("a", "b", "c"), lambda v: [v["c"] - v["a"], v["c"] - v["b"]])
 
@@ -562,11 +562,8 @@ _TABLE = (
         kind="k1", r_min=1,
     ),
     # ---- corollary lines for prefactored 2F1 ----
-    # Co2-1 and Co2-2 sit in one tuple: their entries alternate, line by line
-    (
-        _Family("Co2-1", TH11, _CO2, _k2_vectors, _euler, _spec2f1, kind="k2"),
-        _Family("Co2-2", TH11, _CO2, _k3_vectors, _pfaff_r, _spec2f1, kind="k3"),
-    ),
+    _Family("Co2-1", TH11, _CO2, _k2_vectors, _euler, _spec2f1, kind="k2"),
+    _Family("Co2-2", TH11, _CO2, _k3_vectors, _pfaff_r, _spec2f1, kind="k3"),
     _Family(
         "Co2-3", TH13, _CO2, _k2_vectors, _euler, _spec2f1,
         lambda p: term(
@@ -666,8 +663,8 @@ def _draw(fam: _Family, branch: Optional[RBranch], rng: random.Random) -> dict:
     p.update(_draw_complexes(rng, names, derived))
     if fam.theorem.var == "c" and "c" not in p:
         p.update(_draw_complexes(rng, ["c"]))
-    elif fam.theorem.var == "r" or fam.params.r_always:
-        p["r"] = _draw_exponent(rng, branch or RBranch.NEGATIVE_INTEGER, n, fam.r_min)
+    elif fam.theorem.var == "r":
+        p["r"] = _draw_exponent(rng, branch, n, fam.r_min)  # type: ignore[arg-type]
     return p
 
 
@@ -708,15 +705,7 @@ def _entry(fam: _Family, branch: Optional[RBranch]) -> IdentityEntry:
     )
 
 
-def _lines():
-    for row in _TABLE:
-        group = row if isinstance(row, tuple) else (row,)
-        for branch in group[0].theorem.branches:
-            for fam in group:
-                yield fam, branch
-
-
-_LINES = tuple(_lines())
+_LINES = tuple((fam, branch) for fam in _TABLE for branch in fam.theorem.branches)
 _ENTRIES = tuple(_entry(fam, branch) for fam, branch in _LINES)
 _BY_ID = {e.id: e for e in _ENTRIES}
 _SOURCES = {e.id: line for e, line in zip(_ENTRIES, _LINES) if line[0].kind is not None}

@@ -304,25 +304,21 @@ def theorem1_rhs(spec: HypSpec, r: ParamLike, n: int) -> IdentityForm:
 
 
 def reduce_cancellation(spec: HypSpec) -> HypSpec:
-    """Repeatedly drop the first upper/lower pair with equal values.
+    """Drop each upper parameter, in order, with the first remaining lower
+    parameter of equal value.
 
-    Equal exact integers and bitwise-equal numerics cancel; the reduction is
-    idempotent once no pair remains.
+    Equal exact integers and bitwise-equal numerics cancel.  Dropping a lower
+    parameter matches no upper one already passed, so no pair remains and
+    the reduction is idempotent.
     """
-    upper = list(spec.upper)
+    upper: list[Parameter] = []
     lower = list(spec.lower)
-    changed = True
-    while changed:
-        changed = False
-        for i, a in enumerate(upper):
-            for j, b in enumerate(lower):
-                if values_equal(a, b):
-                    del upper[i]
-                    del lower[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    for a in spec.upper:
+        j = next((j for j, b in enumerate(lower) if values_equal(a, b)), None)
+        if j is None:
+            upper.append(a)
+        else:
+            del lower[j]
     return HypSpec(tuple(upper), tuple(lower))
 
 

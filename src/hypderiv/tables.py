@@ -15,7 +15,9 @@ runs the jet algebra over exact Fractions, and rounded once at the end.
 Only these two lines run exactly: ``verify`` checks the catalog in double
 precision, and an exact run would need a new command-line option.  The
 sweep over real c (``figure1_rows``) needs no digit-exact output and runs
-in double precision.
+in double precision: its f_L and f_R1 are the LHS and RHS of the catalog's
+``Th1-4-regular`` line at real c, and f_R2 continues ``Th1-4-exceptional``
+to real c by Gamma ratios.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from .core import (
     HypSpec,
     evaluate,  # not called here; kept for bench/tracing.HOOKS, which wraps this binding
     param,
-    pochhammer,
 )
 from .errors import HypDerivError
-from .expressions import eval_expr, expr, hyp, nth_derivative, powz, term
+from .expressions import eval_expr, expr, hyp, nth_derivative, term
 
 TABLE_N = 4
 TABLE_A = Fraction(1, 2)
@@ -86,15 +87,13 @@ def _sweep_f_l(c: float) -> float:
     return nth_derivative(lhs, TABLE_N, _Z_F, _SWEEP_CTRL).real
 
 
-# f_R1 and f_R2 continue the catalog lines to real c (f_R2 by Gamma ratios);
-# at float integer c <= 4 the sweep reports the pole of f_R1's series.
+# f_R1 is the catalog's Th1-4-regular line at real c, which reports the pole
+# of its series at float integer c <= 4; f_R2 continues the exceptional line
+# to real c by Gamma ratios.
 
 
 def _sweep_f_r1(c: float) -> float:
-    n = TABLE_N
-    e = expr(term(1, powz(param(c - n) - 1), hyp(HypSpec.of([_A_F, _B_F], [c - n]))))
-    v = eval_expr(e, _Z_F, _SWEEP_CTRL).real
-    return pochhammer(c - n, n).real * v
+    return eval_expr(_REGULAR.rhs(table_params(_A_F, _B_F, c)), _Z_F, _SWEEP_CTRL).real
 
 
 def _poch_gamma(x: float, s: float) -> float:

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 pass/fail lines and timings.
 """
 
+import ast
 import math
 import random
 import subprocess
@@ -83,6 +84,27 @@ def test_no_runtime_dependencies():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == TABLE_EXPECTED
+
+
+def test_imports_are_stdlib_or_relative():
+    """Every import in the package is package-relative or names a
+    standard-library module, so mpmath and hypothesis stay in the tests."""
+    pkg = Path(__file__).resolve().parent.parent / "src" / "hypderiv"
+    checked, foreign = [], []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                checked.append(name)
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {name}")
+    assert not foreign
+    assert "math" in checked and "fractions" in checked
 
 
 def test_criterion_2_intersection_at_c5():

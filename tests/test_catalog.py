@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,25 @@ class TestCatalogShape:
         for e in catalog_entries():
             for _ in range(5):
                 assert e.applicable(e.draw(rng))
+
+    def test_entries_in_table_order(self):
+        # family by family in the paper's order, each family's lines together
+        ids = [e.id for e in catalog_entries()]
+        stems = [re.sub(r"-(general|exceptional|negative|regular)$", "", i) for i in ids]
+        families = (
+            [f"Th1-{k}" for k in range(1, 6)]
+            + [f"Co1-{k}" for k in range(1, 6)]
+            + [f"Co2-{k}" for k in range(1, 11)]
+        )
+        assert [s for s, _ in itertools.groupby(stems)] == families
+        assert ids.index("Co2-1-negative") < ids.index("Co2-2-general")
+
+    @pytest.mark.parametrize("eid", ["Th1-2", "Th1-3"])
+    def test_single_line_theorems_draw_no_r(self, eid):
+        # their lines hold at an r fixed by the other parameters
+        rng = random.Random(f"0:{eid}")
+        for _ in range(20):
+            assert "r" not in entry(eid).draw(rng)
 
 
 class TestKummer1:
@@ -375,7 +396,7 @@ class TestCorollaryComposition:
                     assert rel_err(eval_expr(co, z0), eval_expr(th, z0)) < 1e-10
 
 
-CATALOG_FINGERPRINT = "dbc6f26d066f763ea35ce7e2165ea88b97d2f3bbceb5ccd0fc66564c4d392201"
+CATALOG_FINGERPRINT = "d8201d4f637c74d61f3efa0c5c2e113dd68a9bb6425501855c94803515f383ae"
 CO2_1_RHS_FINGERPRINT = "147b04606bbee9d64bf67833a0ebcc7a4b793fcd39bb594f07b52f4480ed324a"
 
 
@@ -412,9 +433,9 @@ class TestFingerprint:
     The literal Co2-1 RHS is hashed on its own: it multiplies its Pochhammer
     factors in a different order from the Th1-1 builder its composition
     uses, so its coefficients differ from that builder's in the last bits.
-    Everything else hashes as it did when the catalog listed every case line
-    by hand, but for term order: the five Th1-5-shape negative lines list the
-    general term first, as ``line_terms`` does.
+    The catalog hash covers every other part of every entry in
+    ``catalog_entries`` order, so it moves with the entry order as well as
+    with any entry's draws or expressions.
     """
 
     def test_catalog_fingerprint(self):

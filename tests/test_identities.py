@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypderiv.core import (
     EvalControl,
@@ -33,6 +35,7 @@ from hypderiv.identities import (
     reduce_cancellation,
     specialize,
     theorem1_rhs,
+    theorem4_regular_term,
     theorem_exceptional_term,
 )
 
@@ -283,6 +286,83 @@ class TestReduceCancellation:
     def test_idempotent(self):
         s = reduce_cancellation(HypSpec.of([5, 0.5], [5, 2]))
         assert reduce_cancellation(s) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.integers(min_value=0, max_value=6),
+        q=st.integers(min_value=0, max_value=6),
+    )
+    def test_equals_restart_loop(self, data, p, q):
+        # exact integers, and numeric integers and halves, so that exact and
+        # numeric parameters of one value meet
+        x = st.one_of(
+            st.integers(min_value=-3, max_value=3).map(param),
+            st.integers(min_value=-6, max_value=6).map(lambda k: param(k / 2)),
+        )
+        spec = HypSpec(
+            tuple(data.draw(st.lists(x, min_size=p, max_size=p))),
+            tuple(data.draw(st.lists(x, min_size=q, max_size=q))),
+        )
+        assert reduce_cancellation(spec) == _restart_loop(spec)
+
+
+def _restart_loop(spec: HypSpec) -> HypSpec:
+    """Drop the first upper/lower pair of equal value and start over, until
+    no pair is left: the reference for the one-pass reduction."""
+    upper, lower = list(spec.upper), list(spec.lower)
+    while True:
+        pair = next(
+            ((i, j) for i, a in enumerate(upper) for j, b in enumerate(lower) if a.value == b.value),
+            None,
+        )
+        if pair is None:
+            return HypSpec(tuple(upper), tuple(lower))
+        del upper[pair[0]]
+        del lower[pair[1]]
+
+
+def _lhs_derivative(spec: HypSpec, r, n: int) -> complex:
+    return nth_derivative(expr(term(1, powz(param(r)), hyp(spec))), n, 0.3)
+
+
+class TestBuilderEdgeCases:
+    """A builder raises where its Pochhammer denominator vanishes, and drops
+    its term where its prefactor does: a line left with no terms is the
+    derivative of a polynomial of degree below n, which the oracle gives as
+    0."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: theorem1_rhs(HypSpec.of([-1, 0.5], [-2]), 1, 4), "exceptional prefactor"),
+            (lambda: specialize(HypSpec.of([-1, 0.5], [-2]), 0, 3), r"\(b\)_n vanishes"),
+            (lambda: specialize(HypSpec.of([-1, 0.5], [2, -2]), 1, 4), r"\(b\)_\{n-c\+1\}"),
+        ],
+    )
+    def test_vanishing_denominator_raises(self, build, match):
+        with pytest.raises(SingularCoefficient, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "upper, lower, r, n, name",
+        [
+            ([-1, 0.5], [1.5], 1, 3, "Th1-1"),
+            ([-1, 0.5], [1.5], 0, 2, "Th1-2"),
+            ([-2.0, 0.5], [1.5], param(1.0), 4, "Th1-3"),
+            ([-1, 0.5], [2, 1.5], 1, 4, "Th1-4-exceptional"),
+        ],
+    )
+    def test_vanishing_prefactor_drops_the_term(self, upper, lower, r, n, name):
+        spec = HypSpec.of(upper, lower)
+        f = theorem1_rhs(spec, r, n) if name == "Th1-1" else specialize(spec, r, n)
+        assert f.name == name
+        assert f.rhs.terms == ()
+        assert _lhs_derivative(spec, r, n) == 0
+
+    def test_th14_regular_at_exact_c_drops_the_term(self):
+        # specialize cannot reach it: at an exact c <= n, r = c-1 is exceptional
+        assert theorem4_regular_term((param(-1), param(0.5)), (param(2),), 4) is None
 
 
 class TestSpecialize:

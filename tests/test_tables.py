@@ -7,7 +7,8 @@ import pytest
 
 from hypderiv import catalog, identities
 from hypderiv.core import EvalControl, HypSpec, param
-from hypderiv.expressions import Term, expr, hyp, nth_derivative, powz, term
+from hypderiv.errors import HypDerivError
+from hypderiv.expressions import Term, eval_expr, expr, hyp, nth_derivative, powz, term
 from hypderiv.tables import (
     FIGURE1_MAX_ROWS,
     TABLE_A,
@@ -97,6 +98,16 @@ class TestSweep:
         for c in (5.5, 6.0, 6.5, 7.0, 7.5):
             assert rows[c][3] is None
         assert rows[5.25][3] is not None
+
+    def test_f_r1_is_the_catalog_line(self):
+        # bit for bit at every default grid point, poles included
+        line = catalog.entry("Th1-4-regular")
+        for c, _, f_r1, _, _ in figure1_rows():
+            try:
+                want = eval_expr(line.rhs(table_params(0.5, 2 / 3, c)), 1 / 3, CTRL).real
+            except HypDerivError:
+                want = None
+            assert f_r1 == want, c
 
     def test_regular_line_equals_derivative_off_integers(self):
         rows = {r[0]: r for r in figure1_rows(4.25, 5.75, 0.25)}
