@@ -11,7 +11,9 @@ series with its stop rule) are methods of ``Field``, written once over three
 scalar fields: ``COMPLEX``, complex doubles, the oracle's working field;
 ``_Fixed``, Gaussian integers scaled by 2^-P, each with an error bound
 (``FX``), for the reruns, whose P ``rerun`` alone sets; and ``FRACTION``,
-exact real ``Fraction``, for exact inputs such as the reference table's.
+exact real ``Fraction``, for exact inputs such as the reference table's,
+whose terms step by an integer ratio and whose coefficients are each one
+integer sum over a common denominator.
 The leading values of exp and of a non-integer power are taken in double
 precision and lifted; the recurrences are linear in them, so their rounding
 scales the result instead of being amplified by cancellation.
@@ -87,12 +89,14 @@ class Field:
     are the one measure of cancellation, and ``series`` hands them to
     ``rerun`` in every field.
 
-    Besides its arithmetic a field overrides three kernel steps, each for a
-    reason measured on the hook: ``_Complex.total`` with its ``fold``, the
-    stepped bucket loop (1.7x slower in ``FRACTION``); ``_Fixed.terms``
-    (the generic term ratio reruns 3.5x slower, and some fail); and
-    ``_Fixed.fold`` (the generic one runs ``kummer-deep`` at 0.8x).  Every
-    other step is generic, the weighting and the composition's products too.
+    Besides its arithmetic a field overrides a kernel step only for a reason
+    measured on the hook: ``_Complex.total`` with its ``fold``, the stepped
+    bucket loop (1.7x slower in ``FRACTION``); ``_Fixed.terms`` (the generic
+    term ratio reruns 3.5x slower, and some fail); ``_Fixed.fold`` (the
+    generic one runs ``kummer-deep`` at 0.8x); and ``_Fraction.terms`` with
+    its ``fold`` (the generic ones take ``table1_csv`` 2.1x as long).  Every
+    other step is generic: the stop test, the weighting and the
+    composition's products too.
     """
 
     total = None
@@ -164,7 +168,7 @@ class Field:
             j = max(lo, i)
             sums[i] = sum(map(_mul, us[j:], map(math.comb, range(j, n), repeat(i))), sums[i])
 
-    terms = None  # a field's own step of the scalar terms (``_Fixed.terms``)
+    terms = None  # a field's own step of the scalar terms (``_Fixed.terms``, ``_Fraction.terms``)
 
     def weigh(self, sums, w0, w1):
         """Coefficient i of an affine jet from its binomial sum: sums[i] times
@@ -578,6 +582,15 @@ class _Fixed(Field):
 
 
 class _Fraction(Field):
+    """Exact real ``Fraction``s, for exact inputs such as the reference
+    table's.  Its own two kernel steps form each term from a ratio of
+    integers and each coefficient from one integer sum; the stop test's
+    magnitudes stay exact ``Fraction``s, so a series stops at the term it
+    stops at with the generic steps, past the double range too.  With the generic term ratio
+    and fold, ``table1_csv`` took 45 ms against 22 ms (medians of 6
+    alternating processes, each the best of 7 in-process CPU times, on a
+    2-vCPU Xeon VM)."""
+
     zero = Fraction(0)
     one = Fraction(1)
     mag = staticmethod(abs)
@@ -609,6 +622,46 @@ class _Fraction(Field):
         # any other exact addition
         ps = list(map(_mul, xs, ys))
         return sum(ps[1:], ps[0]) if ps else Fraction(0)
+
+    @staticmethod
+    def terms(upper, lower, z):
+        """The scalar terms u_k and their magnitudes: r_k z is one ratio of
+        integers, from the parameters' and z's numerators and denominators,
+        and u_k = u_(k-1) (r_k z), which ``Fraction`` keeps reduced by two
+        gcds against that small ratio.  An unreduced integer pair, normalized
+        once per term for its exact magnitude, took 2.4x as long on a 2F1 of
+        743 terms, whose gcds grow with k."""
+        ups = [(x.numerator, x.denominator) for x in upper]
+        lows = [(x.numerator, x.denominator) for x in lower]
+        # r_k z = prod(a + j) prod(den b) z / ((j + 1) prod(b + j) prod(den a))
+        top = math.prod(d for _, d in lows) * z.numerator
+        bot = math.prod(d for _, d in ups) * z.denominator
+        t, j = Fraction(1), 0
+        while True:
+            num, den = top, bot * (j + 1)
+            for n, d in ups:
+                num *= n + j * d
+            for n, d in lows:
+                den *= n + j * d
+            j += 1
+            if not den:
+                raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={j}")
+            t = t * Fraction(num, den)
+            yield t, abs(t)
+
+    @staticmethod
+    def fold(sums, us, lo):
+        # ``Field.fold`` in integers: the terms from ``lo`` over their least
+        # common denominator, each row one integer sum and one Fraction
+        cut = us[lo:]
+        dens = [x.denominator for x in cut]
+        den = math.lcm(*dens)
+        nums = [x.numerator * (den // d) for x, d in zip(cut, dens)]
+        for i, s in enumerate(sums):
+            j = max(lo, i)
+            row = sum(map(_mul, nums[j - lo :], map(math.comb, range(j, len(us)), repeat(i))))
+            if row:
+                sums[i] = Fraction(s.numerator * den + row * s.denominator, s.denominator * den)
 
 
 COMPLEX = _Complex()

@@ -12,6 +12,9 @@ Every input of the table is rational, and one printed cell sits within one
 double ulp of its 15-digit rounding boundary, so the entries are evaluated
 at the exact parameters and the Fraction z = 1/3, where ``nth_derivative``
 runs the jet algebra over exact Fractions, and rounded once at the end.
+The 15 digits are so correctly rounded up to the series' heuristic stop,
+three terms in a row below 1e-34 of the running sum; with no bound on the
+tail past it, that is not proved.
 Only these two lines run exactly: ``verify`` checks the catalog in double
 precision, and an exact run would need a new command-line option.  The
 sweep over real c (``figure1_rows``) needs no digit-exact output and runs
@@ -51,7 +54,9 @@ def table_params(a, b, c) -> dict:
 def table1_values(c: int) -> tuple[float, Optional[float], Optional[float]]:
     """(f_L, f_R1, f_R2) for integer c; None where the line is inapplicable.
 
-    Computed as Fractions and rounded once, so correctly rounded.
+    Computed as Fractions and rounded once, so correctly rounded up to the
+    exact series' heuristic stop (three terms below 1e-34 of the running
+    sum), which bounds no tail.
     """
     p = table_params(TABLE_A, TABLE_B, c)
     f_l = float(nth_derivative(_REGULAR.lhs(p), TABLE_N, TABLE_Z))
