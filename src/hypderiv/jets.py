@@ -586,10 +586,10 @@ class _Fraction(Field):
     table's.  Its own two kernel steps form each term from a ratio of
     integers and each coefficient from one integer sum; the stop test's
     magnitudes stay exact ``Fraction``s, so a series stops at the term it
-    stops at with the generic steps, past the double range too.  With the generic term ratio
-    and fold, ``table1_csv`` took 45 ms against 22 ms (medians of 6
-    alternating processes, each the best of 7 in-process CPU times, on a
-    2-vCPU Xeon VM)."""
+    stops at with the generic steps, past the double range too.  With the
+    generic term ratio and fold, ``table1_csv`` took 45 ms against 22 ms
+    (medians of 6 alternating processes, each the best of 7 in-process CPU
+    times, on a 2-vCPU Xeon VM)."""
 
     zero = Fraction(0)
     one = Fraction(1)

@@ -382,6 +382,25 @@ def test_fixed_fold_is_the_generic_fold(sums, us, data):
     assert bits(got) == bits(want)
 
 
+fractions = st.fractions(min_value=-(2**100), max_value=2**100, max_denominator=2**70)
+
+
+@LAWS
+@given(
+    sums=st.lists(fractions, min_size=1, max_size=13),
+    us=st.lists(fractions, min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_exact_fold_is_the_generic_fold(sums, us, data):
+    # the exact field's fold over a common denominator is ``Field.fold``'s
+    # sum, reduced as Fraction reduces it
+    lo = data.draw(st.integers(min_value=0, max_value=len(us)))
+    got, want = sums[:], sums[:]
+    FRACTION.fold(got, us, lo)
+    Field.fold(FRACTION, want, us, lo)
+    assert [(x.numerator, x.denominator) for x in got] == [(x.numerator, x.denominator) for x in want]
+
+
 finite = dict(allow_nan=False, allow_infinity=False)
 
 

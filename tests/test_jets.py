@@ -458,8 +458,8 @@ class TestPfqJet:
         # one kernel: a field overrides Field's steps only where a measurement
         # says it pays, the complex field's stepped buckets (fold, total),
         # the fixed-point scalar terms (fold, terms) and the exact ones
-        # (fold, terms: the generic steps took table1_csv 48 ms against
-        # 21 ms); the weighting, the division, the stop test and the
+        # (fold, terms: the generic steps took table1_csv 45 ms against
+        # 22 ms); the weighting, the division, the stop test and the
         # composition's products are the generic ones
         kernel = {name for name in vars(Field) if not name.startswith("__")}
         fields = [c for c in Field.__subclasses__() if c.__module__ == jets.__name__]
