@@ -12,8 +12,9 @@ scalar fields: ``COMPLEX``, complex doubles, the oracle's working field;
 ``_Fixed``, Gaussian integers scaled by 2^-P, each with an error bound
 (``FX``), for the reruns, whose P ``rerun`` alone sets; and ``FRACTION``,
 exact real ``Fraction``, for exact inputs such as the reference table's,
-whose terms step by an integer ratio and whose coefficients are each one
-integer sum over a common denominator.
+whose terms step by an integer ratio, whose coefficients are each one
+integer sum over a common denominator, and whose stop test runs in doubles
+and takes the exact ``Fraction`` test only where they leave it open.
 The leading values of exp and of a non-integer power are taken in double
 precision and lifted; the recurrences are linear in them, so their rounding
 scales the result instead of being amplified by cancellation.
@@ -93,13 +94,16 @@ class Field:
     measured on the hook: ``_Complex.total`` with its ``fold``, the stepped
     bucket loop (1.7x slower in ``FRACTION``); ``_Fixed.terms`` (the generic
     term ratio reruns 3.5x slower, and some fail); ``_Fixed.fold`` (the
-    generic one runs ``kummer-deep`` at 0.8x); and ``_Fraction.terms`` with
-    its ``fold`` (the generic ones take ``table1_csv`` 2.1x as long).  Every
-    other step is generic: the stop test, the weighting and the
-    composition's products too.
+    generic one runs ``kummer-deep`` at 0.8x); ``_Fraction.terms`` with its
+    ``fold`` (the generic ones take ``table1_csv`` 2.1x as long); and
+    ``_Fraction.exact``, its stop test in doubles, decided exactly where
+    they leave it open (on exact magnitudes ``table1_csv`` takes 2.2x as
+    long).  Every other step is generic: the stop test's one loop, the
+    weighting and the composition's products too.
     """
 
     total = None
+    exact = False  # an exact field's stop test runs in doubles (``_Fraction``)
 
     def mul(self, a, b):
         """Cauchy product truncated at the common order."""
@@ -242,7 +246,10 @@ class Field:
         forms the running sums, ``peak`` is their largest at the last fold
         and ``drift`` sums the largest term coefficients since, so only a
         term between rel_tol (peak -+ drift) folds; a term of magnitude 0
-        meets it.  Any other w (the Pfaff map) is composed once: the series
+        meets it.  An ``exact`` field takes the test in doubles, and exactly
+        where they leave it open (then it folds) or a double is out of range
+        (then also for the rest of the series), so each of its stops lands
+        where exact magnitudes put it; its tail is exact.  Any other w (the Pfaff map) is composed once: the series
         at w0 + h gives g_j = F^(j)(w0)/j!, and coefficient i is
         sum_(j<=i) g_j (d^j)_i for d = w - w0, with the magnitude bound
         sum_j A_j |(d^j)_i|.
@@ -269,8 +276,14 @@ class Field:
         z, stop, end = w0, m is None, max_terms if m is None else m + 1
         t0, tmax = one, mag(one)
         peak = tmax
-        # the stop test weighs running sum i by |w1/w0|^i in the binomial shape
-        apow = [1] * (top + 1)
+        small = k = drift = 0
+        folded = 1
+        inf = math.inf
+        # the stop test weighs running sum i by |w1/w0|^i in the binomial
+        # shape, and term k by C(k, i) ``wts[i]``: these in every field but an
+        # exact one, where they are doubles
+        apow = wts = [1] * (top + 1)
+        filtered = False
         if self.total:
             # each coefficient's terms, which ``total`` re-sums at the end
             buckets = kept = [[x] for x in t]
@@ -289,12 +302,23 @@ class Field:
                 if m is None:
                     end = top + 1
             steps = self.terms and self.terms(upper, lower, z)
+            if self.exact:
+                # the stop test in doubles: the weights and rel_tol inflated
+                # by 1 + slack and the drift started at slack * peak cover the
+                # rounding of up to ``end`` terms, so what the doubles decide
+                # is the exact decision, and what they leave open folds and is
+                # decided exactly.  Where the test runs, C(k, i) stays below
+                # 2^200 and the doubles within _SPAN; else on exact magnitudes
+                slack = (end + 32) * 2.0**-50
+                wts = [_double(x) * (1 + slack) for x in apow]
+                tol = _double(Fraction(rel_tol)) * (1 + slack) if rel_tol else 0.0
+                if stop and top * end.bit_length() <= 200 and not math.isnan(tol + sum(wts)):
+                    filtered, exact_tol, rel_tol, peak, drift = True, rel_tol, tol, 1.0, slack
+                else:
+                    steps, wts = ((x, None) for x, _ in steps), apow
         # running holds the sums over the terms before ``folded``, the largest
         # of them (weighed) is ``peak``, and the terms since moved each sum by
         # at most ``drift``
-        small = k = drift = 0
-        folded = 1
-        inf = math.inf
         try:
             for k in range(1, end):
                 if not steps:
@@ -328,17 +352,32 @@ class Field:
                         # the i past which the binomial weights fall
                         while i_max < top and a * (k - i_max) > i_max + 1:
                             i_max += 1
-                        tmax *= math.comb(k, i_max) * apow[i_max]
+                        tmax *= math.comb(k, i_max) * wts[i_max]
                 if stop:
                     # the sums lie within peak -+ drift, which decides the test
-                    # unless it straddles it: then they are folded in
+                    # unless it straddles it (or a magnitude is nan): then
+                    # they are folded in
                     drift += tmax
-                    met = tmax < rel_tol * (peak + drift)
+                    met = not tmax >= rel_tol * (peak + drift)
                     if met and not tmax < rel_tol * (peak - drift):
                         self.fold(running, kept, folded)
                         folded, drift = k + 1, 0
                         peak = max(map(_mul, apow, map(mag, running)))
-                        met = tmax < rel_tol * peak
+                        if filtered:
+                            # the doubles left the test open: it is decided
+                            # exactly, and so is the rest of the series where a
+                            # double was out of range (nan)
+                            out = math.isnan(tmax + _double(peak))
+                            tmax = mag(t0) * math.comb(k, i_max) * apow[i_max]
+                            met = tmax < exact_tol * peak
+                            if out:
+                                filtered, rel_tol, wts = False, exact_tol, apow
+                                steps = ((x, None) for x, _ in steps)
+                            else:
+                                peak = _double(peak)
+                                drift = slack * peak
+                        else:
+                            met = tmax < rel_tol * peak
                     # a zero term is small also where rel_tol * peak is 0
                     if met or not tmax:
                         small += 1
@@ -361,6 +400,9 @@ class Field:
             # a term past the order adds nothing to the jet
             sums = us[: top + 1] + [self.zero] * (top + 1 - len(us))
             return sums, None, k + 1, tmax if k <= top else mag(self.zero)
+        if filtered:
+            # the tail, exact
+            tmax = mag(t0) * math.comb(k, i_max) * apow[i_max]
         self.fold(running, us, folded)
         return (self.weigh(running, w0, w[1]) if top else running), None, k + 1, tmax
 
@@ -380,6 +422,22 @@ _KAPPA_LIMIT = 1e4
 _MIN_BITS = 192
 _GUARD = 8
 _BUDGET = 4096
+
+
+# The exact field takes its stop test in doubles between 1/_SPAN and _SPAN:
+# a term weighed by C(k, i) <= 2^200, a drift of its terms and rel_tol times
+# peak + drift then stay normal, and finite where a test reads them.
+_SPAN = 2.0**300
+
+
+def _double(x) -> float:
+    """|x|, an int or ``Fraction``, as a double; nan where that lies outside
+    1/_SPAN .. _SPAN (0 included) or past the double range."""
+    try:
+        x = abs(x.numerator / x.denominator)
+    except OverflowError:
+        return math.nan
+    return x if 1 / _SPAN <= x <= _SPAN else math.nan
 
 
 def _cancelled(abs_sum, value) -> bool:
@@ -584,16 +642,21 @@ class _Fixed(Field):
 class _Fraction(Field):
     """Exact real ``Fraction``s, for exact inputs such as the reference
     table's.  Its own two kernel steps form each term from a ratio of
-    integers and each coefficient from one integer sum; the stop test's
-    magnitudes stay exact ``Fraction``s, so a series stops at the term it
-    stops at with the generic steps, past the double range too.  With the
-    generic term ratio and fold, ``table1_csv`` took 45 ms against 22 ms
-    (medians of 6 alternating processes, each the best of 7 in-process CPU
-    times, on a 2-vCPU Xeon VM)."""
+    integers and each coefficient from one integer sum.  With the generic
+    term ratio and fold, ``table1_csv`` took 45 ms against 22 ms (medians of
+    6 alternating processes, each the best of 7 in-process CPU times, on a
+    2-vCPU Xeon VM).  Its stop test (``exact``) runs on the terms'
+    magnitudes as doubles, each bound inflated past its rounding, and takes
+    the exact ``Fraction`` test only where the doubles leave a test open or
+    one lies outside 2^-300 .. 2^300 (then for the rest of the series), so a
+    series stops at the term it stops at on exact magnitudes, past the
+    double range too; on exact magnitudes throughout, ``table1_csv`` took
+    22 ms against 10 ms (measured as above)."""
 
     zero = Fraction(0)
     one = Fraction(1)
     mag = staticmethod(abs)
+    exact = True
 
     @staticmethod
     def lift(x) -> Fraction:
@@ -625,8 +688,8 @@ class _Fraction(Field):
 
     @staticmethod
     def terms(upper, lower, z):
-        """The scalar terms u_k and their magnitudes: r_k z is one ratio of
-        integers, from the parameters' and z's numerators and denominators,
+        """The scalar terms u_k and their magnitudes as doubles (``_double``):
+        r_k z is one ratio of integers, from the parameters' and z's numerators and denominators,
         and u_k = u_(k-1) (r_k z), which ``Fraction`` keeps reduced by two
         gcds against that small ratio.  An unreduced integer pair, normalized
         once per term for its exact magnitude, took 2.4x as long on a 2F1 of
@@ -647,7 +710,7 @@ class _Fraction(Field):
             if not den:
                 raise PoleCoefficient(f"vanishing lower Pochhammer factor at k={j}")
             t = t * Fraction(num, den)
-            yield t, abs(t)
+            yield t, _double(t)
 
     @staticmethod
     def fold(sums, us, lo):
@@ -707,9 +770,18 @@ def _check_compatible(a: Jet, b: Jet) -> None:
         raise ValueError("jets must share base point, order and field")
 
 
+def _finite(name: str, a: Jet, coeffs) -> Jet:
+    """The jet of ``coeffs`` at ``a``'s base point, in its field; in the
+    complex field a coefficient that is not finite raises ``NoConvergence``."""
+    if a.field is COMPLEX and not all(map(cmath.isfinite, coeffs)):
+        raise NoConvergence(f"{name} coefficient overflowed: it is not finite")
+    return Jet(a.base_point, tuple(coeffs), a.field)
+
+
 def jet_add(a: Jet, b: Jet) -> Jet:
+    """The sum; a coefficient past the double range raises ``NoConvergence``."""
     _check_compatible(a, b)
-    return Jet(a.base_point, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.field)
+    return _finite("jet_add", a, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def jet_scale(a: Jet, s) -> Jet:
@@ -736,8 +808,9 @@ def jet_exp(a: Jet, sign: int = 1) -> Jet:
 
 def jet_pow(a: Jet, alpha: complex | Fraction) -> Jet:
     """f**alpha on the principal branch via alpha * f' * g = f * g'; a
-    ``Fraction`` alpha enters ``FRACTION``'s recurrence exactly."""
-    return Jet(a.base_point, tuple(a.field.pow(a.coeffs, alpha)), a.field)
+    ``Fraction`` alpha enters ``FRACTION``'s recurrence exactly.  A
+    coefficient past the double range raises ``NoConvergence``."""
+    return _finite("jet_pow", a, a.field.pow(a.coeffs, alpha))
 
 
 def jet_ipow(a: Jet, m: int) -> Jet:
@@ -756,9 +829,7 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     ctrl = ctrl or DEFAULT_CONTROL
     field = arg.field
     vals = field.series(spec, arg.coeffs, field.series_tol(ctrl.rel_tol), ctrl.max_terms)[0]
-    if field is COMPLEX and not all(map(cmath.isfinite, vals)):
-        raise NoConvergence("jet_pfq coefficient overflowed: it is not finite")
-    return Jet(arg.base_point, tuple(vals), field)
+    return _finite("jet_pfq", arg, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypderiv.core import param
-from hypderiv.jets import _STEP, COMPLEX, FRACTION, FX, Field, _Fixed
+from hypderiv.core import HypSpec, param
+from hypderiv.errors import HypDerivError
+from hypderiv.expressions import ArgMap, map_jet
+from hypderiv.jets import _STEP, COMPLEX, FRACTION, FX, Field, _Fixed, jet_variable
 
 _CX = Context(prec=40)
 
@@ -399,6 +401,103 @@ def test_exact_fold_is_the_generic_fold(sums, us, data):
     FRACTION.fold(got, us, lo)
     Field.fold(FRACTION, want, us, lo)
     assert [(x.numerator, x.denominator) for x in got] == [(x.numerator, x.denominator) for x in want]
+
+
+class _GenericExact(type(FRACTION)):
+    """``FRACTION`` with the generic term ratio and the stop test on exact
+    ``Fraction`` magnitudes: the reference for the exact field's stop test,
+    which runs in doubles."""
+
+    terms = None
+    exact = False
+
+
+GENERIC_EXACT = _GenericExact()
+
+
+def outcome(F, spec, w, rel_tol, max_terms):
+    """What ``F.series`` returns, (sums, terms, tail), or the error it raises,
+    as text: a sum or tail of another type would not compare equal."""
+    try:
+        sums, _, terms, tail, _ = F.series(spec, w, rel_tol, max_terms)
+    except HypDerivError as exc:
+        return repr(exc)
+    return repr((sums, terms, tail))
+
+
+def rationals(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=8)
+
+
+@LAWS
+@given(
+    shape=st.sampled_from([(0, 1), (1, 1), (2, 1), (3, 2)]),
+    order=orders,
+    amap=st.sampled_from([ArgMap.IDENTITY, ArgMap.NEGATE]),
+    rel_tol=st.one_of(
+        st.just(FRACTION.series_tol(1e-14)),
+        st.integers(1, 40).map(lambda n: Fraction(1, 10**n)),
+        st.just(Fraction(0)),
+    ),
+    data=st.data(),
+)
+def test_exact_stop_in_doubles_is_the_exact_stop(shape, order, amap, rel_tol, data):
+    # the exact field takes its stop test in doubles and decides exactly
+    # where they leave it open, so each stop lands where the exact
+    # magnitudes put it: the same sums, term count and tail, or the same
+    # error, on rational 0F1, 1F1, 2F1 and 3F2 (an upper at a whole number
+    # <= 0 terminates) inside their domain
+    p, q = shape
+    upper = [data.draw(rationals(-3, 3)) for _ in range(p)]
+    lower = [data.draw(rationals(-3, 4).filter(lambda b: b > 0 or b.denominator > 1)) for _ in range(q)]
+    z0 = data.draw(rationals(-4, 4) if p <= q else rationals(Fraction(-3, 4), Fraction(3, 4)))
+    spec = HypSpec.of(upper, lower)
+    w = map_jet(amap, jet_variable(z0, order, FRACTION)).coeffs
+    want = outcome(GENERIC_EXACT, spec, w, rel_tol, 300)
+    assert outcome(FRACTION, spec, w, rel_tol, 300) == want, (spec, w, rel_tol)
+
+
+def test_exact_stop_decides_a_tie_exactly():
+    # 0F1(; 3/2; 1/2) has positive terms T_k that fall fast, so at rel_tol
+    # R_k = T_k/(1 + D_k), D_k = T_1 + ... + T_k, no test before term k is
+    # met and none folds: term k's test compares T_k with R_k (peak + drift)
+    # = T_k, a tie that no double resolves.  At (1 - 2^-60) R_k, at R_k and
+    # at (1 + 2^-60) R_k each stop is the exact one, and the last stops a
+    # term sooner
+    b, z = Fraction(3, 2), Fraction(1, 2)
+    spec = HypSpec.of([], [b])
+    T = [Fraction(1)]
+    for k in range(1, 12):
+        T.append(T[-1] * z / (k * (b + k - 1)))
+    for k in (1, 4, 9):
+        R = T[k] / (1 + sum(T[1 : k + 1]))
+        tols = [R * (1 + d) for d in (-Fraction(1, 2**60), 0, Fraction(1, 2**60))]
+        want = [outcome(GENERIC_EXACT, spec, [z], tol, 100) for tol in tols]
+        assert [outcome(FRACTION, spec, [z], tol, 100) for tol in tols] == want, k
+        assert [GENERIC_EXACT.series(spec, [z], tol, 100)[2] for tol in tols] == [k + 4, k + 4, k + 3]
+
+
+def test_exact_stop_past_the_double_range():
+    # e^800 as 0F0 at Fraction(800): its terms and sums pass the double range
+    # and the 2^300 within which the doubles decide, and the exact test
+    # takes over; it sums 1171 terms
+    spec, w = HypSpec.of([], []), [Fraction(800)]
+    tol = FRACTION.series_tol(1e-14)
+    got = outcome(FRACTION, spec, w, tol, 10000)
+    assert got == outcome(GENERIC_EXACT, spec, w, tol, 10000) and ", 1171, " in got
+
+
+def test_exact_stop_counts_an_underflowing_term_as_nonzero():
+    # 0F1(; 3/2; z): at z = 10^-200 each term from term 2 on underflows to a
+    # double 0.0, at 10^-400 from term 1 on, but none is 0, so at rel_tol 0
+    # none is small and the series raises at max_terms, as with exact
+    # magnitudes
+    spec = HypSpec.of([], [Fraction(3, 2)])
+    for z, k in ((Fraction(1, 10**200), 2), (Fraction(1, 10**400), 1)):
+        assert float(z**k / (math.factorial(k) * math.prod(Fraction(3, 2) + j for j in range(k)))) == 0.0
+        got = outcome(FRACTION, spec, [z], Fraction(0), 40)
+        assert got == outcome(GENERIC_EXACT, spec, [z], Fraction(0), 40)
+        assert got == "NoConvergence('no convergence within 40 terms')", z
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -144,6 +144,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             jet_add(jet_variable(0, 2), jet_variable(1, 2))
 
+    def test_sum_past_the_double_range_raises(self):
+        # in the complex field a jet_* result is finite or raises: 1e308 +
+        # 1e308 is not a double
+        big = Jet(0.5, (1e308, 1e308))
+        with pytest.raises(NoConvergence, match="^jet_add coefficient overflowed: it is not finite$"):
+            jet_add(big, big)
+        assert jet_add(big, jet_constant(-1e308, 0.5, 1)).coeffs == (0, 1e308)
+
 
 class TestExp:
     def test_series_at_zero(self):
@@ -184,6 +192,13 @@ class TestPow:
     def test_branch_point(self):
         with pytest.raises(BasePointAtBranchPoint):
             jet_pow(jet_variable(0, 3), 0.5)
+
+    def test_coefficient_past_the_double_range_raises(self):
+        # z^-0.578 at 1e-242: the leading value, about 1e140, is a double,
+        # but the recurrence divides by z, and coefficient 1 is -5.8e381
+        with pytest.raises(NoConvergence, match="^jet_pow coefficient overflowed: it is not finite$"):
+            jet_pow(jet_variable(1e-242, 1), -0.578)
+        assert math.isfinite(jet_pow(jet_variable(1e-242, 0), -0.578).coeffs[0].real)
 
     def test_base_value_underflowing_to_zero(self):
         # the exact base value 1e-400 is not 0, but the double that the
@@ -459,12 +474,15 @@ class TestPfqJet:
         # says it pays, the complex field's stepped buckets (fold, total),
         # the fixed-point scalar terms (fold, terms) and the exact ones
         # (fold, terms: the generic steps took table1_csv 45 ms against
-        # 22 ms); the weighting, the division, the stop test and the
-        # composition's products are the generic ones
+        # 22 ms), whose stop test runs in doubles (exact: on exact
+        # magnitudes it took table1_csv 22 ms against 10 ms); the weighting,
+        # the division, the stop test's one loop and the composition's
+        # products are the generic ones
         kernel = {name for name in vars(Field) if not name.startswith("__")}
         fields = [c for c in Field.__subclasses__() if c.__module__ == jets.__name__]
         overrides = {c.__name__: set(vars(c)) & kernel for c in fields}
-        assert overrides == {"_Complex": {"fold", "total"}, "_Fixed": {"fold", "terms"}, "_Fraction": {"fold", "terms"}}
+        want = {"_Complex": {"fold", "total"}, "_Fixed": {"fold", "terms"}, "_Fraction": {"exact", "fold", "terms"}}
+        assert overrides == want
         assert not [name for name in ("power_mul", "_divide") if hasattr(jets, name) or hasattr(Field, name)]
         assert "weigh" not in vars(jets._Fixed) and "power_mul" not in vars(jets._Complex)
 
@@ -948,6 +966,35 @@ def test_field_series_fixed_sums_match_mpmath():
     for spec, w, (sums, _, _, _, m) in runs:
         _assert_within_bounds(mpmath, spec, w, sums, _complex_magnitudes(spec, w), m, 1e-37)
     assert sum(m is not None for *_, (*_, m) in runs) >= 60
+
+
+def test_exact_stop_folds_where_the_exact_test_folds():
+    # the exact field's doubles decide every stop test that exact magnitudes
+    # decide without a fold: on the fraction fingerprint's inputs (81 of the
+    # 156 fold before their last term) it folds its running sums at the same
+    # terms as the generic exact stop test
+    folds = []
+
+    class Recording(type(FRACTION)):
+        def fold(self, sums, us, lo):
+            folds.append((lo, len(us)))
+            super().fold(sums, us, lo)
+
+    class GenericRecording(Recording):
+        terms = None
+        exact = False
+
+    rng = random.Random("field-series-fingerprint-fraction")
+    n = 0
+    for spec, w in _field_series_cases(rng, FRACTION):
+        seen = []
+        for field in (Recording(), GenericRecording()):
+            folds.clear()
+            field.series(spec, w, Fraction(1, 10**20), 10000)
+            seen.append(folds[:])
+        assert seen[0] == seen[1], (spec, w)
+        n += len(seen[0]) > 1
+    assert n > 60, n
 
 
 def test_field_series_exact_sums_are_partial_sums():
