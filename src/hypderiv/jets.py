@@ -249,10 +249,10 @@ class Field:
         meets it.  An ``exact`` field takes the test in doubles, and exactly
         where they leave it open (then it folds) or a double is out of range
         (then also for the rest of the series), so each of its stops lands
-        where exact magnitudes put it; its tail is exact.  Any other w (the Pfaff map) is composed once: the series
-        at w0 + h gives g_j = F^(j)(w0)/j!, and coefficient i is
-        sum_(j<=i) g_j (d^j)_i for d = w - w0, with the magnitude bound
-        sum_j A_j |(d^j)_i|.
+        where exact magnitudes put it; its tail is exact.  Any other w (the
+        Pfaff map) is composed once: the series at w0 + h gives g_j =
+        F^(j)(w0)/j!, and coefficient i is sum_(j<=i) g_j (d^j)_i for
+        d = w - w0, with the magnitude bound sum_j A_j |(d^j)_i|.
         """
         mag, one, lift, steps = self.mag, self.one, self.lift, None
         if any(w[2:]):
@@ -307,12 +307,12 @@ class Field:
                 # by 1 + slack and the drift started at slack * peak cover the
                 # rounding of up to ``end`` terms, so what the doubles decide
                 # is the exact decision, and what they leave open folds and is
-                # decided exactly.  Where the test runs, C(k, i) stays below
-                # 2^200 and the doubles within _SPAN; else on exact magnitudes
+                # decided exactly.  Where C(k, i) stays below 2^200 and these
+                # doubles within _SPAN; else on exact magnitudes
                 slack = (end + 32) * 2.0**-50
                 wts = [_double(x) * (1 + slack) for x in apow]
                 tol = _double(Fraction(rel_tol)) * (1 + slack) if rel_tol else 0.0
-                if stop and top * end.bit_length() <= 200 and not math.isnan(tol + sum(wts)):
+                if top * end.bit_length() <= 200 and not math.isnan(tol + sum(wts)):
                     filtered, exact_tol, rel_tol, peak, drift = True, rel_tol, tol, 1.0, slack
                 else:
                     steps, wts = ((x, None) for x, _ in steps), apow
@@ -367,15 +367,15 @@ class Field:
                             # the doubles left the test open: it is decided
                             # exactly, and so is the rest of the series where a
                             # double was out of range (nan)
-                            out = math.isnan(tmax + _double(peak))
+                            dpeak = _double(peak)
+                            out = math.isnan(tmax + dpeak)
                             tmax = mag(t0) * math.comb(k, i_max) * apow[i_max]
                             met = tmax < exact_tol * peak
                             if out:
                                 filtered, rel_tol, wts = False, exact_tol, apow
                                 steps = ((x, None) for x, _ in steps)
                             else:
-                                peak = _double(peak)
-                                drift = slack * peak
+                                peak, drift = dpeak, slack * dpeak
                         else:
                             met = tmax < rel_tol * peak
                     # a zero term is small also where rel_tol * peak is 0
@@ -385,8 +385,9 @@ class Field:
                             break
                         continue
                     small = 0
-                # a small term is finite, so only the others are tested
-                if not tmax < inf:
+                # a small term is finite, so only the others are tested; an
+                # exact one always is, whatever its double
+                if not tmax < inf and not filtered:
                     raise NoConvergence(f"series term {k} overflowed: it is not finite")
             else:
                 if stop:
@@ -396,13 +397,13 @@ class Field:
         if buckets:
             sums = list(map(self.total, buckets))
             return sums, [sum(map(mag, b)) for b in buckets], k + 1, tmax
+        if filtered:
+            # the tail, exact
+            tmax = mag(t0) * math.comb(k, i_max) * apow[i_max]
         if top and not w0:
             # a term past the order adds nothing to the jet
             sums = us[: top + 1] + [self.zero] * (top + 1 - len(us))
             return sums, None, k + 1, tmax if k <= top else mag(self.zero)
-        if filtered:
-            # the tail, exact
-            tmax = mag(t0) * math.comb(k, i_max) * apow[i_max]
         self.fold(running, us, folded)
         return (self.weigh(running, w0, w[1]) if top else running), None, k + 1, tmax
 
@@ -689,9 +690,10 @@ class _Fraction(Field):
     @staticmethod
     def terms(upper, lower, z):
         """The scalar terms u_k and their magnitudes as doubles (``_double``):
-        r_k z is one ratio of integers, from the parameters' and z's numerators and denominators,
-        and u_k = u_(k-1) (r_k z), which ``Fraction`` keeps reduced by two
-        gcds against that small ratio.  An unreduced integer pair, normalized
+        r_k z is one ratio of integers, from the parameters' and z's
+        numerators and denominators, and u_k = u_(k-1) (r_k z), which
+        ``Fraction`` keeps reduced by two gcds against that small ratio.  An
+        unreduced integer pair, normalized
         once per term for its exact magnitude, took 2.4x as long on a 2F1 of
         743 terms, whose gcds grow with k."""
         ups = [(x.numerator, x.denominator) for x in upper]

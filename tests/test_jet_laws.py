@@ -480,11 +480,15 @@ def test_exact_stop_decides_a_tie_exactly():
 def test_exact_stop_past_the_double_range():
     # e^800 as 0F0 at Fraction(800): its terms and sums pass the double range
     # and the 2^300 within which the doubles decide, and the exact test
-    # takes over; it sums 1171 terms
-    spec, w = HypSpec.of([], []), [Fraction(800)]
+    # takes over; it sums 1171 terms.  The terminating (1 - 2)^1000 as
+    # 2F1(-1000, 1; 1; 2), whose terms reach 1e450, sums to 1
     tol = FRACTION.series_tol(1e-14)
-    got = outcome(FRACTION, spec, w, tol, 10000)
-    assert got == outcome(GENERIC_EXACT, spec, w, tol, 10000) and ", 1171, " in got
+    for spec, w, want in (
+        (HypSpec.of([], []), [Fraction(800)], ", 1171, "),
+        (HypSpec.of([-1000, 1], [1]), [Fraction(2)], "([Fraction(1, 1)], 1001, "),
+    ):
+        got = outcome(FRACTION, spec, w, tol, 10000)
+        assert got == outcome(GENERIC_EXACT, spec, w, tol, 10000) and want in got, got[:80]
 
 
 def test_exact_stop_counts_an_underflowing_term_as_nonzero():

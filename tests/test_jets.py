@@ -1132,8 +1132,8 @@ class TestBinomialKernel:
 
     def test_exact_series_past_the_double_range(self):
         # e^800 as 0F0 at Fraction(800): its terms pass 1e347 and its sum
-        # 1e348, beyond any double, and the stop test weighs them exactly, so
-        # it sums 1171 terms, sum_(k < 1171) 800^k/k!, here by Horner's rule
+        # 1e348, beyond any double, and the stop test takes them exactly once
+        # they pass the doubles' range, so it sums 1171 terms, sum_(k < 1171) 800^k/k!, here by Horner's rule
         # num_k = k num_(k-1) + 800^k, with sum_(j <= k) 800^j/j! = num_k/k!
         F = FRACTION
         sums, _, n, _, _ = F.series(HypSpec.of([], []), [Fraction(800)], F.series_tol(1e-14), 10000)
