@@ -304,16 +304,17 @@ class Field:
             steps = self.terms and self.terms(upper, lower, z)
             if self.exact:
                 # the stop test in doubles: the weights and rel_tol inflated
-                # by 1 + slack and the drift started at slack * peak cover the
-                # rounding of up to ``end`` terms, so what the doubles decide
-                # is the exact decision, and what they leave open folds and is
+                # by 1 + slack and the drift started at 2 slack peak cover the
+                # rounding of up to ``end`` terms (rel_tol's inflation alone
+                # would cancel slack peak), so what the doubles decide is the
+                # exact decision, and what they leave open folds and is
                 # decided exactly.  Where C(k, i) stays below 2^200 and these
                 # doubles within _SPAN; else on exact magnitudes
                 slack = (end + 32) * 2.0**-50
                 wts = [_double(x) * (1 + slack) for x in apow]
                 tol = _double(Fraction(rel_tol)) * (1 + slack) if rel_tol else 0.0
                 if top * end.bit_length() <= 200 and not math.isnan(tol + sum(wts)):
-                    filtered, exact_tol, rel_tol, peak, drift = True, rel_tol, tol, 1.0, slack
+                    filtered, exact_tol, rel_tol, peak, drift = True, rel_tol, tol, 1.0, 2 * slack
                 else:
                     steps, wts = ((x, None) for x, _ in steps), apow
         # running holds the sums over the terms before ``folded``, the largest
@@ -375,7 +376,7 @@ class Field:
                                 filtered, rel_tol, wts = False, exact_tol, apow
                                 steps = ((x, None) for x, _ in steps)
                             else:
-                                peak, drift = dpeak, slack * dpeak
+                                peak, drift = dpeak, 2 * slack * dpeak
                         else:
                             met = tmax < rel_tol * peak
                     # a zero term is small also where rel_tol * peak is 0

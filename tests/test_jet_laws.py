@@ -20,6 +20,7 @@ check the exp law on jets with f_0 = 0 and the pow law on jets with
 f_0 = 1, where that leading value is exactly 1; the complex field checks
 any f_0.
 """
+import itertools
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -475,6 +476,25 @@ def test_exact_stop_decides_a_tie_exactly():
         want = [outcome(GENERIC_EXACT, spec, [z], tol, 100) for tol in tols]
         assert [outcome(FRACTION, spec, [z], tol, 100) for tol in tols] == want, k
         assert [GENERIC_EXACT.series(spec, [z], tol, 100)[2] for tol in tols] == [k + 4, k + 4, k + 3]
+
+
+def test_exact_stop_decides_a_tie_below_exactly():
+    # e^(-11/7) as 0F0 alternates, so a term just after a fold can move the
+    # sum towards 0 by all of its drift: the sum is then peak - drift, and
+    # at rel_tol R_k = |T_k|/|S_k|, S_k the partial sum, term k's test ties
+    # with rel_tol (peak - drift), which the doubles' rel_tol, inflated
+    # past its rounding, must not decide.  At (1 - 2^-60) R_k, at R_k and at
+    # (1 + 2^-60) R_k each stop is the exact one, whatever max_terms sizes
+    # the doubles' slack by
+    spec, z = HypSpec.of([], []), Fraction(-11, 7)
+    T = [Fraction(1)]
+    for k in range(1, 30):
+        T.append(T[-1] * z / k)
+    for k, n in itertools.product(range(8, 28), (100, 300, 1000)):
+        R = abs(T[k]) / abs(sum(T[: k + 1]))
+        tols = [R * (1 + d) for d in (-Fraction(1, 2**60), 0, Fraction(1, 2**60))]
+        want = [outcome(GENERIC_EXACT, spec, [z], tol, n) for tol in tols]
+        assert [outcome(FRACTION, spec, [z], tol, n) for tol in tols] == want, (k, n)
 
 
 def test_exact_stop_past_the_double_range():
