@@ -653,7 +653,8 @@ class _Fraction(Field):
     one lies outside 2^-300 .. 2^300 (then for the rest of the series), so a
     series stops at the term it stops at on exact magnitudes, past the
     double range too; on exact magnitudes throughout, ``table1_csv`` took
-    22 ms against 10 ms (measured as above)."""
+    24.8 ms against 11.1 ms (medians of 7 alternating processes, each the
+    best of 7, on the same VM)."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -694,9 +695,9 @@ class _Fraction(Field):
         r_k z is one ratio of integers, from the parameters' and z's
         numerators and denominators, and u_k = u_(k-1) (r_k z), which
         ``Fraction`` keeps reduced by two gcds against that small ratio.  An
-        unreduced integer pair, normalized
-        once per term for its exact magnitude, took 2.4x as long on a 2F1 of
-        743 terms, whose gcds grow with k."""
+        unreduced integer pair, normalized once per term for its exact
+        magnitude, took 2.4x as long on a 2F1 of 743 terms, whose gcds grow
+        with k."""
         ups = [(x.numerator, x.denominator) for x in upper]
         lows = [(x.numerator, x.denominator) for x in lower]
         # r_k z = prod(a + j) prod(den b) z / ((j + 1) prod(b + j) prod(den a))
