@@ -28,6 +28,7 @@ from .catalog import (
     verify_entry,
 )
 from .core import (
+    DEFAULT_CONTROL,
     EvalControl,
     HypSpec,
     classify_convergence,
@@ -202,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", default="", help="comma-separated upper parameters")
     p.add_argument("--lower", default="", help="comma-separated lower parameters")
     p.add_argument("--z", required=True, help="argument (real or re+imi)")
-    p.add_argument("--rel-tol", type=float, default=1e-14)
-    p.add_argument("--max-terms", type=int, default=10000)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONTROL.rel_tol)
+    p.add_argument("--max-terms", type=int, default=DEFAULT_CONTROL.max_terms)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table1", help="reference derivative table as CSV")

@@ -6,10 +6,10 @@ z, -z or z/(z-1).  This covers every side of the differentiation identities
 handled by this package.  Expressions evaluate as Taylor jets, which is how
 n-th derivatives are obtained.  There is one term path: ``_term_jet`` forms a
 term's product jet in the field of the variable jet (complex, exact Fraction,
-or the fixed point of its own rerun, which ``jets.rerun`` runs and checks),
-each pFq factor by ``jet_pfq`` in that field, and ``_expr_jet`` sums the
-terms with each coefficient rounded once.  The value at a point,
-``eval_expr``, is the order-0 coefficient of that sum.
+or fixed point), each pFq factor by ``jet_pfq`` in that field, and
+``_expr_jet`` sums the terms with each coefficient rounded once, guarded as
+one: a sum that cancelled reruns whole in fixed point (``jets.rerun``).  The
+value at a point, ``eval_expr``, is the order-0 coefficient of that sum.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .jets import (
     COMPLEX,
     FRACTION,
     Jet,
+    _KAPPA_LIMIT,
+    _finite,
     d_variable,
     derivative,
     jet_add,
@@ -158,51 +160,60 @@ def _factor_jet(f: Factor, var: Jet, ctrl: EvalControl) -> Jet:
     return jet_pfq(f.spec, map_jet(f.map, var), ctrl)
 
 
-def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> Jet:
-    """Product jet of one term over the field of ``var``, the variable jet.
-
-    In the complex field at order >= 1 a nonnegative magnitude convolution
-    is carried alongside the product and handed to ``rerun`` with it: if its
-    bound dwarfs a coefficient of the result, the Leibniz sums cancelled
-    heavily and the term is rerun from the fixed-point variable jet, its pFq
-    factors too.  A product of scalars (order 0) cannot cancel, and the
-    other fields are the reruns and exact jets, so they carry no magnitudes.
-    """
+def _term_jet(t: Term, var: Jet, ctrl: EvalControl) -> tuple[tuple, Optional[list[float]]]:
+    """Coefficients of one term's product jet over the field of ``var``, the
+    variable jet, and in the complex field its majorant: the same product
+    over the factors' coefficient moduli (else None)."""
     order = var.order
-    guard = order and var.field is COMPLEX
     acc = jet_constant(t.coeff, var.base_point, order, var.field)
-    mags = [abs(complex(t.coeff))] + [0.0] * order if guard else None
+    mags = [abs(acc.coeffs[0])] + [0.0] * order if var.field is COMPLEX else None
     for f in t.factors:
         fj = _factor_jet(f, var, ctrl)
         acc = jet_mul(acc, fj)
-        if guard:
-            fm = [abs(x) for x in fj.coeffs]
+        if mags:
+            fm = list(map(abs, fj.coeffs))
             mags = [sum(map(mul, mags[: i + 1], fm[i::-1])) for i in range(order + 1)]
-    compute = lambda f: _term_jet(t, d_variable(var.base_point, order, f), ctrl)  # noqa: E731
-    vals = rerun(compute, mags, acc.coeffs)
-    return acc if vals is acc.coeffs else Jet(var.base_point, tuple(vals))
+    return acc.coeffs, mags
+
+
+def _double_lead(f: Factor) -> bool:
+    """Whether a factor's leading value is a double in a rerun too (``jets._lead``)."""
+    return isinstance(f, ExpZ) or isinstance(f, (PowZ, PowOneMinusZ)) and f.alpha.integer is None
 
 
 def _expr_jet(e: Expr, var: Jet, ctrl: EvalControl) -> Jet:
     """Sum of the term jets over the field of ``var``, each coefficient
     rounded once (``csum`` in ``COMPLEX``, exact in ``FRACTION``).  A term
     with coefficient 0 is skipped unevaluated; no term gives the zero jet.
+    A product or sum that overflows, or a sum that is not finite, raises
+    ``NoConvergence``: the oracle returns a finite value or none.
 
-    A product or sum that overflows, or in ``COMPLEX`` a term coefficient
-    that is not finite (checked before the sum), raises ``NoConvergence``:
-    the oracle returns a finite value or none.
+    In ``COMPLEX`` the sum is the expression's one cancellation guard: where
+    the terms' majorants, summed column by column, dwarf a coefficient, the
+    whole expression reruns (``rerun``) from the fixed-point variable jet.
+    Where the term coefficients themselves cancel past _KAPPA_LIMIT and a
+    factor's leading value is a double, which no rerun lifts, it raises
+    ``NoConvergence``.
     """
     field = var.field
     total = field.total or (lambda col: sum(col, field.zero))
     try:
-        jets = [_term_jet(t, var, ctrl).coeffs for t in e.terms if t.coeff != 0]
-        if field is COMPLEX and not all(all(map(cmath.isfinite, j)) for j in jets):
-            raise NoConvergence("expression term overflowed: a coefficient is not finite")
-        cols = zip(*jets) if jets else [()] * (var.order + 1)
-        sums = tuple(map(total, cols))
+        parts = [_term_jet(t, var, ctrl) for t in e.terms if t.coeff != 0]
+        cols = list(zip(*(c for c, _ in parts))) or [()] * (var.order + 1)
+        jet = _finite("expression", var, list(map(total, cols)))
     except OverflowError as exc:
         raise NoConvergence(f"expression overflowed: {exc}") from None
-    return Jet(var.base_point, sums, field)
+    if field is not COMPLEX:
+        return jet
+
+    def compute(f):
+        lead = any(_double_lead(x) for t in e.terms if t.coeff != 0 for x in t.factors)
+        if lead and any(sum(map(abs, col)) > _KAPPA_LIMIT * abs(s) for col, s in zip(cols, jet.coeffs)):
+            raise NoConvergence("expression cancelled across terms with a double leading value")
+        return _expr_jet(e, d_variable(var.base_point, var.order, f), ctrl)
+
+    vals = rerun(compute, list(map(sum, zip(*(m for _, m in parts)))), jet.coeffs)
+    return jet if vals is jet.coeffs else Jet(var.base_point, tuple(vals))
 
 
 def eval_expr(e: Expr, z: Point, ctrl: Optional[EvalControl] = None) -> complex:

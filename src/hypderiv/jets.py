@@ -17,17 +17,19 @@ integer sum over a common denominator, and whose stop test runs in doubles
 and takes the exact ``Fraction`` test only where they leave it open.
 The leading values of exp and of a non-integer power are taken in double
 precision and lifted; the recurrences are linear in them, so their rounding
-scales the result instead of being amplified by cancellation.
+scales a term instead of being amplified by cancellation (across terms it
+is no common factor, so ``expressions._expr_jet`` refuses a sum that
+cancels there).
 
 ``Field.pfq`` is the one place any pFq series is summed and ``Field.series``
 its one entry, which checks the input first: ``core.evaluate`` runs it at
 order 0, and ``jet_pfq`` on a jet of any field, at that field's
 ``series_tol``.  ``rerun`` holds the one cancellation guard, for a series
-and for a term of an expression alike: a sum that cancelled is rerun in
-fixed point, from one fixed precision, _MIN_BITS, doubled while a
-coefficient's own error bound is not 53 + _GUARD bits below it; past
-_BUDGET bits it raises ``NoConvergence``.  The fixed-point rerun is the
-only rerun.
+and for the sum of an expression's terms (``expressions._expr_jet``)
+alike: a sum that cancelled is rerun in fixed point, from one fixed
+precision, _MIN_BITS, doubled while a coefficient's own error bound is not
+53 + _GUARD bits below it; past _BUDGET bits it raises ``NoConvergence``.
+The fixed-point rerun is the only rerun.
 """
 
 from __future__ import annotations
@@ -852,7 +854,7 @@ def rerun(compute, abs_sums, sums):
     against its magnitude sum in ``abs_sums``, None in a field that measures
     none); then ``compute(field)``, a fixed-point jet, rounded to complex
     doubles.  The one cancellation guard and extended-precision entry, for
-    the series and the term rerun alike, and the one that sets the
+    the series and the expression rerun alike, and the one that sets the
     precision: _MIN_BITS, doubled until each coefficient is ``_resolved``
     by its own error bound; past _BUDGET bits, or the double range, it
     raises ``NoConvergence``."""
@@ -883,7 +885,8 @@ def d_pair_to_complexes(j: Jet) -> list[complex]:
 
 
 def d_variable(z0: complex, order: int, field: _Fixed) -> Jet:
-    """The variable jet in the fixed-point field: the start of a term rerun."""
+    """The variable jet in the fixed-point field: the start of an expression
+    rerun."""
     return jet_variable(z0, order, field)
 
 

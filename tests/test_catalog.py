@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypderiv import identities
+from hypderiv import catalog, identities
 from hypderiv.catalog import (
     catalog_entries,
     corollary_sources,
@@ -35,12 +35,14 @@ from hypderiv.errors import (
 from hypderiv.expressions import (
     ArgMap,
     Expr,
+    ExpZ,
     Hyp,
     PowOneMinusZ,
     PowZ,
     Term,
     eval_expr,
     expr,
+    expz,
     format_expr,
     hyp,
     nth_derivative,
@@ -171,6 +173,44 @@ class TestKummer3:
         h = next(f for f in twice.terms[0].factors if isinstance(f, Hyp))
         assert h.map is ArgMap.IDENTITY
         assert h.spec.upper[1].value == 0.25
+
+
+class TestRewriteEdgeCases:
+    """Branches of the Kummer-type builders, rewrites and transforms that the
+    catalog's draws do not reach."""
+
+    def test_kummer_general_drops_a_vanishing_prefactor(self):
+        # (r-n+1)_n = (-1)_3 = 0 at the exact r = 1, n = 3
+        p = {"r": param(1), "n": 3, "c": param(1.5)}
+        assert catalog._kummer_general(ArgMap.IDENTITY, (A,), p) is None
+
+    def test_kummer_exceptional_drops_a_vanishing_prefactor(self):
+        # (a)_s = (-1)_3 = 0 at s = n - r = 3
+        p = {"r": param(1), "n": 4, "c": param(1.5)}
+        assert catalog._kummer_exceptional(ArgMap.NEGATE, (param(-1),), p) is None
+
+    @pytest.mark.parametrize("rewrite", [kummer2, kummer3])
+    def test_euler_and_pfaff_leave_other_factors_alone(self, rewrite):
+        e = expr(term(1, hyp(HypSpec.of([0.5, 0.25], [2.0]))), term(2, hyp(HypSpec.of([0.5], [1.5]))))
+        k = rewrite(e)
+        assert k.terms[1] == e.terms[1]
+        assert rel_err(eval_expr(e, 1 / 3), eval_expr(k, 1 / 3)) < 1e-12
+
+    def test_exponential_transform_flips_exp(self):
+        spec = HypSpec.of([0.5], [1.5])
+        (t,) = catalog._transform_k1(expr(term(1, expz(1), hyp(spec))), 2, 3).terms
+        assert t.factors == (ExpZ(-1), Hyp(spec, ArgMap.NEGATE))
+
+    def test_pfaff_transform_needs_identity_arguments(self):
+        spec = HypSpec.of([0.5, 0.25], [2.0])
+        with pytest.raises(NotApplicable, match="identity-argument"):
+            catalog._transform_k3(expr(term(1, hyp(spec, ArgMap.NEGATE))), 2, 3)
+        (t,) = catalog._transform_k3(expr(term(1, expz(1), hyp(spec))), 2, 3).terms
+        assert t.factors == (ExpZ(1), Hyp(spec, ArgMap.PFAFF), PowOneMinusZ(param(-4)))
+
+    def test_composition_of_a_theorem_line_raises_key_error(self):
+        with pytest.raises(KeyError, match="Th1-2"):
+            theorem_composition("Th1-2", {})
 
 
 class TestEntryValues:

@@ -10,7 +10,7 @@ import pytest
 from hypderiv import cli
 from hypderiv.catalog import IdentityEntry
 from hypderiv.cli import main
-from hypderiv.core import HypSpec
+from hypderiv.core import DEFAULT_CONTROL, HypSpec
 from hypderiv.expressions import expr, hyp, powz, term
 
 TABLE_EXPECTED = """c,f_L,f_R1,f_R2
@@ -31,6 +31,10 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0] == "1.38629436111989"
         assert "convergence: inside-unit-disk" in out
+
+    def test_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["eval", "--z", "0.5"])
+        assert (args.rel_tol, args.max_terms) == (DEFAULT_CONTROL.rel_tol, DEFAULT_CONTROL.max_terms)
 
     def test_sum_past_the_largest_double_exit_0(self, capsys):
         # (1-z)^1000 with a modulus past the largest double prints its value

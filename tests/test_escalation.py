@@ -1,16 +1,21 @@
 """Accuracy of the fixed-point reruns against an independent reference.
 
 The oracle reruns an ill-conditioned pFq series (series level, from
-``Field.series``) or an ill-conditioned product of factor jets (term
-level, from ``expressions._term_jet``) in fixed-point arithmetic, both
-through ``jets.rerun``.  Each case
+``Field.series``) or an ill-conditioned expression (from
+``expressions._expr_jet``, where the term jets are summed: it measures each
+coefficient against the sum of the terms' majorants, so it sees the
+cancellation of the Leibniz products within a term and of the sum across
+terms) in fixed-point arithmetic, both through ``jets.rerun``.  Each case
 here is chosen so that the rerun happens, the test counts the entries into
 it, and the derivative is compared with mpmath at 50 digits.  The stated
 bound is a relative error of 1e-12; the reruns reach about 1e-14, the
 error of the derivative's finite parts.  A last case shows a series that
-cancels by kappa ~ 1e16 come out within 1e-15.  ``evaluate`` takes the same series
-guard: cancelling scalar sums come out within 1e-15 of mpmath, and a sum
-whose modulus is past the largest double is returned as not cancelled.
+cancels by kappa ~ 1e16 come out within 1e-15.  A sum that cancels across
+terms reruns too, but where a factor's leading value is a double (exp, a
+non-integer power) no rerun resolves it, and it raises ``NoConvergence``.
+``evaluate`` takes the same series guard: cancelling scalar sums come out
+within 1e-15 of mpmath, and a sum whose modulus is past the largest double
+is returned as not cancelled.
 """
 
 import cmath
@@ -22,6 +27,7 @@ import pytest
 from hypderiv import expressions as ex
 from hypderiv import jets
 from hypderiv.core import HypSpec, evaluate
+from hypderiv.errors import NoConvergence
 
 BOUND = 1e-12
 
@@ -43,7 +49,10 @@ def _mp_term(z):
     return z**0.5 * (1 - z) ** 1.5 * mpmath.exp(z) * mpmath.hyp1f1(1.0, 1.5, -z)
 
 
-# (name, expression, n, z0, reference f, series-level reruns, term-level reruns)
+TERM = ex.term(1, ex.powz(0.5), ex.pow1mz(1.5), ex.expz(1), ex.hyp(S11_TERM, ex.ArgMap.NEGATE))
+
+
+# (name, expression, n, z0, reference f, series-level reruns, expression reruns)
 CASES = [
     ("1F1 negate", ex.expr(ex.term(1, ex.hyp(S11, ex.ArgMap.NEGATE))), 2, 15.0,
      lambda z: _mp_1f1(-z), 1, 0),
@@ -52,10 +61,9 @@ CASES = [
     ("2F1 Pfaff", ex.expr(ex.term(1, ex.hyp(S21, ex.ArgMap.PFAFF))), 8, 0.3,
      lambda z: _mp_2f1(z / (z - 1)), 1, 0),
     # e^z 1F1(1; 3/2; -z) is small where both factors are large, so the
-    # Leibniz sums of the product cancel and the whole term is rerun
-    ("term powz pow1mz exp", ex.expr(ex.term(
-        1, ex.powz(0.5), ex.pow1mz(1.5), ex.expz(1), ex.hyp(S11_TERM, ex.ArgMap.NEGATE)
-    )), 4, -10 + 1j, _mp_term, 0, 1),
+    # Leibniz sums of the product cancel and the expression, this one term,
+    # is rerun
+    ("term powz pow1mz exp", ex.expr(TERM), 4, -10 + 1j, _mp_term, 0, 1),
 ]
 
 
@@ -93,6 +101,52 @@ def test_rerun_margin_at_kappa_1e16(monkeypatch):
     with mpmath.workdps(50):
         want = complex(mpmath.diff(_mp_1f1, mpmath.mpf(-40), 3))
     assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+def test_cancellation_within_a_term_of_a_sum_reruns(monkeypatch, rerun_precisions):
+    # the cancelling term beside a term that does not cancel: the expression
+    # reruns once, at 192 bits, though its factors' leading values are
+    # doubles, since across its terms the sum does not cancel
+    counts = {"d_pfq": 0, "d_variable": 0}
+    _counting(monkeypatch, jets, "d_pfq", counts)
+    _counting(monkeypatch, ex, "d_variable", counts)
+    z0 = -10 + 1j
+    got = ex.nth_derivative(ex.expr(TERM, ex.term(1e-3, ex.powz(2))), 4, z0)
+    assert counts == {"d_pfq": 0, "d_variable": 1}
+    assert rerun_precisions == [192]
+    with mpmath.workdps(50):
+        want = complex(mpmath.diff(lambda z: _mp_term(z) + mpmath.mpf(1e-3) * z**2, mpmath.mpmathify(z0), 4))
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+# e^z - 1 - z, which cancels across its terms near z = 0: with e^z a factor,
+# its leading value is a double e^(1e-8) already 1e-16 off, and with it the
+# 0F0 series, which the rerun sums in fixed point
+EXP_TAIL = (ex.term(-1), ex.term(-1, ex.powz(1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: ex.eval_expr(e, 1e-8),
+    lambda e: ex.nth_derivative(e, 1, 1e-8),
+], ids=["eval_expr", "nth_derivative"])
+def test_cancellation_across_terms_with_a_double_lead_raises(monkeypatch, call):
+    # a rerun would return its double pass's -6.08e-17 (the value is
+    # +5.0e-17), and the derivative 1.1e-8 off: refused before it starts
+    counts = {"d_variable": 0}
+    _counting(monkeypatch, ex, "d_variable", counts)
+    with pytest.raises(NoConvergence, match="cancelled across terms"):
+        call(ex.expr(ex.term(1, ex.expz(1)), *EXP_TAIL))
+    assert counts == {"d_variable": 0}
+
+
+@pytest.mark.parametrize("z0", [1e-8, 1e-3])
+def test_cancellation_across_terms_reruns(z0):
+    e = ex.expr(ex.term(1, ex.hyp(HypSpec.of([], []))), *EXP_TAIL)
+    for n in (0, 1, 2):
+        got = ex.nth_derivative(e, n, z0)
+        with mpmath.workdps(50):
+            want = complex(mpmath.diff(lambda z: mpmath.exp(z) - 1 - z, mpmath.mpf(z0), n))
+        assert abs(got - want) <= 1e-15 * abs(want), (n, got, want)
 
 
 # (upper, lower, z) of scalar sums that cancel by kappa ~ 5e6-6e14: a double

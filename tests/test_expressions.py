@@ -237,13 +237,19 @@ class TestFiniteOrNoConvergence:
                 case()
 
     def test_opposite_infinite_terms_raise_no_convergence(self):
-        # each term is +-1e320 at z = 1e10, and their sum inf - inf: a term
-        # that is not finite raises before csum sees it, at orders 0 and 1
+        # each term is +-1e320 at z = 1e10, and their sum inf - inf, which
+        # csum raises as an overflow, at orders 0 and 1
         e = expr(term(1e300, powz(2)), term(-1e300, powz(2)))
         with pytest.raises(NoConvergence):
             eval_expr(e, 1e10)
         with pytest.raises(NoConvergence):
             nth_derivative(e, 1, 1e10)
+
+    def test_derivative_past_the_double_range_raises(self):
+        # 171! is past the largest double, so n! c_n overflows whatever c_n
+        for e in (expr(term(1, powz(1))), expr(term(1, expz(1)))):
+            with pytest.raises(NoConvergence, match="^derivative 171 overflowed"):
+                nth_derivative(e, 171, 0.5)
 
     def test_values_just_inside_the_range_are_returned(self):
         # the same shapes, scaled into the double range, are finite values

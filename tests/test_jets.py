@@ -431,9 +431,10 @@ class TestPfqJet:
     def test_rerun_is_the_one_extended_precision_entry(self):
         # no module of the package imports decimal, and jets.rerun is the one
         # scope that builds a fixed-point field, so the one that sets its
-        # precision, for the series and the term rerun alike, from no guess
-        # of the caller's: it takes no growth model, and jets has no _bits.
-        # The series entry and the term are its only callers, rerun alone
+        # precision, for the series and the expression rerun alike, from no
+        # guess of the caller's: it takes no growth model, and jets has no
+        # _bits.  The series entry and the expression sum are its only
+        # callers (no term reruns on its own), rerun alone
         # names _cancelled, and jets makes no exact rerun
         for path in sorted(Path(jets.__file__).parent.glob("*.py")):
             imported = [
@@ -446,7 +447,7 @@ class TestPfqJet:
         assert _scopes_where(_calls("_Fixed")) == ["jets.rerun"]
         assert not hasattr(jets, "_bits")
         assert list(inspect.signature(jets.rerun).parameters) == ["compute", "abs_sums", "sums"]
-        assert _scopes_where(_calls("rerun")) == ["expressions._term_jet", "jets.Field.series"]
+        assert _scopes_where(_calls("rerun")) == ["expressions._expr_jet", "jets.Field.series"]
         named = _scopes_where(lambda node: isinstance(node, ast.Name) and node.id == "_cancelled")
         assert named == ["jets.rerun"]
         fraction_series = _scopes_where(
@@ -507,12 +508,22 @@ class TestPfqJet:
                 nth_derivative(e, n, -383.0)
             assert rerun_precisions == [192, 384, 512], rerun_precisions
 
+    def test_rerun_raises_an_overflow_as_no_convergence(self):
+        # a value past the double range in the fixed-point jet, or in its
+        # rounding to doubles: the rerun returns no value
+        def compute(field):
+            raise OverflowError("int too large to convert to float")
+
+        with pytest.raises(NoConvergence, match="^rerun overflowed"):
+            jets.rerun(compute, [1.0], [0j])
+
     def test_term_rerun_resolves_an_exact_zero(self, monkeypatch):
         # 2F1(-200, 1; 1; w) = (1 - w)^200 at w = 2 sums to 1 from terms up to
         # 1e95; times (1 - z)^-200 (or, on the Pfaff map, (1 - z)^200) the
-        # Leibniz sums cancel to 0 at orders 1-2, and the term reruns.  The
-        # rerun resolves each coefficient to below the smallest normal
-        # double, so the derivative is n! times at most one subnormal step
+        # Leibniz sums cancel to 0 at orders 1-2, and the expression of this
+        # one term reruns.  The rerun resolves each coefficient to below the
+        # smallest normal double, so the derivative is n! times at most one
+        # subnormal step
         reruns = []
         d_variable = jets.d_variable
         monkeypatch.setattr(ex, "d_variable", lambda *a: reruns.append(a[2].p) or d_variable(*a))
@@ -526,9 +537,9 @@ class TestPfqJet:
                 assert reruns and reruns[-1] > 1083, reruns
 
     def test_term_rerun_resolves_at_its_first_precision(self, rerun_precisions):
-        # two order-12 terms whose Leibniz sums cancel: the term reruns once,
-        # at 192 bits, where a start sized from the double pass (128 and 150
-        # bits) doubled, and returns the same doubles
+        # two order-12 terms whose Leibniz sums cancel: each, an expression
+        # of its own, reruns once, at 192 bits, where a start sized from the
+        # double pass (128 and 150 bits) doubled, and returns the same doubles
         cases = (
             (
                 0.5613545127064852 + 0.19076969139749717j,
