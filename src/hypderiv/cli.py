@@ -10,6 +10,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input/spec,
 3 series did not converge.
+
+Only the series kernel (``core``, ``errors``, ``jets``) is imported at
+module level, so a cold ``eval`` loads nothing else of the package; the
+other handlers import ``catalog``, ``expressions`` and ``tables`` when
+they run.
 """
 
 from __future__ import annotations
@@ -20,13 +25,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .catalog import (
-    catalog_entries,
-    entry,
-    format_report,
-    reports_to_csv,
-    verify_entry,
-)
 from .core import (
     DEFAULT_CONTROL,
     EvalControl,
@@ -39,8 +37,6 @@ from .errors import (
     HypDerivError,
     NoConvergence,
 )
-from .expressions import format_expr
-from .tables import figure1_csv, table1_csv
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -127,6 +123,8 @@ def _unwritable(path: str) -> Optional[str]:
 
 
 def _cmd_table1(args) -> int:
+    from .tables import table1_csv
+
     if args.digits < 1:
         return _invalid("--digits must be >= 1")
     sys.stdout.write(table1_csv(digits=args.digits))
@@ -134,6 +132,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
+    from .tables import figure1_csv
+
     if args.digits < 1:
         return _invalid("--digits must be >= 1")
     reason = _unwritable(args.out) if args.out != "-" else None
@@ -153,6 +153,9 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .catalog import catalog_entries, entry, format_report, reports_to_csv, verify_entry
+    from .expressions import format_expr
+
     if args.identity == "all":
         selected = list(catalog_entries())
     else:

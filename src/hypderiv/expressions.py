@@ -200,7 +200,7 @@ def _expr_jet(e: Expr, var: Jet, ctrl: EvalControl) -> Jet:
     try:
         parts = [_term_jet(t, var, ctrl) for t in e.terms if t.coeff != 0]
         cols = list(zip(*(c for c, _ in parts))) or [()] * (var.order + 1)
-        jet = _finite("expression", var, list(map(total, cols)))
+        jet = _finite("expression", var, map, total, cols)
     except OverflowError as exc:
         raise NoConvergence(f"expression overflowed: {exc}") from None
     if field is not COMPLEX:

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import add as _add
 from operator import attrgetter
 from operator import mul as _mul
 from typing import Optional
@@ -156,10 +157,16 @@ class Field:
         return g
 
     def ipow(self, a, m: int):
-        """Integer power by repeated multiplication (no branch cut)."""
+        """Integer power by repeated multiplication (no branch cut).  The
+        first factor is ``a`` itself, each coefficient rounded as ``dot``
+        rounds one product (in ``COMPLEX`` that clears a signed zero): the
+        product from the unit jet bit for bit, one multiplication fewer."""
         unit = [self.one] + [self.zero] * (len(a) - 1)
-        out = unit
-        for _ in range(abs(m)):
+        if not m:
+            return unit
+        one = (self.one,)
+        out = [self.dot(one, (x,)) for x in a]
+        for _ in range(abs(m) - 1):
             out = self.mul(out, a)
         if m < 0:
             out = self.div(unit, out)
@@ -752,15 +759,21 @@ class Jet:
             raise ValueError("a jet needs at least the order-0 coefficient")
 
 
+def _base(z0) -> complex:
+    """A jet's base point as a complex, for ``jet_variable`` and
+    ``jet_constant``."""
+    try:
+        return complex(z0)
+    except OverflowError:
+        raise ValueError(f"base point {z0} is beyond the double range") from None
+
+
 def jet_variable(z0, order: int, field: Field = COMPLEX) -> Jet:
     """The identity function f(z) = z as a jet at z0; an exact z0 beyond the
     double range raises ``ValueError``, as a non-finite input does."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    try:
-        base = complex(z0)
-    except OverflowError:
-        raise ValueError(f"base point {z0} is beyond the double range") from None
+    base = _base(z0)
     c = [field.lift(z0)] + [field.zero] * order
     if order >= 1:
         c[1] = field.one
@@ -768,7 +781,8 @@ def jet_variable(z0, order: int, field: Field = COMPLEX) -> Jet:
 
 
 def jet_constant(value, z0, order: int, field: Field = COMPLEX) -> Jet:
-    return Jet(complex(z0), (field.lift(value),) + (field.zero,) * order, field)
+    """The constant ``value`` as a jet at z0, which ``jet_variable`` takes."""
+    return Jet(_base(z0), (field.lift(value),) + (field.zero,) * order, field)
 
 
 def _check_compatible(a: Jet, b: Jet) -> None:
@@ -776,52 +790,57 @@ def _check_compatible(a: Jet, b: Jet) -> None:
         raise ValueError("jets must share base point, order and field")
 
 
-def _finite(name: str, a: Jet, coeffs) -> Jet:
-    """The jet of ``coeffs`` at ``a``'s base point, in its field; in the
-    complex field a coefficient that is not finite raises ``NoConvergence``."""
+def _finite(name: str, a: Jet, op, *args) -> Jet:
+    """The jet of the coefficients ``op(*args)`` at ``a``'s base point, in its
+    field: every ``jet_*`` result, checked once.  An overflow on the way, or
+    in the complex field a coefficient that is not finite, raises
+    ``NoConvergence``."""
+    try:
+        coeffs = tuple(op(*args))
+    except OverflowError as exc:
+        raise NoConvergence(f"{name} overflowed: {exc}") from None
     if a.field is COMPLEX and not all(map(cmath.isfinite, coeffs)):
         raise NoConvergence(f"{name} coefficient overflowed: it is not finite")
-    return Jet(a.base_point, tuple(coeffs), a.field)
+    return Jet(a.base_point, coeffs, a.field)
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
-    """The sum; a coefficient past the double range raises ``NoConvergence``."""
+    """The sum; a coefficient past the double range raises ``NoConvergence``,
+    as in every ``jet_*`` operation (``_finite``)."""
     _check_compatible(a, b)
-    return _finite("jet_add", a, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+    return _finite("jet_add", a, map, _add, a.coeffs, b.coeffs)
 
 
 def jet_scale(a: Jet, s) -> Jet:
-    s = a.field.lift(s)
-    return Jet(a.base_point, tuple(s * x for x in a.coeffs), a.field)
+    return _finite("jet_scale", a, map, _mul, repeat(a.field.lift(s)), a.coeffs)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the common order."""
     _check_compatible(a, b)
-    return Jet(a.base_point, tuple(a.field.mul(a.coeffs, b.coeffs)), a.field)
+    return _finite("jet_mul", a, a.field.mul, a.coeffs, b.coeffs)
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Division by recursive deconvolution; requires b.coeffs[0] != 0."""
     _check_compatible(a, b)
-    return Jet(a.base_point, tuple(a.field.div(a.coeffs, b.coeffs)), a.field)
+    return _finite("jet_div", a, a.field.div, a.coeffs, b.coeffs)
 
 
 def jet_exp(a: Jet, sign: int = 1) -> Jet:
     """exp(sign * f) via the recurrence g' = sign * f' * g."""
-    return Jet(a.base_point, tuple(a.field.exp(a.coeffs, sign)), a.field)
+    return _finite("jet_exp", a, a.field.exp, a.coeffs, sign)
 
 
 def jet_pow(a: Jet, alpha: complex | Fraction) -> Jet:
     """f**alpha on the principal branch via alpha * f' * g = f * g'; a
-    ``Fraction`` alpha enters ``FRACTION``'s recurrence exactly.  A
-    coefficient past the double range raises ``NoConvergence``."""
-    return _finite("jet_pow", a, a.field.pow(a.coeffs, alpha))
+    ``Fraction`` alpha enters ``FRACTION``'s recurrence exactly."""
+    return _finite("jet_pow", a, a.field.pow, a.coeffs, alpha)
 
 
 def jet_ipow(a: Jet, m: int) -> Jet:
     """Integer power by repeated multiplication (no branch cut)."""
-    return Jet(a.base_point, tuple(a.field.ipow(a.coeffs, m)), a.field)
+    return _finite("jet_ipow", a, a.field.ipow, a.coeffs, m)
 
 
 def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
@@ -835,7 +854,7 @@ def jet_pfq(spec: HypSpec, arg: Jet, ctrl: Optional[EvalControl] = None) -> Jet:
     ctrl = ctrl or DEFAULT_CONTROL
     field = arg.field
     vals = field.series(spec, arg.coeffs, field.series_tol(ctrl.rel_tol), ctrl.max_terms)[0]
-    return _finite("jet_pfq", arg, vals)
+    return _finite("jet_pfq", arg, iter, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypderiv import cli
+from hypderiv import catalog, cli
 from hypderiv.catalog import IdentityEntry
 from hypderiv.cli import main
 from hypderiv.core import DEFAULT_CONTROL, HypSpec
@@ -292,7 +292,7 @@ class TestVerify:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "verify_entry", interrupted)
+        monkeypatch.setattr(catalog, "verify_entry", interrupted)
         out = tmp_path / "report.csv"
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "--identity", "Th1-3", "--csv", str(out)])
@@ -302,7 +302,7 @@ class TestVerify:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the campaign ran before the --csv path was checked")
 
-        monkeypatch.setattr(cli, "verify_entry", must_not_run)
+        monkeypatch.setattr(catalog, "verify_entry", must_not_run)
         code = main(["verify", "--csv", str(tmp_path / "missing" / "report.csv")])
         captured = capsys.readouterr()
         assert code == 2
@@ -326,7 +326,7 @@ class TestVerify:
                 draw=lambda rng: {"n": 1},
                 z_points=(1 - 1e-7,),
             )
-            monkeypatch.setattr(cli, "entry", lambda name, stub=stub: stub)
+            monkeypatch.setattr(catalog, "entry", lambda name, stub=stub: stub)
             code = main(["verify", "--identity", "stub", "--trials", "2"])
             lines = capsys.readouterr().out.splitlines()
             assert code == 1, rhs

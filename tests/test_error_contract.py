@@ -14,6 +14,10 @@ and orders up to 4.  Two shapes cancel across terms: a term beside its
 negation scaled by 1 + 10^-k, and e^{+-z} less its Taylor polynomial, the
 shape of e^z - 1 - z.  A double sum of either is off by up to its kappa in
 ulps, which the expression guard must rerun or refuse.
+
+The other public entries keep the same contract on finite inputs of any
+size, from 1e-320 to 1e308: each ``jet_*`` operation returns a jet whose
+coefficients are finite, and ``evaluate`` a finite value, or they raise.
 """
 
 import cmath
@@ -24,7 +28,7 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypderiv.core import HypSpec
+from hypderiv.core import HypSpec, evaluate
 from hypderiv.errors import HypDerivError
 from hypderiv.expressions import (
     ArgMap,
@@ -40,6 +44,19 @@ from hypderiv.expressions import (
     pow1mz,
     powz,
     term,
+)
+from hypderiv.jets import (
+    Jet,
+    jet_add,
+    jet_constant,
+    jet_div,
+    jet_exp,
+    jet_ipow,
+    jet_mul,
+    jet_pfq,
+    jet_pow,
+    jet_scale,
+    jet_variable,
 )
 
 BOUND = 1e-6
@@ -142,3 +159,51 @@ def test_finite_or_raises_and_within_bound(e, z0, n, check):
     if check:
         want, scale = _reference(e, z0, n)
         assert abs(got - want) <= BOUND * abs(want) + 1e-30 * scale, (got, want)
+
+
+# finite doubles of any size, among moderate ones
+sizes = st.one_of(
+    st.floats(-4, 4),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1, 1), st.integers(-320, 308)),
+)
+scalars = st.builds(complex, sizes, sizes)
+
+JET_OPS = {
+    "jet_add": lambda a, b, s, k, spec: jet_add(a, b),
+    "jet_scale": lambda a, b, s, k, spec: jet_scale(a, s),
+    "jet_mul": lambda a, b, s, k, spec: jet_mul(a, b),
+    "jet_div": lambda a, b, s, k, spec: jet_div(a, b),
+    "jet_exp": lambda a, b, s, k, spec: jet_exp(a, 1 if k >= 0 else -1),
+    "jet_pow": lambda a, b, s, k, spec: jet_pow(a, s),
+    "jet_ipow": lambda a, b, s, k, spec: jet_ipow(a, k),
+    "jet_pfq": lambda a, b, s, k, spec: jet_pfq(spec, a),
+    "jet_constant": lambda a, b, s, k, spec: jet_constant(s, a.base_point, a.order),
+    "jet_variable": lambda a, b, s, k, spec: jet_variable(s, a.order),
+}
+
+
+@st.composite
+def jet_pairs(draw):
+    order, z0 = draw(st.integers(0, 4)), draw(scalars)
+    coeffs = st.lists(scalars, min_size=order + 1, max_size=order + 1)
+    return Jet(z0, tuple(draw(coeffs))), Jet(z0, tuple(draw(coeffs)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(op=st.sampled_from(sorted(JET_OPS)), ab=jet_pairs(), s=scalars, k=st.integers(-4, 6), spec=specs)
+def test_jet_operations_finite_or_raise(op, ab, s, k, spec):
+    try:
+        got = JET_OPS[op](*ab, s, k, spec)
+    except (HypDerivError, ValueError):
+        return
+    assert all(map(cmath.isfinite, got.coeffs)), (op, got)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=specs, z=scalars)
+def test_evaluate_finite_or_raises(spec, z):
+    try:
+        got = evaluate(spec, z)
+    except (HypDerivError, ValueError):
+        return
+    assert cmath.isfinite(got.value), got

@@ -53,6 +53,7 @@ from hypderiv.jets import (
     jet_mul,
     jet_pfq,
     jet_pow,
+    jet_scale,
     jet_variable,
 )
 
@@ -151,6 +152,57 @@ class TestBasics:
         with pytest.raises(NoConvergence, match="^jet_add coefficient overflowed: it is not finite$"):
             jet_add(big, big)
         assert jet_add(big, jet_constant(-1e308, 0.5, 1)).coeffs == (0, 1e308)
+
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("jet_exp", lambda: jet_exp(Jet(0.5, (1.0, 1e200, 1e200)))),  # was nan+nanj
+            ("jet_ipow", lambda: jet_ipow(Jet(0.5, (1e200, 1.0)), 3)),  # was inf+nanj
+            ("jet_scale", lambda: jet_scale(Jet(0.5, (1e308, 1.0)), 10)),  # was inf
+            ("jet_div", lambda: jet_div(Jet(0.5, (1.0, 1.0)), Jet(0.5, (1e-300, 1.0)))),  # was -inf
+        ],
+        ids=["jet_exp", "jet_ipow", "jet_scale", "jet_div"],
+    )
+    def test_result_past_the_double_range_raises(self, name, run):
+        with pytest.raises(NoConvergence, match=f"^{name} coefficient overflowed: it is not finite$"):
+            run()
+
+    def test_product_of_opposite_infinities_raises(self):
+        # coefficient 1 sums 1e308 * 1e308 and -1e308 * 1e308, inf - inf,
+        # which was a bare OverflowError
+        a, b = Jet(0.5, (1e308, -1e308, 1e308)), Jet(0.5, (1e308, 1e308, 1e308))
+        with pytest.raises(NoConvergence, match=r"^jet_mul overflowed: -inf \+ inf in fsum$"):
+            jet_mul(a, b)
+
+    def test_constant_at_a_base_point_past_the_double_range(self):
+        # as jet_variable: a ValueError, where it was a bare OverflowError
+        for make in (jet_constant, lambda z0, order: jet_variable(z0, order)):
+            args = (1, Fraction(10**400), 2) if make is jet_constant else (Fraction(10**400), 2)
+            with pytest.raises(ValueError, match="beyond the double range"):
+                make(*args)
+
+    def test_ipow_is_the_product_from_the_unit_jet(self):
+        # ipow starts from a itself, rounded as the unit jet's product would
+        # round it: bit for bit, signed zeros too, in every field
+        rng = random.Random(4)
+        signed = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0, 0.5)]
+        values = {
+            COMPLEX: signed + [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)],
+            FRACTION: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)],
+            FIXED: [FIXED.lift(1 / 3 + 0.25j) * FIXED.lift(rng.uniform(-2, 2)) for _ in range(6)],
+        }
+        for field, pool in values.items():
+            show = (lambda xs: [(x.re, x.im, x.err) for x in xs]) if field is FIXED else repr
+            for order in (0, 1, 3):
+                a = [rng.choice(pool) for _ in range(order + 1)]
+                unit = [field.one] + [field.zero] * order
+                for m in range(-3 if a[0] else 0, 5):
+                    want = unit
+                    for _ in range(abs(m)):
+                        want = field.mul(want, a)
+                    if m < 0:
+                        want = field.div(unit, want)
+                    assert show(field.ipow(a, m)) == show(want), (field, a, m)
 
 
 class TestExp:
@@ -637,13 +689,14 @@ class TestPfqJet:
     def test_overflowed_composition_raises_no_convergence(self):
         # the Pfaff composition's power d^2 passes the double range, and its
         # coefficient 2 is not finite (inf+nanj): in the complex field
-        # jet_pfq returns a finite jet or raises.  At order 4 the powers
-        # overflow to infinities of opposite signs, which csum, like fsum's
-        # own overflow, raises as OverflowError, so the series entry reports
-        # a sum overflow, not a bare ValueError
+        # jet_pfq, and the jet_mul that forms the power, return a finite jet
+        # or raise.  At order 4 the power's coefficients overflow to
+        # infinities of opposite signs, which csum, like fsum's own overflow,
+        # raises as OverflowError, so jet_mul reports an overflow, not a
+        # bare ValueError
         with pytest.raises(NoConvergence, match="not finite"):
             jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e200, 1e200)))
-        with pytest.raises(NoConvergence, match=r"^series sum overflowed: -inf \+ inf in fsum$"):
+        with pytest.raises(NoConvergence, match=r"^jet_mul overflowed: -inf \+ inf in fsum$"):
             jet_pfq(HypSpec.of([], []), Jet(0.5, (0.5, 1e200, 1e200, -1e200, 1e200)))
         with pytest.raises(OverflowError):
             csum([math.inf, -math.inf])
